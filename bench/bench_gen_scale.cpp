@@ -3,17 +3,20 @@
 // Renders rx_array decks at geometrically increasing element counts (the
 // largest past 100k devices), and times each stage separately: template
 // rendering, parser elaboration (.subckt compile-once/replay-per-instance),
-// and the DC operating-point solve. Reports the log-log scaling exponent
-// of elaboration time vs device count — the structural-sharing contract is
-// that it stays near 1 (linear), not 2 (the naive re-tokenize-per-instance
-// blowup).
+// and the DC operating-point solve. Reports the log-log scaling exponents
+// of elaboration time and of solve time vs device count, and fails when
+// either leaves linear: elaboration above 1.35 (structural sharing, not the
+// naive re-tokenize-per-instance blowup) or the solve above 1.2 (sparse LU
+// analysis linear in the factor work, not quadratic in the unknowns).
 //
 // --smoke runs only the largest size against a wall-clock budget
 // (--budget-ms, default 60000): the CI Release lane's 100k-device
 // regression tripwire.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -68,10 +71,15 @@ ScalePoint run_size(int elements, bool solve) {
   }
 
   if (solve) {
-    const auto t_solve = std::chrono::steady_clock::now();
-    const spice::Solution op = spice::dc_operating_point(ckt);
-    pt.solve_ms = ms_since(t_solve);
-    (void)op;
+    // Best of three: the smallest solve takes a few ms, so one wall-clock
+    // sample would let host noise swing the solve-exponent gate.
+    pt.solve_ms = std::numeric_limits<double>::infinity();
+    for (int rep = 0; rep < 3; ++rep) {
+      const auto t_solve = std::chrono::steady_clock::now();
+      const spice::Solution op = spice::dc_operating_point(ckt);
+      pt.solve_ms = std::min(pt.solve_ms, ms_since(t_solve));
+      (void)op;
+    }
   }
   return pt;
 }
@@ -114,22 +122,25 @@ int main(int argc, char** argv) {
                rf::ConsoleTable::num(1e3 * pt.elaborate_ms / double(pt.devices), 3)});
   }
 
-  // Log-log slope of elaboration time vs device count across the sweep:
+  // Log-log slope of a stage's time vs device count across the sweep:
   // 1.0 = linear, 2.0 = quadratic blowup.
-  double exponent = 1.0;
-  if (points.size() >= 2) {
+  auto slope = [&](double ScalePoint::*ms) {
+    if (points.size() < 2) return 1.0;
     const ScalePoint& a = points.front();
     const ScalePoint& b = points.back();
-    exponent = std::log(b.elaborate_ms / a.elaborate_ms) /
-               std::log(double(b.devices) / double(a.devices));
-  }
+    return std::log(b.*ms / a.*ms) / std::log(double(b.devices) / double(a.devices));
+  };
+  const double exponent = slope(&ScalePoint::elaborate_ms);
+  const double solve_exponent = slope(&ScalePoint::solve_ms);
 
   const ScalePoint& big = points.back();
   if (!cli.csv()) {
     table.print(out);
     if (!smoke)
       out << "\nelaboration scaling exponent (log-log slope): "
-          << rf::ConsoleTable::num(exponent, 2) << " (1 = linear)\n";
+          << rf::ConsoleTable::num(exponent, 2) << " (1 = linear)\n"
+          << "solve scaling exponent (log-log slope): "
+          << rf::ConsoleTable::num(solve_exponent, 2) << " (1 = linear)\n";
     out << "largest: " << big.devices << " devices, elaborate "
         << rf::ConsoleTable::num(big.elaborate_ms, 1) << " ms, solve "
         << rf::ConsoleTable::num(big.solve_ms, 1) << " ms\n";
@@ -143,8 +154,9 @@ int main(int argc, char** argv) {
   cli.add_metric("solve_ms", big.solve_ms);
   cli.add_metric("total_ms", total_ms);
   cli.add_metric("scaling_exponent", exponent);
+  cli.add_metric("solve_exponent", solve_exponent);
 
-  // Failures the driver can see: a quadratic elaborator or a blown budget.
+  // Exit nonzero on a quadratic elaborator or solver, or a blown budget.
   if (big.devices < 100000) {
     out << "GEN-SCALE FAILED: largest size only " << big.devices << " devices\n";
     cli.finish();
@@ -158,6 +170,12 @@ int main(int argc, char** argv) {
   }
   if (!smoke && exponent > 1.35) {
     out << "GEN-SCALE FAILED: elaboration scaling exponent " << exponent
+        << " (expected near-linear)\n";
+    cli.finish();
+    return 1;
+  }
+  if (!smoke && solve_exponent > 1.2) {
+    out << "GEN-SCALE FAILED: solve scaling exponent " << solve_exponent
         << " (expected near-linear)\n";
     cli.finish();
     return 1;

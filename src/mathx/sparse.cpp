@@ -1,12 +1,56 @@
 #include "mathx/sparse.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "mathx/lu.hpp"
 
 namespace rfmix::mathx {
+
+namespace {
+
+constexpr std::size_t kNoStep = static_cast<std::size_t>(-1);
+
+// The elimination steps still to apply to one column, as a bitset over step
+// numbers that is consumed lowest-first. Callers only add steps above the
+// last one popped, so the cursor never has to move back; it scans just the
+// words between the lowest and the highest pending step. pop() leaves the
+// bitset all-zero when it reports kNoStep, ready for the next column. The
+// vector must not be resized while a PendingSteps points into it.
+class PendingSteps {
+ public:
+  explicit PendingSteps(std::vector<std::uint64_t>& bits) : bits_(bits.data()) {}
+
+  void add(std::size_t k) {
+    const std::size_t w = k / 64;
+    bits_[w] |= std::uint64_t{1} << (k % 64);
+    lo_ = std::min(lo_, w);
+    hi_ = std::max(hi_, w);
+  }
+
+  std::size_t pop() {
+    for (; lo_ <= hi_; ++lo_) {
+      std::uint64_t& word = bits_[lo_];
+      if (word != 0) {
+        const std::size_t k = lo_ * 64 + static_cast<std::size_t>(std::countr_zero(word));
+        word &= word - 1;
+        return k;
+      }
+    }
+    lo_ = kNoStep;
+    hi_ = 0;
+    return kNoStep;
+  }
+
+ private:
+  std::uint64_t* bits_;
+  std::size_t lo_ = kNoStep, hi_ = 0;  // word range that may hold set bits
+};
+
+}  // namespace
 
 template <typename T>
 CscMatrix<T>::CscMatrix(const TripletMatrix<T>& t)
@@ -176,22 +220,32 @@ bool SparseLu<T>::refactor_from(const SparseLuSymbolic<T>& sym, const CscMatrix<
 // renumbering pass is needed; the permutation maps elimination step -> chosen
 // pivot row.
 //
-// Analyze mode (sym == nullptr): the per-column update loop scans all
-// previous columns, which is O(n^2) in symbolic terms but with O(1) work per
-// empty hit — entirely adequate for the <= few-thousand-unknown systems this
-// project builds, and straightforward to reason about.
+// Analyze mode (sym == nullptr): column j takes the update of every earlier
+// step k whose pivot row perm_[k] is occupied, in ascending k, skipping those
+// with U(k, j) exactly zero. Instead of scanning all k < j, an ordered reach
+// finds them: a step becomes pending when its pivot row becomes occupied,
+// and the lowest pending step is applied next. L column k only holds rows not
+// yet pivoted at step k, so applying step k only makes later steps pending.
+// Each step is therefore reached after all the updates that feed its pivot
+// row and in ascending order, exactly as a scan over all k < j would reach
+// it, so the factors, permutation and symbolic lists are byte-identical to
+// that scan's (tests/mathx/test_lu_oracle.cpp pins them). A column costs its
+// reach plus the bitset words that reach spans instead of O(j); on the
+// fill-free 118,784-device rx_array that took the analysis from 6.4 s to
+// ~25 ms (docs/solver.md). A depth-first reach needs a sort of the reached
+// steps to restore this order, and it walks each reached L column twice; it
+// was slower than the scan on matrices with fill.
 //
-// Replay mode (sym != nullptr): the scan is restricted to the symbolic
-// update lists. Those lists are a structural superset of the updates any
-// value assignment can trigger (closure over structure alone, see below), so
-// applying the same value-dependent skips to the restricted list visits
-// exactly the updates the full scan would, in the same ascending order; the
-// scatter sequence — and therefore the discovered pattern order, the pivot
-// scan, and every emitted byte of L and U — is identical to analyze mode as
-// long as the pivot-selection scan picks the pinned pivot. The ascending
-// update order is topologically valid because L column k only holds rows not
-// yet pivoted at step k, so a later update can never touch an earlier pivot
-// row.
+// Replay mode (sym != nullptr): the updates come from the symbolic update
+// lists. Those lists are a structural superset of the updates any value
+// assignment can trigger (closure over structure alone, see below), so
+// applying the same value-dependent skips to them visits exactly the updates
+// the analyze-mode reach would, in the same ascending order; the scatter
+// sequence — and therefore the discovered pattern order, the pivot scan, and
+// every emitted byte of L and U — is identical to analyze mode as long as the
+// pivot-selection scan picks the pinned pivot. The ascending update order is
+// topologically valid because L column k only holds rows not yet pivoted at
+// step k, so a later update can never touch an earlier pivot row.
 template <typename T>
 bool SparseLu<T>::factorize(const CscMatrix<T>& a, double pivot_tol,
                             const SparseLuSymbolic<T>* sym, SparseLuSymbolic<T>* sym_out,
@@ -220,6 +274,8 @@ bool SparseLu<T>::factorize(const CscMatrix<T>& a, double pivot_tol,
   occupied_.assign(n, 0);    // nonzero-pattern flags for `work_`
   pattern_.clear();          // rows currently occupied
   pivoted_.assign(n, 0);     // original row already chosen as pivot?
+  pending_.assign((n + 63) / 64, 0);  // one bit per elimination step
+  PendingSteps pending(pending_);
 
   const auto& acp = a.col_ptr();
   const auto& ari = a.row_idx();
@@ -252,7 +308,18 @@ bool SparseLu<T>::factorize(const CscMatrix<T>& a, double pivot_tol,
       for (std::size_t q = sym->upd_ptr_[j]; q < sym->upd_ptr_[j + 1]; ++q)
         apply_update(sym->upd_step_[q]);
     } else {
-      for (std::size_t k = 0; k < j; ++k) apply_update(k);
+      // Ordered reach: mark the step of each newly occupied pivot row, then
+      // apply the lowest pending step; its update appends the rows it
+      // occupies to pattern_, to be marked in turn.
+      for (std::size_t marked = 0;;) {
+        for (; marked < pattern_.size(); ++marked) {
+          const std::size_t r = pattern_[marked];
+          if (pivoted_[r]) pending.add(perm_inv_[r]);
+        }
+        const std::size_t k = pending.pop();
+        if (k == kNoStep) break;
+        apply_update(k);
+      }
     }
 
     // Choose pivot among rows not yet pivoted.
@@ -270,9 +337,9 @@ bool SparseLu<T>::factorize(const CscMatrix<T>& a, double pivot_tol,
       if (piv_row != sym->perm_[j]) {
         if (sym_out) {
           // Drift repair: everything eliminated so far is identical to a
-          // fresh analysis (the restricted scan visits exactly the updates
-          // a full scan would; the pivot scan above is the analyze-mode
-          // scan), so adopt the freshly scanned pivot and continue in
+          // fresh analysis (the update lists yield exactly the updates the
+          // reach would; the pivot scan above is the analyze-mode scan),
+          // so adopt the freshly scanned pivot and continue in
           // analyze mode — the remaining columns can no longer trust the
           // old symbolic's update lists.
           if (piv_row == static_cast<std::size_t>(-1)) throw SingularMatrixError(j);
@@ -332,9 +399,9 @@ bool SparseLu<T>::factorize(const CscMatrix<T>& a, double pivot_tol,
   // Structure-only closure under the now-pinned permutation. The numeric
   // factors above drop entries that are exactly zero at the analyzed values;
   // a symbolic built from them could miss updates that become nonzero at
-  // other values. This pass re-runs the reachability with every structural
+  // other values. This pass re-runs the ordered reach with every structural
   // entry treated as nonzero, so the update lists cover any value
-  // assignment with this pattern.
+  // assignment with this pattern and come out in ascending step order.
   // In replay mode the caller's symbolic is only rewritten when a drift
   // actually invalidated it — a clean replay leaves it untouched (it may
   // alias `sym`; all reads of `sym` happened in the column loop above).
@@ -360,11 +427,11 @@ bool SparseLu<T>::factorize(const CscMatrix<T>& a, double pivot_tol,
         if (!occ[row]) {
           occ[row] = 1;
           pat.push_back(row);
+          if (perm_inv_[row] < j) pending.add(perm_inv_[row]);
         }
       };
       for (std::size_t p = acp[j]; p < acp[j + 1]; ++p) touch(ari[p]);
-      for (std::size_t k = 0; k < j; ++k) {
-        if (!occ[perm_[k]]) continue;
+      for (std::size_t k; (k = pending.pop()) != kNoStep;) {
         s.upd_step_.push_back(k);
         for (std::size_t p = sl_col_ptr[k]; p < sl_col_ptr[k + 1]; ++p)
           touch(sl_row_idx[p]);

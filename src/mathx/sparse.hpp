@@ -21,6 +21,7 @@
 
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "mathx/matrix.hpp"
@@ -214,9 +215,10 @@ class SparseLuSymbolic {
 ///    value-based partial pivoting); the three-argument form additionally
 ///    exports the symbolic structure for later reuse;
 ///  * refactor_from() replays the elimination with a previously analyzed
-///    symbolic, skipping pattern discovery over all prior columns and
-///    reusing this object's buffers, and reports failure instead of
-///    producing factors that deviate from the analyze path.
+///    symbolic, taking each column's updates from its recorded list
+///    instead of discovering them, reusing this object's buffers, and
+///    reports failure instead of producing factors that deviate from the
+///    analyze path.
 template <typename T>
 class SparseLu {
  public:
@@ -239,8 +241,8 @@ class SparseLu {
   ///
   /// With `repair` non-null, pivot drift no longer aborts: up to the drift
   /// column the replayed elimination state is identical to a fresh analysis
-  /// (the restricted update scan visits exactly the updates a full scan
-  /// would, and the pivot scan is the same code), so the factorization
+  /// (the symbolic update lists yield exactly the updates the analyze-mode
+  /// reach would, and the pivot scan is the same code), so the factorization
   /// adopts the freshly scanned pivot, continues in analyze mode, and
   /// rewrites *repair with the new pivot sequence — producing factors
   /// byte-identical to SparseLu(a, pivot_tol) without restarting from
@@ -286,6 +288,7 @@ class SparseLu {
   std::vector<char> occupied_;
   std::vector<std::size_t> pattern_;
   std::vector<char> pivoted_;
+  std::vector<std::uint64_t> pending_;  // bitset of elimination steps to apply
 };
 
 extern template class TripletMatrix<double>;

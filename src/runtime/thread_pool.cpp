@@ -144,8 +144,7 @@ int ThreadPool::configured_threads() {
   if (const char* env = std::getenv("RFMIX_THREADS")) {
     char* end = nullptr;
     const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v >= 1)
-      return static_cast<int>(std::min<long>(v, 512));
+    if (end != env && *end == '\0') return static_cast<int>(std::clamp<long>(v, 1, 512));
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;

@@ -54,7 +54,8 @@ class ThreadPool {
   /// override if one is active, else global().
   static ThreadPool& current();
 
-  /// Concurrency global() would be built with (env override applied).
+  /// Concurrency global() would be built with: a numeric RFMIX_THREADS
+  /// clamped to [1, 512], else hardware_concurrency() (at least 1).
   static int configured_threads();
 
   /// True when called from one of this pool's worker threads.

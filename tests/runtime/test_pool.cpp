@@ -13,6 +13,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace rfmix::runtime {
@@ -187,6 +188,13 @@ TEST(ThreadPool, ConfiguredThreadsHonorsEnv) {
   EXPECT_EQ(ThreadPool::configured_threads(), 3);
   ::setenv("RFMIX_THREADS", "0", 1);  // clamped up to 1
   EXPECT_EQ(ThreadPool::configured_threads(), 1);
+  ::setenv("RFMIX_THREADS", "-4", 1);
+  EXPECT_EQ(ThreadPool::configured_threads(), 1);
+  ::setenv("RFMIX_THREADS", "100000", 1);  // clamped down to 512
+  EXPECT_EQ(ThreadPool::configured_threads(), 512);
+  ::setenv("RFMIX_THREADS", "many", 1);  // not a number: hardware fallback
+  EXPECT_EQ(ThreadPool::configured_threads(),
+            static_cast<int>(std::max(1u, std::thread::hardware_concurrency())));
   if (old)
     ::setenv("RFMIX_THREADS", saved.c_str(), 1);
   else
