@@ -1,38 +1,20 @@
 #include "svc/event_loop.hpp"
 
-#ifndef _WIN32
-
-#include <cerrno>
-#include <cstring>
-#include <fcntl.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <optional>
 #include <thread>
 #include <utility>
 
 #include "obs/obs.hpp"
-#include "svc/fault.hpp"
 
 namespace rfmix::svc {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-bool set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-void record_turnaround(Clock::time_point start) {
-  const auto ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - start)
-          .count();
+void record_turnaround(LineReactor::Clock::time_point start) {
+  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                      LineReactor::Clock::now() - start)
+                      .count();
   static obs::Timer& timer = obs::timer("svc.server.turnaround");
   timer.record(ns > 0 ? static_cast<std::uint64_t>(ns) : 0u);
 }
@@ -40,313 +22,24 @@ void record_turnaround(Clock::time_point start) {
 }  // namespace
 
 ServerLoop::ServerLoop(ServerSession& session, Options opts)
-    : session_(session), opts_(opts) {
-  int fds[2] = {-1, -1};
-  if (::pipe(fds) == 0) {
-    wake_r_ = fds[0];
-    wake_w_ = fds[1];
-    set_nonblocking(wake_r_);
-    set_nonblocking(wake_w_);
-  }
-}
+    : LineReactor("svc.server", opts.max_inflight, opts.max_output_bytes,
+                  opts.max_line_bytes),
+      session_(session),
+      default_timeout_ms_(opts.default_timeout_ms) {}
 
-ServerLoop::~ServerLoop() {
-  for (auto& [gen, conn] : conns_) {
-    (void)gen;
-    if (conn.fd >= 0) ::close(conn.fd);
-  }
-  if (listener_ >= 0) ::close(listener_);
-  if (wake_r_ >= 0) ::close(wake_r_);
-  if (wake_w_ >= 0) ::close(wake_w_);
-}
-
-bool ServerLoop::listen_unix(const std::string& path, std::string* err) {
-  if (wake_r_ < 0 || wake_w_ < 0) {
-    if (err != nullptr) *err = "wake pipe unavailable";
-    return false;
-  }
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    if (err != nullptr) *err = "socket path too long";
-    return false;
-  }
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  listener_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listener_ < 0) {
-    if (err != nullptr) *err = std::string("socket: ") + std::strerror(errno);
-    return false;
-  }
-  if (::bind(listener_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(listener_, opts_.backlog) != 0 || !set_nonblocking(listener_)) {
-    if (err != nullptr) *err = std::string("bind/listen: ") + std::strerror(errno);
-    ::close(listener_);
-    listener_ = -1;
-    return false;
-  }
-  socket_path_ = path;
-  return true;
-}
-
-void ServerLoop::request_shutdown() {
-  // Async-signal-safe: one relaxed store plus one write(2). Everything
-  // else happens on the loop thread once the wake byte lands.
-  shutdown_requested_.store(true, std::memory_order_release);
-  wake();
-}
-
-void ServerLoop::wake() {
-  const char b = 'w';
-  // A full pipe already guarantees a pending wakeup; EAGAIN is success.
-  [[maybe_unused]] const ssize_t n = ::write(wake_w_, &b, 1);
-}
-
-void ServerLoop::complete(std::uint64_t gen, std::uint64_t seq, Response r) {
+void ServerLoop::complete(Key key, Response r) {
   {
     std::lock_guard<std::mutex> lk(cq_mu_);
-    cq_.push_back(Completion{gen, seq, std::move(r)});
+    cq_.push_back(Completion{key, std::move(r)});
   }
   wake();
   outstanding_.fetch_sub(1, std::memory_order_release);
 }
 
-int ServerLoop::poll_timeout_ms() const {
-  Clock::time_point nearest = Clock::time_point::max();
-  for (const auto& [gen, conn] : conns_) {
-    (void)gen;
-    for (const auto& [seq, rec] : conn.inflight) {
-      (void)seq;
-      if (rec.has_deadline) nearest = std::min(nearest, rec.deadline);
-    }
-  }
-  if (draining_) nearest = std::min(nearest, drain_deadline_);
-  if (nearest == Clock::time_point::max()) return -1;
-  const auto ms =
-      std::chrono::duration_cast<std::chrono::milliseconds>(nearest - Clock::now())
-          .count();
-  if (ms <= 0) return 0;
-  return static_cast<int>(std::min<long long>(ms + 1, 60000));
-}
-
-void ServerLoop::run() {
-  std::vector<pollfd> fds;
-  std::vector<std::uint64_t> gens;
-  while (true) {
-    if (shutdown_requested_.load(std::memory_order_acquire) && !draining_) {
-      draining_ = true;
-      drain_deadline_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                           std::chrono::duration<double, std::milli>(
-                                               opts_.drain_timeout_ms));
-      if (listener_ >= 0) {
-        ::close(listener_);
-        listener_ = -1;
-      }
-      // Stop consuming input; already-dispatched work drains, buffered
-      // bytes that never became a dispatched request are dropped.
-      for (auto& [gen, conn] : conns_) {
-        (void)gen;
-        conn.discard_input = true;
-      }
-    }
-
-    process_completions();
-    process_timeouts();
-    for (auto& [gen, conn] : conns_) {
-      (void)gen;
-      dispatch_buffered(conn);
-    }
-    reap_connections();
-    if (draining_ && conns_.empty()) break;
-
-    fds.clear();
-    gens.clear();
-    fds.push_back(pollfd{wake_r_, POLLIN, 0});
-    gens.push_back(0);
-    if (listener_ >= 0) {
-      fds.push_back(pollfd{listener_, POLLIN, 0});
-      gens.push_back(0);
-    }
-    for (auto& [gen, conn] : conns_) {
-      short events = 0;
-      if (!conn.read_closed && !conn.discard_input && !conn.paused) events |= POLLIN;
-      if (conn.wpos < conn.wbuf.size()) events |= POLLOUT;
-      if (events == 0) continue;  // progress arrives via the wake pipe
-      fds.push_back(pollfd{conn.fd, events, 0});
-      gens.push_back(gen);
-    }
-
-    const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-                          poll_timeout_ms());
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      break;  // unrecoverable poll failure; drain state dies with the loop
-    }
-
-    std::size_t idx = 0;
-    if ((fds[idx].revents & POLLIN) != 0) {
-      char buf[256];
-      while (::read(wake_r_, buf, sizeof buf) > 0) {
-      }
-    }
-    ++idx;
-    if (listener_ >= 0) {
-      if ((fds[idx].revents & POLLIN) != 0) accept_clients();
-      ++idx;
-    }
-    for (; idx < fds.size(); ++idx) {
-      const auto it = conns_.find(gens[idx]);
-      if (it == conns_.end()) continue;
-      Conn& conn = it->second;
-      const short re = fds[idx].revents;
-      if ((re & (POLLERR | POLLNVAL)) != 0) {
-        conn.dead = true;
-        continue;
-      }
-      if ((re & POLLOUT) != 0) write_to(conn);
-      if ((re & (POLLIN | POLLHUP)) != 0 && !conn.read_closed && !conn.dead)
-        read_from(conn);
-    }
-  }
-
-  // Force-dropped connections can leave compute jobs still running; their
-  // completions capture `this`, so wait them out before returning control
-  // (the results themselves are discarded).
-  using namespace std::chrono_literals;
-  while (outstanding_.load(std::memory_order_acquire) > 0)
-    std::this_thread::sleep_for(200us);
-}
-
-void ServerLoop::accept_clients() {
-  while (true) {
-    const int fd = ::accept(listener_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // EAGAIN or transient accept failure: poll again
-    }
-    if (!set_nonblocking(fd)) {
-      ::close(fd);
-      continue;
-    }
-    Conn conn;
-    conn.fd = fd;
-    conn.gen = next_gen_++;
-    conns_.emplace(conn.gen, std::move(conn));
-    RFMIX_OBS_COUNT("svc.server.connections");
-  }
-}
-
-void ServerLoop::read_from(Conn& conn) {
-  char buf[65536];
-  const ssize_t n = ::recv(conn.fd, buf, sizeof buf, 0);
-  if (n > 0) {
-    RFMIX_OBS_COUNT_N("svc.server.bytes_in", n);
-    conn.rbuf.append(buf, static_cast<std::size_t>(n));
-    return;
-  }
-  if (n == 0) {
-    conn.read_closed = true;  // buffered complete lines still drain
-    return;
-  }
-  if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return;
-  conn.dead = true;
-}
-
-void ServerLoop::write_to(Conn& conn) {
-  while (conn.wpos < conn.wbuf.size()) {
-    fault::maybe_stall();
-    const std::size_t want = fault::clamp_write(conn.wbuf.size() - conn.wpos);
-    const ssize_t n = ::send(conn.fd, conn.wbuf.data() + conn.wpos, want,
-                             MSG_NOSIGNAL);
-    if (n > 0) {
-      RFMIX_OBS_COUNT_N("svc.server.bytes_out", n);
-      conn.wpos += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    if (n < 0 && errno == EINTR) continue;
-    // EPIPE/ECONNRESET: the peer hung up with responses still queued.
-    // Strictly that peer's problem — reap this connection, serve the rest.
-    if (n < 0 && (errno == EPIPE || errno == ECONNRESET))
-      RFMIX_OBS_COUNT("svc.server.peer_resets");
-    conn.dead = true;
-    return;
-  }
-  if (conn.wpos == conn.wbuf.size()) {
-    conn.wbuf.clear();
-    conn.wpos = 0;
-    if (conn.drop_after_flush) conn.dead = true;
-  } else if (conn.wpos > (1u << 16)) {
-    conn.wbuf.erase(0, conn.wpos);
-    conn.wpos = 0;
-  }
-}
-
-void ServerLoop::enqueue_response(Conn& conn, const Response& r) {
-  fault::on_response_write();
-  conn.wbuf += r.line;
-  conn.wbuf.push_back('\n');
-  if (fault::should_drop_conn()) conn.drop_after_flush = true;
-  RFMIX_OBS_COUNT("svc.server.responses");
-  // Eager flush: put the response on the wire now instead of waiting a
-  // full poll round-trip (EAGAIN leaves the tail for POLLOUT as before).
-  // Besides the latency, this bounds what a mid-batch crash can destroy
-  // to the single response being built, not a whole drained batch.
-  if (!conn.dead) write_to(conn);
-}
-
-void ServerLoop::dispatch_buffered(Conn& conn) {
-  if (conn.dead || conn.discard_input) return;
-  while (true) {
-    const bool at_capacity = conn.inflight.size() >= opts_.max_inflight ||
-                             conn.wbuf.size() - conn.wpos >= opts_.max_output_bytes;
-    if (at_capacity) {
-      if (!conn.paused) RFMIX_OBS_COUNT("svc.server.backpressure_pauses");
-      conn.paused = true;
-      break;
-    }
-    conn.paused = false;
-    const std::size_t nl = conn.rbuf.find('\n', conn.rpos);
-    if (nl == std::string::npos) {
-      if (conn.rbuf.size() - conn.rpos > opts_.max_line_bytes) {
-        // A line this long cannot be resynchronized; answer and hang up.
-        enqueue_response(conn, make_error_response(2, "null", ErrorCode::kParseError,
-                                                   "request line exceeds size limit"));
-        RFMIX_OBS_COUNT("svc.server.protocol_errors");
-        conn.read_closed = true;
-        conn.rpos = conn.rbuf.size();
-      } else if (conn.read_closed && conn.rpos < conn.rbuf.size()) {
-        // EOF with an unterminated final line: getline parity with the
-        // stdin transport — process it as the last request.
-        std::string line = conn.rbuf.substr(conn.rpos);
-        conn.rpos = conn.rbuf.size();
-        if (!line.empty() && line.back() == '\r') line.pop_back();
-        if (line.find_first_not_of(" \t") != std::string::npos)
-          process_line(conn, line);
-        continue;
-      }
-      break;
-    }
-    std::string line = conn.rbuf.substr(conn.rpos, nl - conn.rpos);
-    conn.rpos = nl + 1;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.find_first_not_of(" \t") == std::string::npos) continue;
-    process_line(conn, line);
-  }
-  // Compact the consumed prefix so a long-lived connection does not grow
-  // its read buffer without bound.
-  if (conn.rpos == conn.rbuf.size()) {
-    conn.rbuf.clear();
-    conn.rpos = 0;
-  } else if (conn.rpos > (1u << 16)) {
-    conn.rbuf.erase(0, conn.rpos);
-    conn.rpos = 0;
-  }
-}
-
-void ServerLoop::process_line(Conn& conn, const std::string& line) {
+void ServerLoop::on_line(Conn& conn, const std::string& line) {
   ParsedRequest req;
   if (std::optional<Response> err = ServerSession::parse_line(line, &req)) {
-    RFMIX_OBS_COUNT("svc.server.protocol_errors");
+    protocol_errors_.increment();
     enqueue_response(conn, *err);
     return;
   }
@@ -359,37 +52,37 @@ void ServerLoop::process_line(Conn& conn, const std::string& line) {
     return;
   }
 
-  const std::uint64_t seq = conn.next_seq++;
+  const Key key{conn.gen, next_seq_++};
   PendingReq rec;
   rec.id_json = req.id_json;
   rec.version = req.version;
   rec.start = Clock::now();
-  const double timeout_ms =
-      req.timeout_ms > 0.0 ? req.timeout_ms : opts_.default_timeout_ms;
+  const double timeout_ms = req.timeout_ms > 0.0 ? req.timeout_ms : default_timeout_ms_;
   if (timeout_ms > 0.0) {
     rec.has_deadline = true;
     rec.deadline = rec.start + std::chrono::duration_cast<Clock::duration>(
                                    std::chrono::duration<double, std::milli>(timeout_ms));
   }
-  conn.inflight.emplace(seq, std::move(rec));
+  pending_.emplace(key, std::move(rec));
+  ++conn.inflight;
   RFMIX_OBS_COUNT("svc.server.requests");
 
-  const std::uint64_t gen = conn.gen;
   outstanding_.fetch_add(1, std::memory_order_relaxed);
-  session_.submit_async(
-      req, [this, gen, seq](Response r) { complete(gen, seq, std::move(r)); });
+  session_.submit_async(req, [this, key](Response r) { complete(key, std::move(r)); });
 }
 
 void ServerLoop::do_cancel(Conn& conn, const ParsedRequest& req) {
   bool found = false;
-  for (auto it = conn.inflight.begin(); it != conn.inflight.end();) {
+  auto it = pending_.lower_bound(Key{conn.gen, 0});
+  while (it != pending_.end() && it->first.first == conn.gen) {
     if (it->second.id_json == req.cancel_target) {
       enqueue_response(conn,
                        make_error_response(it->second.version, it->second.id_json,
                                            ErrorCode::kCancelled,
                                            "request cancelled by client"));
       RFMIX_OBS_COUNT("svc.server.cancelled");
-      it = conn.inflight.erase(it);
+      it = pending_.erase(it);
+      --conn.inflight;
       found = true;
     } else {
       ++it;
@@ -401,91 +94,63 @@ void ServerLoop::do_cancel(Conn& conn, const ParsedRequest& req) {
                                       ",\"target\":" + req.cancel_target + "}"));
 }
 
-void ServerLoop::process_completions() {
+void ServerLoop::tick() {
   std::vector<Completion> batch;
   {
     std::lock_guard<std::mutex> lk(cq_mu_);
     batch.swap(cq_);
   }
   for (Completion& c : batch) {
-    const auto conn_it = conns_.find(c.gen);
-    if (conn_it == conns_.end()) {
-      RFMIX_OBS_COUNT("svc.server.dropped_responses");  // client went away
+    // Gone when timed out, cancelled, or its client went away.
+    const auto rec_it = pending_.find(c.key);
+    if (rec_it == pending_.end()) {
+      RFMIX_OBS_COUNT("svc.server.dropped_responses");
       continue;
     }
-    Conn& conn = conn_it->second;
-    const auto rec_it = conn.inflight.find(c.seq);
-    if (rec_it == conn.inflight.end()) {
-      RFMIX_OBS_COUNT("svc.server.dropped_responses");  // timed out / cancelled
-      continue;
-    }
+    Conn& conn = conns_.at(c.key.first);
     record_turnaround(rec_it->second.start);
-    conn.inflight.erase(rec_it);
+    pending_.erase(rec_it);
+    --conn.inflight;
     enqueue_response(conn, c.response);
   }
-}
 
-void ServerLoop::process_timeouts() {
   const Clock::time_point now = Clock::now();
-  for (auto& [gen, conn] : conns_) {
-    (void)gen;
-    for (auto it = conn.inflight.begin(); it != conn.inflight.end();) {
-      if (it->second.has_deadline && it->second.deadline <= now) {
-        enqueue_response(conn,
-                         make_error_response(it->second.version, it->second.id_json,
-                                             ErrorCode::kTimeout,
-                                             "request deadline exceeded"));
-        RFMIX_OBS_COUNT("svc.server.timeouts");
-        it = conn.inflight.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-}
-
-void ServerLoop::reap_connections() {
-  const bool past_drain = draining_ && Clock::now() >= drain_deadline_;
-  for (auto it = conns_.begin(); it != conns_.end();) {
-    Conn& conn = it->second;
-    const bool no_more_input =
-        conn.discard_input || (conn.read_closed && conn.rpos == conn.rbuf.size());
-    const bool finished =
-        no_more_input && conn.inflight.empty() && conn.wpos == conn.wbuf.size();
-    if (conn.dead || finished || past_drain) {
-      ::close(conn.fd);
-      RFMIX_OBS_COUNT("svc.server.disconnects");
-      it = conns_.erase(it);
+  for (auto it = pending_.begin(); it != pending_.end();) {
+    if (it->second.has_deadline && it->second.deadline <= now) {
+      Conn& conn = conns_.at(it->first.first);
+      enqueue_response(conn, make_error_response(it->second.version, it->second.id_json,
+                                                 ErrorCode::kTimeout,
+                                                 "request deadline exceeded"));
+      RFMIX_OBS_COUNT("svc.server.timeouts");
+      it = pending_.erase(it);
+      --conn.inflight;
     } else {
       ++it;
     }
   }
 }
 
-void ServerLoop::drop_connection(std::uint64_t gen) {
-  const auto it = conns_.find(gen);
-  if (it == conns_.end()) return;
-  ::close(it->second.fd);
-  RFMIX_OBS_COUNT("svc.server.disconnects");
-  conns_.erase(it);
+LineReactor::Clock::time_point ServerLoop::next_deadline() const {
+  Clock::time_point nearest = Clock::time_point::max();
+  for (const auto& [key, rec] : pending_) {
+    (void)key;
+    if (rec.has_deadline) nearest = std::min(nearest, rec.deadline);
+  }
+  return nearest;
+}
+
+void ServerLoop::on_closed(Conn& conn) {
+  pending_.erase(pending_.lower_bound(Key{conn.gen, 0}),
+                 pending_.lower_bound(Key{conn.gen + 1, 0}));
+}
+
+void ServerLoop::on_stopped() {
+  // Force-dropped connections can leave compute jobs still running; their
+  // completions capture `this`, so wait them out before returning control
+  // (the results themselves are discarded).
+  using namespace std::chrono_literals;
+  while (outstanding_.load(std::memory_order_acquire) > 0)
+    std::this_thread::sleep_for(200us);
 }
 
 }  // namespace rfmix::svc
-
-#else  // _WIN32
-
-namespace rfmix::svc {
-
-ServerLoop::ServerLoop(ServerSession& session, Options opts)
-    : session_(session), opts_(opts) {}
-ServerLoop::~ServerLoop() = default;
-bool ServerLoop::listen_unix(const std::string&, std::string* err) {
-  if (err != nullptr) *err = "unix sockets are not supported on this platform";
-  return false;
-}
-void ServerLoop::run() {}
-void ServerLoop::request_shutdown() {}
-
-}  // namespace rfmix::svc
-
-#endif  // _WIN32

@@ -1,35 +1,24 @@
-// Concurrent multi-client transport for rfmixd: a poll(2) event loop over
-// a Unix-domain listening socket.
+// Concurrent multi-client transport for rfmixd: the "execute locally"
+// policy over the shared line reactor (line_reactor.hpp).
 //
-// The loop owns all connection state on one thread and never blocks on a
-// simulation: analysis requests are dispatched through
+// The loop never blocks on a simulation: analysis requests go through
 // ServerSession::submit_async, pool workers hand finished responses back
-// through a mutex-guarded completion queue plus a self-pipe wakeup, and
-// the loop routes them to the right connection by (connection generation,
-// request sequence) — so responses complete out of order and clients match
-// them up by the echoed id (which is why v2 makes the echo mandatory).
+// through a mutex-guarded completion queue plus the reactor's wake pipe,
+// and the loop routes them by (connection generation, request sequence) —
+// so responses complete out of order and clients match them up by the
+// echoed id (which is why v2 makes the echo mandatory).
 //
-// Flow control and lifecycle, per connection:
-//  * partial-line reads are buffered until a '\n' arrives; a line may span
-//    any number of reads, and one read may carry many lines;
-//  * backpressure — a connection with max_inflight requests running or
-//    max_output_bytes of unread responses stops being read (POLLIN off)
-//    until it drains, so one greedy client queues against itself instead
-//    of the server;
-//  * every in-flight request can carry a deadline (v2 timeout_ms or the
-//    server default); expiry answers with code "timeout" and the eventual
-//    compute result is dropped on arrival;
-//  * the v2 "cancel" op removes a still-pending request: the target
-//    answers with code "cancelled", the cancel itself reports whether
-//    anything was found;
-//  * request_shutdown() (async-signal-safe — rfmixd calls it from SIGINT/
-//    SIGTERM handlers) stops accepting and reading, drains every
-//    dispatched job, flushes every response, then returns from run().
+// Per request: a deadline (v2 timeout_ms or the server default) answers
+// code "timeout" on expiry and drops the late result; the v2 "cancel" op
+// removes a pending request (the target answers code "cancelled", the
+// cancel reports whether anything was found); shutdown drains every
+// dispatched job before run() returns.
 //
 // Counters: svc.server.{connections,disconnects,requests,responses,
 // protocol_errors,timeouts,cancelled,backpressure_pauses,
-// dropped_responses,bytes_in,bytes_out}; timer svc.server.turnaround
-// (dispatch -> response queued). See docs/service.md.
+// dropped_responses,bytes_in,bytes_out,peer_resets}; timer
+// svc.server.turnaround (dispatch -> response queued). See
+// docs/service.md.
 #pragma once
 
 #include <atomic>
@@ -39,107 +28,60 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "svc/line_reactor.hpp"
 #include "svc/server.hpp"
 
 namespace rfmix::svc {
 
-class ServerLoop {
+class ServerLoop : public LineReactor {
  public:
   struct Options {
     std::size_t max_inflight = 64;           // per-connection running requests
     std::size_t max_output_bytes = 4 << 20;  // per-connection unsent responses
     std::size_t max_line_bytes = 8 << 20;    // one request line; above: close
     double default_timeout_ms = 0.0;         // applied when a request has none
-    double drain_timeout_ms = 30000.0;       // graceful-shutdown hard cap
-    int backlog = 64;
   };
 
   explicit ServerLoop(ServerSession& session) : ServerLoop(session, Options{}) {}
   ServerLoop(ServerSession& session, Options opts);
-  ~ServerLoop();
-
-  ServerLoop(const ServerLoop&) = delete;
-  ServerLoop& operator=(const ServerLoop&) = delete;
-
-  /// Bind and listen on a fresh Unix-domain socket at `path`. Returns
-  /// false with a human-readable reason in `*err` (the caller handles
-  /// stale-socket policy before calling this).
-  bool listen_unix(const std::string& path, std::string* err);
-
-  /// Serve until request_shutdown() completes a drain. Must be called
-  /// after a successful listen_unix, and only once.
-  void run();
-
-  /// Begin graceful shutdown. Async-signal-safe and thread-safe: an atomic
-  /// flag plus one write(2) to the loop's wake pipe.
-  void request_shutdown();
 
  private:
+  /// (connection generation, request sequence).
+  using Key = std::pair<std::uint64_t, std::uint64_t>;
+
   struct PendingReq {
     std::string id_json;
     int version = 2;
     bool has_deadline = false;
-    std::chrono::steady_clock::time_point deadline{};
-    std::chrono::steady_clock::time_point start{};
-  };
-
-  struct Conn {
-    int fd = -1;
-    std::uint64_t gen = 0;
-    std::string rbuf;           // bytes read, not yet consumed as lines
-    std::size_t rpos = 0;       // consumed prefix of rbuf
-    std::string wbuf;           // response bytes not yet written
-    std::size_t wpos = 0;       // written prefix of wbuf
-    std::map<std::uint64_t, PendingReq> inflight;  // by request sequence
-    std::uint64_t next_seq = 0;
-    bool read_closed = false;   // EOF seen (buffered lines still drain)
-    bool discard_input = false; // shutdown: unparsed bytes are dropped
-    bool paused = false;        // backpressure: POLLIN disabled
-    bool dead = false;          // I/O error: reaped without draining
-    bool drop_after_flush = false;  // fault drop_conn: hang up once drained
+    Clock::time_point deadline{};
+    Clock::time_point start{};
   };
 
   struct Completion {
-    std::uint64_t gen = 0;
-    std::uint64_t seq = 0;
+    Key key;
     Response response;
   };
 
-  void wake();
-  void accept_clients();
-  void read_from(Conn& conn);
-  void write_to(Conn& conn);
-  void dispatch_buffered(Conn& conn);
-  void process_line(Conn& conn, const std::string& line);
+  void on_line(Conn& conn, const std::string& line) override;
+  void tick() override;  // route completions, then expire deadlines
+  Clock::time_point next_deadline() const override;
+  void on_closed(Conn& conn) override;
+  void on_stopped() override;
+
   void do_cancel(Conn& conn, const ParsedRequest& req);
-  void enqueue_response(Conn& conn, const Response& r);
-  void process_completions();
-  void process_timeouts();
-  void reap_connections();
-  void drop_connection(std::uint64_t gen);
   /// Thread-safe handoff from completion callbacks (any thread).
-  void complete(std::uint64_t gen, std::uint64_t seq, Response r);
-  int poll_timeout_ms() const;
+  void complete(Key key, Response r);
 
   ServerSession& session_;
-  Options opts_;
-  int listener_ = -1;
-  int wake_r_ = -1;
-  int wake_w_ = -1;
-  std::string socket_path_;
-  std::uint64_t next_gen_ = 1;
-  // Keyed by generation, not fd: fds are reused by the kernel, and a late
-  // completion must never route to a different client on a recycled fd.
-  std::map<std::uint64_t, Conn> conns_;
-  std::atomic<bool> shutdown_requested_{false};
+  const double default_timeout_ms_;
+  std::uint64_t next_seq_ = 0;
+  std::map<Key, PendingReq> pending_;
   // Dispatched-but-unrouted completions; run() waits for zero before
   // returning so no callback can outlive the loop object.
   std::atomic<int> outstanding_{0};
-  bool draining_ = false;
-  std::chrono::steady_clock::time_point drain_deadline_{};
 
   std::mutex cq_mu_;
   std::vector<Completion> cq_;

@@ -22,9 +22,7 @@
 
 #ifndef _WIN32
 #include <csignal>
-#include <sys/socket.h>
 #include <sys/stat.h>
-#include <sys/un.h>
 #include <unistd.h>
 #endif
 
@@ -159,34 +157,12 @@ int main(int argc, char** argv) {
     sup_opts.worker_args.push_back(cache_dir);
   }
 
-  // Same stale-socket policy as rfmixd: only remove a socket nobody is
-  // accepting on; never clobber a non-socket.
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (socket_path.size() >= sizeof(addr.sun_path)) {
-    std::cerr << "rfmix-router: socket path too long\n";
+  // Claim the client socket before spawning workers: their sockets live
+  // next to it, so a router started on a live server's path stops here.
+  std::string err;
+  if (!rfmix::svc::LineReactor::claim_socket_path(socket_path, &err)) {
+    std::cerr << "rfmix-router: " << err << "\n";
     return 1;
-  }
-  std::strncpy(addr.sun_path, socket_path.c_str(), sizeof(addr.sun_path) - 1);
-  struct stat st {};
-  if (::lstat(socket_path.c_str(), &st) == 0) {
-    if (!S_ISSOCK(st.st_mode)) {
-      std::cerr << "rfmix-router: " << socket_path
-                << " exists and is not a socket; refusing to remove it\n";
-      return 1;
-    }
-    const int probe = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (probe >= 0) {
-      const bool live =
-          ::connect(probe, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
-      ::close(probe);
-      if (live) {
-        std::cerr << "rfmix-router: another server is listening on " << socket_path
-                  << "\n";
-        return 1;
-      }
-    }
-    ::unlink(socket_path.c_str());
   }
 
   // Writes race worker crashes and client disconnects by design; EPIPE is
@@ -194,7 +170,6 @@ int main(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
 
   rfmix::svc::Supervisor sup(sup_opts);
-  std::string err;
   if (!sup.start(&err)) {
     std::cerr << "rfmix-router: starting workers: " << err << "\n";
     return 1;
@@ -203,7 +178,7 @@ int main(int argc, char** argv) {
   rfmix::svc::ResultCache cache(max_entries, cache_dir);
   rfmix::svc::RouterLoop loop(sup, cache, {});
   if (!loop.listen_unix(socket_path, &err)) {
-    std::cerr << "rfmix-router: " << socket_path << ": " << err << "\n";
+    std::cerr << "rfmix-router: " << err << "\n";
     sup.shutdown();
     return 1;
   }

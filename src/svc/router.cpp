@@ -2,21 +2,16 @@
 
 #ifndef _WIN32
 
-#include <cerrno>
-#include <cstring>
-#include <fcntl.h>
 #include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <utility>
 
 #include "obs/json_writer.hpp"
 #include "obs/obs.hpp"
-#include "svc/fault.hpp"
 #include "svc/json_parse.hpp"
 
 namespace rfmix::svc {
@@ -24,127 +19,39 @@ namespace rfmix::svc {
 namespace {
 
 namespace json = obs::json;
-using Clock = std::chrono::steady_clock;
+using Clock = LineReactor::Clock;
 
-bool set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
+constexpr double kConnectTimeoutMs = 5000.0;  // spawn -> connected, else kill
+/// retry_after_ms floor for unavailable answers when the supervisor has
+/// nothing scheduled (e.g. restarts disabled).
+constexpr double kUnavailableRetryFloorMs = 250.0;
+/// How long a ticket may wait for a pending respawn when no worker is
+/// routable, before degrading to cache-tier / unavailable.
+constexpr double kParkTimeoutMs = 5000.0;
+/// Worker responses are as long as their payloads; only clients are capped.
+constexpr std::size_t kNoLineLimit = std::numeric_limits<std::size_t>::max();
 
 Clock::duration ms_duration(double ms) {
   return std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double, std::milli>(ms));
 }
 
-/// The analysis-success line make_analysis_response would build, from the
-/// raw pieces a Ticket carries (no ParsedRequest at hand on the replay and
-/// degrade paths).
-Response analysis_response_line(int version, const std::string& id_json, bool cached,
-                                const Hash128& key, std::string_view payload) {
-  Response r;
-  r.ok = true;
-  r.line = response_head(version, id_json, /*ok=*/true);
-  r.line += ",\"cached\":";
-  r.line += cached ? "true" : "false";
-  r.line += ",\"deduped\":false,\"key\":";
-  r.line += json::quoted(key.hex());
-  r.line += ",\"result\":";
-  r.line += payload;
-  r.line += "}";
-  return r;
-}
-
-/// Flush `wbuf[wpos..]` to `fd` honoring the write-side fault sites.
-/// Returns false on a fatal write error (EPIPE/ECONNRESET included — the
-/// peer is gone, which is a per-connection cleanup, never process death).
-bool flush_buffer(int fd, std::string& wbuf, std::size_t& wpos) {
-  while (wpos < wbuf.size()) {
-    fault::maybe_stall();
-    const std::size_t want = fault::clamp_write(wbuf.size() - wpos);
-    const ssize_t n = ::send(fd, wbuf.data() + wpos, want, MSG_NOSIGNAL);
-    if (n > 0) {
-      RFMIX_OBS_COUNT_N("svc.router.bytes_out", n);
-      wpos += static_cast<std::size_t>(n);
-      if (want < wbuf.size() - (wpos - static_cast<std::size_t>(n))) break;  // torn
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    if (n < 0 && errno == EINTR) continue;
-    return false;
-  }
-  if (wpos == wbuf.size()) {
-    wbuf.clear();
-    wpos = 0;
-  } else if (wpos > (1u << 16)) {
-    wbuf.erase(0, wpos);
-    wpos = 0;
-  }
-  return true;
-}
-
 }  // namespace
 
 RouterLoop::RouterLoop(Supervisor& sup, ResultCache& cache, Options opts)
-    : sup_(sup), cache_(cache), opts_(opts) {
+    : LineReactor("svc.router", opts.max_inflight, opts.max_output_bytes,
+                  opts.max_line_bytes),
+      sup_(sup),
+      cache_(cache),
+      opts_(opts) {
   links_.resize(sup_.workers().size());
-  int fds[2] = {-1, -1};
-  if (::pipe(fds) == 0) {
-    wake_r_ = fds[0];
-    wake_w_ = fds[1];
-    set_nonblocking(wake_r_);
-    set_nonblocking(wake_w_);
-  }
+  const Clock::time_point deadline = Clock::now() + ms_duration(kConnectTimeoutMs);
+  for (WorkerLink& l : links_) l.connect_deadline = deadline;
 }
 
 RouterLoop::~RouterLoop() {
-  for (auto& [gen, conn] : conns_) {
-    (void)gen;
-    if (conn.fd >= 0) ::close(conn.fd);
-  }
   for (WorkerLink& l : links_)
     if (l.fd >= 0) ::close(l.fd);
-  if (listener_ >= 0) ::close(listener_);
-  if (wake_r_ >= 0) ::close(wake_r_);
-  if (wake_w_ >= 0) ::close(wake_w_);
-}
-
-bool RouterLoop::listen_unix(const std::string& path, std::string* err) {
-  if (wake_r_ < 0 || wake_w_ < 0) {
-    if (err != nullptr) *err = "wake pipe unavailable";
-    return false;
-  }
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    if (err != nullptr) *err = "socket path too long";
-    return false;
-  }
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  listener_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listener_ < 0) {
-    if (err != nullptr) *err = std::string("socket: ") + std::strerror(errno);
-    return false;
-  }
-  if (::bind(listener_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(listener_, opts_.backlog) != 0 || !set_nonblocking(listener_)) {
-    if (err != nullptr) *err = std::string("bind/listen: ") + std::strerror(errno);
-    ::close(listener_);
-    listener_ = -1;
-    return false;
-  }
-  return true;
-}
-
-void RouterLoop::request_shutdown() {
-  shutdown_requested_.store(true, std::memory_order_release);
-  wake();
-}
-
-void RouterLoop::notify() { wake(); }
-
-void RouterLoop::wake() {
-  const char b = 'w';
-  [[maybe_unused]] const ssize_t n = ::write(wake_w_, &b, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -174,17 +81,17 @@ int RouterLoop::pick_worker(const Hash128& key) const {
 
 double RouterLoop::retry_after_ms() const {
   const Clock::time_point ev = sup_.next_event();
-  if (ev == Clock::time_point::max()) return opts_.unavailable_retry_floor_ms;
+  if (ev == Clock::time_point::max()) return kUnavailableRetryFloorMs;
   const double ms =
       std::chrono::duration<double, std::milli>(ev - Clock::now()).count();
-  return std::max(ms, opts_.unavailable_retry_floor_ms);
+  return std::max(ms, kUnavailableRetryFloorMs);
 }
 
 void RouterLoop::send_to_worker(int idx, const std::string& line) {
   WorkerLink& l = links_[static_cast<std::size_t>(idx)];
   l.wbuf += line;
   l.wbuf.push_back('\n');
-  if (l.state == LinkState::kConnected) write_worker(l, idx);
+  write_worker(idx);  // an unconnected link keeps the bytes queued
 }
 
 void RouterLoop::finish_ticket(const Ticket& t, const Response& r) {
@@ -214,7 +121,7 @@ bool RouterLoop::route_or_degrade(std::uint64_t ticket_id) {
     // re-dispatch when a link comes up. The deadline bounds the wait.
     t.worker = -1;
     parked_.emplace_back(ticket_id,
-                         Clock::now() + ms_duration(opts_.park_timeout_ms));
+                         Clock::now() + ms_duration(kParkTimeoutMs));
     return true;
   }
   degrade_ticket(it);
@@ -243,7 +150,8 @@ void RouterLoop::degrade_ticket(std::map<std::uint64_t, Ticket>::iterator it) {
   if (std::optional<std::string> payload = cache_.get(t.key)) {
     ++stats_.cache_hits;
     RFMIX_OBS_COUNT("svc.router.cache_hits");
-    r = analysis_response_line(t.version, t.id_json, /*cached=*/true, t.key, *payload);
+    r = make_analysis_response(t.version, t.id_json, /*cached=*/true, /*deduped=*/false,
+                               t.key, *payload);
   } else {
     ++stats_.unavailable;
     RFMIX_OBS_COUNT("svc.router.unavailable");
@@ -341,39 +249,22 @@ void RouterLoop::on_worker_spawned(int idx) {
   WorkerLink& l = links_[static_cast<std::size_t>(idx)];
   if (l.fd >= 0) ::close(l.fd);
   l = WorkerLink{};
-  l.connect_deadline = Clock::now() + ms_duration(opts_.connect_timeout_ms);
+  l.connect_deadline = Clock::now() + ms_duration(kConnectTimeoutMs);
 }
 
 void RouterLoop::try_connect(int idx) {
   WorkerLink& l = links_[static_cast<std::size_t>(idx)];
-  const std::string& path = sup_.worker(idx).socket_path;
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) return;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return;
-  if (!set_nonblocking(fd)) {
-    ::close(fd);
-    return;
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
-    l.fd = fd;
-    l.state = LinkState::kConnected;
+  l.fd = connect_unix(sup_.worker(idx).socket_path);
+  if (l.fd >= 0) {
     l.hb_next = Clock::now() + ms_duration(opts_.heartbeat_interval_ms);
     flush_parked();  // a routable worker exists again
-    write_worker(l, idx);
+    write_worker(idx);
     return;
   }
-  if (errno == EINPROGRESS) {
-    l.fd = fd;
-    l.state = LinkState::kConnecting;
-    return;
-  }
-  // ENOENT / ECONNREFUSED: the worker has not bound its socket yet.
-  // Retry on the next tick until the connect deadline, then give up on
-  // this incarnation (kill; the supervisor respawns it).
-  ::close(fd);
+  // ENOENT / ECONNREFUSED / EAGAIN: the worker has not bound its socket
+  // yet (or its accept queue is full). Retry on the next tick until the
+  // connect deadline, then give up on this incarnation (kill; the
+  // supervisor respawns it).
   if (Clock::now() >= l.connect_deadline) {
     ++stats_.heartbeat_failures;
     RFMIX_OBS_COUNT("svc.router.heartbeat_failures");
@@ -381,7 +272,7 @@ void RouterLoop::try_connect(int idx) {
   }
 }
 
-void RouterLoop::maintain_workers() {
+void RouterLoop::tick() {
   for (const int idx : sup_.poll_children()) link_down(idx, /*and_kill=*/false);
   for (const int idx : sup_.spawn_due()) on_worker_spawned(idx);
 
@@ -392,17 +283,10 @@ void RouterLoop::maintain_workers() {
     const int idx = static_cast<int>(i);
     if (workers[i].state != Supervisor::WorkerState::kRunning) continue;
     if (l.failed) continue;
-    if (l.state == LinkState::kDisconnected) {
+    if (l.fd < 0) {
       try_connect(idx);
       continue;
     }
-    if (l.state == LinkState::kConnecting && now >= l.connect_deadline) {
-      ++stats_.heartbeat_failures;
-      RFMIX_OBS_COUNT("svc.router.heartbeat_failures");
-      link_down(idx, /*and_kill=*/true);
-      continue;
-    }
-    if (l.state != LinkState::kConnected) continue;
     if (l.hb_outstanding && now >= l.hb_deadline) {
       // The worker accepted our connection but stopped answering pings:
       // hung, not dead. Make it dead; replay handles the rest.
@@ -445,7 +329,7 @@ void RouterLoop::process_worker_line(int idx, const std::string& line) {
   if (!any_digit || line.compare(pos, kOk.size(), kOk) != 0) {
     // A worker speaking something other than our protocol is as broken as
     // a dead one.
-    RFMIX_OBS_COUNT("svc.router.protocol_errors");
+    protocol_errors_.increment();
     link_down(idx, /*and_kill=*/true);
     return;
   }
@@ -457,7 +341,7 @@ void RouterLoop::process_worker_line(int idx, const std::string& line) {
   } else if (line.compare(pos, 5, "false") == 0) {
     pos += 5;
   } else {
-    RFMIX_OBS_COUNT("svc.router.protocol_errors");
+    protocol_errors_.increment();
     link_down(idx, /*and_kill=*/true);
     return;
   }
@@ -535,159 +419,36 @@ void RouterLoop::worker_io(int idx, short revents) {
     link_down(idx, /*and_kill=*/false);
     return;
   }
-  if (l.state == LinkState::kConnecting && (revents & (POLLOUT | POLLHUP)) != 0) {
-    int err = 0;
-    socklen_t len = sizeof err;
-    if (::getsockopt(l.fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0 || err != 0) {
-      ::close(l.fd);
-      l.fd = -1;
-      l.state = LinkState::kDisconnected;  // retried until connect_deadline
-      return;
-    }
-    l.state = LinkState::kConnected;
-    l.hb_next = Clock::now() + ms_duration(opts_.heartbeat_interval_ms);
-    flush_parked();  // a routable worker exists again
-  }
-  if (l.state != LinkState::kConnected) return;
-  if ((revents & POLLOUT) != 0) write_worker(l, idx);
+  if ((revents & POLLOUT) != 0) write_worker(idx);
   if (l.fd < 0) return;  // write failure tore the link down
   if ((revents & (POLLIN | POLLHUP)) != 0) {
-    char buf[65536];
-    const ssize_t n = ::recv(l.fd, buf, sizeof buf, 0);
-    if (n > 0) {
-      RFMIX_OBS_COUNT_N("svc.router.bytes_in", n);
-      l.rbuf.append(buf, static_cast<std::size_t>(n));
-      std::size_t nl;
-      while ((nl = l.rbuf.find('\n', l.rpos)) != std::string::npos) {
-        const std::string line = l.rbuf.substr(l.rpos, nl - l.rpos);
-        l.rpos = nl + 1;
-        if (!line.empty()) process_worker_line(idx, line);
-        if (links_[static_cast<std::size_t>(idx)].fd < 0) return;  // went down
-      }
-      if (l.rpos == l.rbuf.size()) {
-        l.rbuf.clear();
-        l.rpos = 0;
-      } else if (l.rpos > (1u << 16)) {
-        l.rbuf.erase(0, l.rpos);
-        l.rpos = 0;
-      }
-      return;
-    }
-    if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR)) {
+    if (recv_some(l) != Io::kOk) {
       // EOF: the worker died (crash, kill -9, crash_after). Replay.
       link_down(idx, /*and_kill=*/false);
+      return;
+    }
+    std::string line;
+    while (l.next_line(&line, kNoLineLimit) == Framed::Line::kReady) {
+      process_worker_line(idx, line);
+      if (l.fd < 0) return;  // went down
     }
   }
 }
 
-void RouterLoop::write_worker(WorkerLink& l, int idx) {
-  if (l.fd < 0 || l.state != LinkState::kConnected) return;
-  if (!flush_buffer(l.fd, l.wbuf, l.wpos)) link_down(idx, /*and_kill=*/false);
+void RouterLoop::write_worker(int idx) {
+  WorkerLink& l = links_[static_cast<std::size_t>(idx)];
+  if (l.fd < 0) return;
+  if (flush(l) != Io::kOk) link_down(idx, /*and_kill=*/false);
 }
 
 // ---------------------------------------------------------------------------
 // Client side
 // ---------------------------------------------------------------------------
 
-void RouterLoop::accept_clients() {
-  while (true) {
-    const int fd = ::accept(listener_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;
-    }
-    if (!set_nonblocking(fd)) {
-      ::close(fd);
-      continue;
-    }
-    Conn conn;
-    conn.fd = fd;
-    conn.gen = next_gen_++;
-    conns_.emplace(conn.gen, std::move(conn));
-    RFMIX_OBS_COUNT("svc.router.connections");
-  }
-}
-
-void RouterLoop::read_from(Conn& conn) {
-  char buf[65536];
-  const ssize_t n = ::recv(conn.fd, buf, sizeof buf, 0);
-  if (n > 0) {
-    RFMIX_OBS_COUNT_N("svc.router.bytes_in", n);
-    conn.rbuf.append(buf, static_cast<std::size_t>(n));
-    return;
-  }
-  if (n == 0) {
-    conn.read_closed = true;
-    return;
-  }
-  if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return;
-  conn.dead = true;
-}
-
-void RouterLoop::write_client(Conn& conn) {
-  if (!flush_buffer(conn.fd, conn.wbuf, conn.wpos)) {
-    conn.dead = true;  // peer went away mid-response: reap, don't die
-    return;
-  }
-  if (conn.drop_after_flush && conn.wpos == conn.wbuf.size()) conn.dead = true;
-}
-
-void RouterLoop::enqueue_response(Conn& conn, const Response& r) {
-  fault::on_response_write();
-  conn.wbuf += r.line;
-  conn.wbuf.push_back('\n');
-  if (fault::should_drop_conn()) conn.drop_after_flush = true;
-  RFMIX_OBS_COUNT("svc.router.responses");
-}
-
-void RouterLoop::dispatch_buffered(Conn& conn) {
-  if (conn.dead || conn.discard_input) return;
-  while (true) {
-    const bool at_capacity = conn.inflight >= opts_.max_inflight ||
-                             conn.wbuf.size() - conn.wpos >= opts_.max_output_bytes;
-    if (at_capacity) {
-      if (!conn.paused) RFMIX_OBS_COUNT("svc.router.backpressure_pauses");
-      conn.paused = true;
-      break;
-    }
-    conn.paused = false;
-    const std::size_t nl = conn.rbuf.find('\n', conn.rpos);
-    if (nl == std::string::npos) {
-      if (conn.rbuf.size() - conn.rpos > opts_.max_line_bytes) {
-        enqueue_response(conn, make_error_response(2, "null", ErrorCode::kParseError,
-                                                   "request line exceeds size limit"));
-        RFMIX_OBS_COUNT("svc.router.protocol_errors");
-        conn.read_closed = true;
-        conn.rpos = conn.rbuf.size();
-      } else if (conn.read_closed && conn.rpos < conn.rbuf.size()) {
-        std::string line = conn.rbuf.substr(conn.rpos);
-        conn.rpos = conn.rbuf.size();
-        if (!line.empty() && line.back() == '\r') line.pop_back();
-        if (line.find_first_not_of(" \t") != std::string::npos)
-          process_line(conn, line);
-        continue;
-      }
-      break;
-    }
-    std::string line = conn.rbuf.substr(conn.rpos, nl - conn.rpos);
-    conn.rpos = nl + 1;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.find_first_not_of(" \t") == std::string::npos) continue;
-    process_line(conn, line);
-  }
-  if (conn.rpos == conn.rbuf.size()) {
-    conn.rbuf.clear();
-    conn.rpos = 0;
-  } else if (conn.rpos > (1u << 16)) {
-    conn.rbuf.erase(0, conn.rpos);
-    conn.rpos = 0;
-  }
-}
-
-void RouterLoop::process_line(Conn& conn, const std::string& line) {
+void RouterLoop::on_line(Conn& conn, const std::string& line) {
   ParsedRequest req;
   if (std::optional<Response> err = ServerSession::parse_line(line, &req)) {
-    RFMIX_OBS_COUNT("svc.router.protocol_errors");
+    protocol_errors_.increment();
     enqueue_response(conn, *err);
     return;
   }
@@ -723,8 +484,8 @@ void RouterLoop::process_line(Conn& conn, const std::string& line) {
   if (std::optional<std::string> payload = cache_.get(key)) {
     ++stats_.cache_hits;
     RFMIX_OBS_COUNT("svc.router.cache_hits");
-    enqueue_response(conn, analysis_response_line(req.version, req.id_json,
-                                                  /*cached=*/true, key, *payload));
+    enqueue_response(conn, make_analysis_response(req, /*cached=*/true, /*deduped=*/false,
+                                                  key, *payload));
     return;
   }
 
@@ -786,29 +547,13 @@ std::string RouterLoop::router_stats_json() const {
   return out;
 }
 
-void RouterLoop::reap_connections() {
-  const bool past_drain = draining_ && Clock::now() >= drain_deadline_;
-  for (auto it = conns_.begin(); it != conns_.end();) {
-    Conn& conn = it->second;
-    const bool no_more_input =
-        conn.discard_input || (conn.read_closed && conn.rpos == conn.rbuf.size());
-    const bool finished =
-        no_more_input && conn.inflight == 0 && conn.wpos == conn.wbuf.size();
-    if (conn.dead || finished || past_drain) {
-      if (conn.inflight > 0) {
-        // Dying with tickets outstanding: orphan them now so workers'
-        // eventual answers are dropped instead of replayed pointlessly.
-        for (auto tit = tickets_.begin(); tit != tickets_.end();) {
-          if (tit->second.client_gen == conn.gen) {
-            tit = tickets_.erase(tit);
-          } else {
-            ++tit;
-          }
-        }
-      }
-      ::close(conn.fd);
-      RFMIX_OBS_COUNT("svc.router.disconnects");
-      it = conns_.erase(it);
+void RouterLoop::on_closed(Conn& conn) {
+  if (conn.inflight == 0) return;
+  // Dying with tickets outstanding: orphan them now so workers' eventual
+  // answers are dropped instead of replayed pointlessly.
+  for (auto it = tickets_.begin(); it != tickets_.end();) {
+    if (it->second.client_gen == conn.gen) {
+      it = tickets_.erase(it);
     } else {
       ++it;
     }
@@ -816,144 +561,45 @@ void RouterLoop::reap_connections() {
 }
 
 // ---------------------------------------------------------------------------
-// The loop
+// Loop hooks
 // ---------------------------------------------------------------------------
 
-int RouterLoop::poll_timeout_ms() const {
-  Clock::time_point nearest = Clock::time_point::max();
-  if (draining_) nearest = std::min(nearest, drain_deadline_);
-  nearest = std::min(nearest, sup_.next_event());
+Clock::time_point RouterLoop::next_deadline() const {
+  Clock::time_point nearest = sup_.next_event();
   if (!parked_.empty()) nearest = std::min(nearest, parked_.front().second);
   const Clock::time_point now = Clock::now();
   const auto& workers = sup_.workers();
   for (std::size_t i = 0; i < links_.size(); ++i) {
     const WorkerLink& l = links_[i];
-    if (workers[i].state == Supervisor::WorkerState::kRunning && l.failed) {
-      // Dead or killed worker awaiting waitpid. The supervisor cannot
-      // timestamp the reap, and without the binary's SIGCHLD hook
-      // nothing else wakes the loop — poll soon so the respawn (and any
-      // parked tickets) are not stuck behind a long idle sleep.
+    if (workers[i].state != Supervisor::WorkerState::kRunning) continue;
+    if (l.failed || l.fd < 0) {
+      // A failed link's worker awaits waitpid: the supervisor cannot
+      // timestamp the reap, and without the binary's SIGCHLD hook nothing
+      // else wakes the loop — poll soon so the respawn (and any parked
+      // tickets) are not stuck behind a long idle sleep. An unconnected
+      // link retries its connect just as soon.
       nearest = std::min(nearest, now + ms_duration(10.0));
-      continue;
-    }
-    if (workers[i].state != Supervisor::WorkerState::kRunning || l.failed) continue;
-    if (l.state == LinkState::kDisconnected) {
-      nearest = std::min(nearest, now + ms_duration(10.0));  // connect retry
-    } else if (l.state == LinkState::kConnecting) {
-      nearest = std::min(nearest, l.connect_deadline);
     } else {
       nearest = std::min(nearest, l.hb_outstanding ? l.hb_deadline : l.hb_next);
     }
   }
-  if (nearest == Clock::time_point::max()) return -1;
-  const auto ms =
-      std::chrono::duration_cast<std::chrono::milliseconds>(nearest - now).count();
-  if (ms <= 0) return 0;
-  return static_cast<int>(std::min<long long>(ms + 1, 60000));
+  return nearest;
 }
 
-void RouterLoop::run() {
-  const Clock::time_point start = Clock::now();
-  for (WorkerLink& l : links_)
-    l.connect_deadline = start + ms_duration(opts_.connect_timeout_ms);
-
-  std::vector<pollfd> fds;
-  // Parallel tags: the two sentinels, [0, links) worker index, else the
-  // client generation offset by kGenTagBase.
-  constexpr std::uint64_t kGenTagBase = 1ull << 32;
-  std::vector<std::uint64_t> tags;
-
-  while (true) {
-    if (shutdown_requested_.load(std::memory_order_acquire) && !draining_) {
-      draining_ = true;
-      drain_deadline_ = Clock::now() + ms_duration(opts_.drain_timeout_ms);
-      if (listener_ >= 0) {
-        ::close(listener_);
-        listener_ = -1;
-      }
-      for (auto& [gen, conn] : conns_) {
-        (void)gen;
-        conn.discard_input = true;
-      }
-    }
-
-    maintain_workers();
-    for (auto& [gen, conn] : conns_) {
-      (void)gen;
-      dispatch_buffered(conn);
-    }
-    reap_connections();
-    if (draining_ && conns_.empty()) break;
-
-    fds.clear();
-    tags.clear();
-    fds.push_back(pollfd{wake_r_, POLLIN, 0});
-    tags.push_back(kGenTagBase - 1);
-    if (listener_ >= 0) {
-      fds.push_back(pollfd{listener_, POLLIN, 0});
-      tags.push_back(kGenTagBase - 2);
-    }
-    for (std::size_t i = 0; i < links_.size(); ++i) {
-      const WorkerLink& l = links_[i];
-      if (l.fd < 0) continue;
-      short events = 0;
-      if (l.state == LinkState::kConnecting) events = POLLOUT;
-      if (l.state == LinkState::kConnected) {
-        events = POLLIN;
-        if (l.wpos < l.wbuf.size()) events |= POLLOUT;
-      }
-      if (events == 0) continue;
-      fds.push_back(pollfd{l.fd, events, 0});
-      tags.push_back(i);
-    }
-    for (auto& [gen, conn] : conns_) {
-      short events = 0;
-      if (!conn.read_closed && !conn.discard_input && !conn.paused) events |= POLLIN;
-      if (conn.wpos < conn.wbuf.size()) events |= POLLOUT;
-      if (events == 0) continue;
-      fds.push_back(pollfd{conn.fd, events, 0});
-      tags.push_back(kGenTagBase + gen);
-    }
-
-    const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-                          poll_timeout_ms());
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-
-    for (std::size_t i = 0; i < fds.size(); ++i) {
-      const std::uint64_t tag = tags[i];
-      const short re = fds[i].revents;
-      if (tag == kGenTagBase - 1) {
-        if ((re & POLLIN) != 0) {
-          char buf[256];
-          while (::read(wake_r_, buf, sizeof buf) > 0) {
-          }
-        }
-        continue;
-      }
-      if (tag == kGenTagBase - 2) {
-        if ((re & POLLIN) != 0 && listener_ >= 0) accept_clients();
-        continue;
-      }
-      if (re == 0) continue;
-      if (tag < kGenTagBase) {
-        worker_io(static_cast<int>(tag), re);
-        continue;
-      }
-      const auto it = conns_.find(tag - kGenTagBase);
-      if (it == conns_.end()) continue;
-      Conn& conn = it->second;
-      if ((re & (POLLERR | POLLNVAL)) != 0) {
-        conn.dead = true;
-        continue;
-      }
-      if ((re & POLLOUT) != 0) write_client(conn);
-      if ((re & (POLLIN | POLLHUP)) != 0 && !conn.read_closed && !conn.dead)
-        read_from(conn);
-    }
+void RouterLoop::poll_extra(std::vector<pollfd>& fds) {
+  polled_.clear();
+  for (std::size_t i = 0; i < links_.size(); ++i) {
+    const WorkerLink& l = links_[i];
+    if (l.fd < 0) continue;
+    const short events = l.unsent() > 0 ? POLLIN | POLLOUT : POLLIN;
+    fds.push_back(pollfd{l.fd, events, 0});
+    polled_.push_back(static_cast<int>(i));
   }
+}
+
+void RouterLoop::on_polled(const pollfd* fds) {
+  for (std::size_t i = 0; i < polled_.size(); ++i)
+    if (fds[i].revents != 0) worker_io(polled_[i], fds[i].revents);
 }
 
 }  // namespace rfmix::svc

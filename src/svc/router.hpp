@@ -1,9 +1,12 @@
 // rfmix-router: the fault-tolerant front process of the rfmixd cluster.
 //
-// One poll(2) loop speaks the v2 envelope on both sides: clients connect
-// to the router's Unix socket exactly as they would to a single rfmixd,
-// and the router maintains one NDJSON connection to each supervised
-// worker daemon (supervisor.hpp owns the processes). Analysis requests
+// The "forward to a worker" policy over the shared line reactor
+// (line_reactor.hpp), which owns the client side: listener, framing,
+// backpressure, eager flush and drain. One poll(2) loop speaks the v2
+// envelope on both sides: clients connect to the router's Unix socket
+// exactly as they would to a single rfmixd, and the router maintains one
+// NDJSON link to each supervised worker daemon (supervisor.hpp owns the
+// processes), framed by the same reactor code. Analysis requests
 // are admitted through parse_request, keyed by their content hash, and
 // rendezvous-hashed (highest-random-weight over the live workers) so a
 // key always lands on the same worker while that worker lives — each
@@ -34,13 +37,13 @@
 //
 // Counters: svc.router.{connections,disconnects,requests,responses,
 // cache_hits,replays,unavailable,dropped_responses,protocol_errors,
-// worker_disconnects,heartbeat_failures,bytes_in,bytes_out}.
+// backpressure_pauses,worker_disconnects,heartbeat_failures,bytes_in,
+// bytes_out,peer_resets}.
 // See docs/robustness.md for the supervision tree and replay semantics.
 #pragma once
 
 #ifndef _WIN32
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -50,32 +53,22 @@
 #include <vector>
 
 #include "svc/cache.hpp"
+#include "svc/line_reactor.hpp"
 #include "svc/request.hpp"
 #include "svc/server.hpp"
 #include "svc/supervisor.hpp"
 
 namespace rfmix::svc {
 
-class RouterLoop {
+class RouterLoop : public LineReactor {
  public:
-  using Clock = std::chrono::steady_clock;
-
   struct Options {
     std::size_t max_inflight = 256;          // per-client running requests
     std::size_t max_output_bytes = 4 << 20;  // per-client unsent responses
     std::size_t max_line_bytes = 8 << 20;    // one request line; above: close
-    int backlog = 64;
-    int max_replays = 4;                 // per ticket, before giving up
-    double connect_timeout_ms = 5000.0;  // spawn -> connected, else kill
+    int max_replays = 4;                     // per ticket, before giving up
     double heartbeat_interval_ms = 500.0;
     double heartbeat_timeout_ms = 2000.0;  // ping unanswered -> kill worker
-    double drain_timeout_ms = 30000.0;
-    /// retry_after_ms floor for unavailable answers when the supervisor
-    /// has nothing scheduled (e.g. restarts disabled).
-    double unavailable_retry_floor_ms = 250.0;
-    /// How long a ticket may wait for a pending respawn when no worker is
-    /// routable, before degrading to cache-tier / unavailable.
-    double park_timeout_ms = 5000.0;
   };
 
   struct Stats {
@@ -89,58 +82,22 @@ class RouterLoop {
 
   /// `cache` is the router's read-through tier (typically router-private;
   /// sharing a disk dir with workers also works — entries are
-  /// content-addressed and torn files are quarantined on read).
+  /// content-addressed and torn files are quarantined on read). The
+  /// supervisor's workers must already be started; run() connects to them
+  /// as their sockets appear.
   RouterLoop(Supervisor& sup, ResultCache& cache, Options opts);
-  ~RouterLoop();
-
-  RouterLoop(const RouterLoop&) = delete;
-  RouterLoop& operator=(const RouterLoop&) = delete;
-
-  /// Bind the client-facing Unix socket. Same contract as
-  /// ServerLoop::listen_unix.
-  bool listen_unix(const std::string& path, std::string* err);
-
-  /// Serve until request_shutdown() completes a drain. The supervisor's
-  /// workers must already be started; the loop connects to them as their
-  /// sockets appear.
-  void run();
-
-  /// Async-signal-safe graceful shutdown (also wired to SIGCHLD in the
-  /// binary: any wake just makes the loop re-check children sooner).
-  void request_shutdown();
+  ~RouterLoop() override;
 
   /// Async-signal-safe wake (SIGCHLD handler): re-check children now.
-  void notify();
+  void notify() { wake(); }
 
   Stats stats() const { return stats_; }
 
  private:
-  struct Conn {
-    int fd = -1;
-    std::uint64_t gen = 0;
-    std::string rbuf;
-    std::size_t rpos = 0;
-    std::string wbuf;
-    std::size_t wpos = 0;
-    std::size_t inflight = 0;  // tickets referencing this client
-    bool read_closed = false;
-    bool discard_input = false;
-    bool paused = false;
-    bool dead = false;
-    bool drop_after_flush = false;  // fault drop_conn / oversized line
-  };
-
-  enum class LinkState { kDisconnected, kConnecting, kConnected };
-
-  /// The router's connection to one worker. Bytes queued while
-  /// kConnecting flush on connect; a link failure replays its tickets.
-  struct WorkerLink {
-    int fd = -1;
-    LinkState state = LinkState::kDisconnected;
-    std::string rbuf;
-    std::size_t rpos = 0;
-    std::string wbuf;
-    std::size_t wpos = 0;
+  /// The router's connection to one worker, connected while fd >= 0
+  /// (a Unix-domain connect completes or fails at once). Bytes queued
+  /// before the connect flush on it; a link failure replays its tickets.
+  struct WorkerLink : Framed {
     Clock::time_point connect_deadline{};
     /// Set when the link (or its worker) failed; cleared by a respawn.
     /// A failed worker is ineligible for routing until it comes back, so
@@ -162,12 +119,15 @@ class RouterLoop {
     int replays = 0;
   };
 
-  void wake();
-  void accept_clients();
-  void dispatch_buffered(Conn& conn);
-  void process_line(Conn& conn, const std::string& line);
+  // LineReactor hooks.
+  void on_line(Conn& conn, const std::string& line) override;
+  void tick() override;  // reap, respawn, connect, heartbeat, expire parked
+  void poll_extra(std::vector<pollfd>& fds) override;  // worker links
+  void on_polled(const pollfd* fds) override;
+  Clock::time_point next_deadline() const override;
+  void on_closed(Conn& conn) override;
+
   void do_cancel(Conn& conn, const ParsedRequest& req);
-  void enqueue_response(Conn& conn, const Response& r);
   std::string router_stats_json() const;
 
   /// Rendezvous winner among live (supervisor-kRunning) workers, or -1.
@@ -196,7 +156,6 @@ class RouterLoop {
   void expire_parked();
   double retry_after_ms() const;
 
-  void maintain_workers();  // reap, respawn, connect, heartbeat
   void on_worker_spawned(int idx);
   void try_connect(int idx);
   void link_down(int idx, bool and_kill);
@@ -207,31 +166,19 @@ class RouterLoop {
   /// Feed the router cache tier from a successful analysis tail.
   void maybe_cache_fill(const Hash128& key, const std::string& tail);
   void worker_io(int idx, short revents);
-
-  void read_from(Conn& conn);
-  void write_client(Conn& conn);
-  void write_worker(WorkerLink& link, int idx);
-  void reap_connections();
-  int poll_timeout_ms() const;
+  void write_worker(int idx);
 
   Supervisor& sup_;
   ResultCache& cache_;
   Options opts_;
-  int listener_ = -1;
-  int wake_r_ = -1;
-  int wake_w_ = -1;
-  std::uint64_t next_gen_ = 1;
   std::uint64_t next_ticket_ = 1;
-  std::map<std::uint64_t, Conn> conns_;
   std::vector<WorkerLink> links_;  // index-aligned with sup_.workers()
+  std::vector<int> polled_;        // link index per poll_extra entry
   std::map<std::uint64_t, Ticket> tickets_;
   /// Tickets waiting out a fleet blip: (ticket id, give-up time). Entries
   /// whose ticket vanished (cancel, client gone) or was re-dispatched are
   /// skipped lazily.
   std::deque<std::pair<std::uint64_t, Clock::time_point>> parked_;
-  std::atomic<bool> shutdown_requested_{false};
-  bool draining_ = false;
-  Clock::time_point drain_deadline_{};
   Stats stats_;
 };
 

@@ -106,9 +106,15 @@ Response make_result_response(const ParsedRequest& req, std::string_view result_
 
 Response make_analysis_response(const ParsedRequest& req, bool cached, bool deduped,
                                 const Hash128& key, std::string_view payload) {
+  return make_analysis_response(req.version, req.id_json, cached, deduped, key, payload);
+}
+
+Response make_analysis_response(int version, const std::string& id_json, bool cached,
+                                bool deduped, const Hash128& key,
+                                std::string_view payload) {
   Response r;
   r.ok = true;
-  r.line = response_head(req.version, req.id_json, /*ok=*/true);
+  r.line = response_head(version, id_json, /*ok=*/true);
   r.line += ",\"cached\":";
   r.line += cached ? "true" : "false";
   r.line += ",\"deduped\":";

@@ -63,6 +63,11 @@ Response make_result_response(const ParsedRequest& req, std::string_view result_
 /// Serialize an analysis result with its cache provenance.
 Response make_analysis_response(const ParsedRequest& req, bool cached, bool deduped,
                                 const Hash128& key, std::string_view payload);
+/// The same from the request's version and id alone (the router's cache
+/// tier answers tickets, which keep no ParsedRequest).
+Response make_analysis_response(int version, const std::string& id_json, bool cached,
+                                bool deduped, const Hash128& key,
+                                std::string_view payload);
 
 class ServerSession {
  public:

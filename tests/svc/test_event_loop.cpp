@@ -3,7 +3,8 @@
 // Covers the tentpole guarantees: many clients at once, out-of-order
 // completion with id matching, byte-identical responses to a serial
 // session, graceful drain on shutdown, cancel, deadlines, backpressure,
-// torn writes, and malformed-input liveness.
+// torn writes, and malformed-input liveness. Also pins listen_unix's
+// stale-socket policy, which rfmixd and rfmix-router share.
 #include "svc/event_loop.hpp"
 
 #ifndef _WIN32
@@ -11,11 +12,14 @@
 #include <gtest/gtest.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -423,6 +427,80 @@ TEST_F(EventLoopTest, PeerDisconnectMidResponseIsConnectionCleanupNotDeath) {
     ASSERT_EQ(lines.size(), 1u);
     EXPECT_EQ(lines[0], R"({"v":2,"id":7,"ok":true,"result":{"pong":true}})");
   }
+}
+
+// ---------------------------------------------------------------------------
+// Stale-socket policy: never remove a non-socket, never steal a live
+// server's socket, replace a dead one.
+// ---------------------------------------------------------------------------
+
+class ListenPolicyTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    static int counter = 0;
+    path_ = ::testing::TempDir() + "rfmixd-listen-" + std::to_string(::getpid()) + "-" +
+            std::to_string(counter++) + ".sock";
+    ::unlink(path_.c_str());
+  }
+
+  void TearDown() override { ::unlink(path_.c_str()); }
+
+  /// Serve `loop` on a thread long enough for one ping round trip.
+  void expect_pong(ServerLoop& loop) {
+    std::thread thread([&loop] { loop.run(); });
+    Client c;
+    ASSERT_TRUE(c.connect_to(path_));
+    ASSERT_TRUE(c.send_all("{\"v\":2,\"id\":1,\"kind\":\"ping\"}\n"));
+    const auto lines = c.read_lines(1);
+    loop.request_shutdown();
+    thread.join();
+    ASSERT_EQ(lines.size(), 1u);
+    EXPECT_EQ(lines[0], R"({"v":2,"id":1,"ok":true,"result":{"pong":true}})");
+  }
+
+  runtime::ScopedPool pool_{1};
+  ResultCache cache_{16};
+  ServerSession session_{cache_, pool_.pool()};
+  std::string path_;
+};
+
+TEST_F(ListenPolicyTest, RegularFileIsRefusedAndLeftUntouched) {
+  std::ofstream(path_) << "not a socket";
+  ServerLoop loop(session_);
+  std::string err;
+  EXPECT_FALSE(loop.listen_unix(path_, &err));
+  EXPECT_EQ(err, path_ + " exists and is not a socket; refusing to remove it");
+  std::ifstream in(path_);
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in), {}), "not a socket");
+}
+
+TEST_F(ListenPolicyTest, LiveListenerIsRefused) {
+  ServerLoop first(session_);
+  std::string err;
+  ASSERT_TRUE(first.listen_unix(path_, &err)) << err;
+  ServerLoop second(session_);
+  EXPECT_FALSE(second.listen_unix(path_, &err));
+  EXPECT_EQ(err, "another server is listening on " + path_);
+  expect_pong(first);  // the path still reaches the first server
+}
+
+TEST_F(ListenPolicyTest, DeadSocketFileIsReplaced) {
+  // A server that died without unlinking leaves its socket file behind.
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path_.c_str(), sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ::close(fd);
+  struct stat st {};
+  ASSERT_EQ(::lstat(path_.c_str(), &st), 0);
+  ASSERT_TRUE(S_ISSOCK(st.st_mode));
+
+  ServerLoop loop(session_);
+  std::string err;
+  ASSERT_TRUE(loop.listen_unix(path_, &err)) << err;
+  expect_pong(loop);
 }
 
 }  // namespace

@@ -6,6 +6,10 @@
 // must be invisible: the transport either delivers the exact same bytes or
 // it has a bug.
 //
+// RouterFuzzTest runs the same feeds through a RouterLoop in front of one
+// real rfmixd worker (RFMIXD_BIN): the router's client-side framing must
+// be just as invisible, against the same serial oracle.
+//
 // Also pins the serialize_v2_request fixed point the router's replay
 // machinery depends on: parse -> serialize -> parse must converge (same
 // content key, identical bytes), so a replayed request is the request.
@@ -15,6 +19,7 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -22,12 +27,15 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "runtime/thread_pool.hpp"
 #include "svc/event_loop.hpp"
 #include "svc/request.hpp"
+#include "svc/router.hpp"
 #include "svc/server.hpp"
+#include "svc/supervisor.hpp"
 
 namespace rfmix::svc {
 namespace {
@@ -70,6 +78,20 @@ std::vector<std::string> corpus() {
   lines.push_back(R"({"v":2,"id":15,"kind":"op","params":{"netlist":")" +
                   std::string(2000, 'x') + R"("}})");
   return lines;
+}
+
+/// A dense AC sweep of an RC ladder that keeps a worker busy for a while;
+/// `tag` makes the content (and so the cache key) unique.
+std::string slow_request(int id, int tag) {
+  std::string netlist = "V1 n0 0 DC 0 AC 1\\n";
+  for (int i = 0; i < 14; ++i) {
+    const std::string a = "n" + std::to_string(i), b = "n" + std::to_string(i + 1);
+    netlist += "R" + std::to_string(i) + " " + a + " " + b + " " +
+               std::to_string(1000 + tag) + "\\n";
+    netlist += "C" + std::to_string(i) + " " + b + " 0 1e-9\\n";
+  }
+  return R"({"v":2,"id":)" + std::to_string(id) + R"(,"kind":"ac","params":{"netlist":")" +
+         netlist + R"(","ac":{"f_start_hz":1e3,"f_stop_hz":1e9,"points":1200,"probe":"n14"}}})";
 }
 
 /// Serial oracle: every corpus line through a fresh session, in order.
@@ -135,14 +157,19 @@ class RequestFuzzTest : public ::testing::Test {
     // response order equals request order and whole-stream comparison is
     // exact.
     opts.max_inflight = 1;
-    pool_ = std::make_unique<runtime::ScopedPool>(2);
-    cache_ = std::make_unique<ResultCache>(256);
-    session_ = std::make_unique<ServerSession>(*cache_, pool_->pool());
-    loop_ = std::make_unique<ServerLoop>(*session_, opts);
     static int counter = 0;
     path_ = ::testing::TempDir() + "rfmixd-fuzz-" + std::to_string(::getpid()) + "-" +
             std::to_string(counter++) + ".sock";
     ::unlink(path_.c_str());
+    launch(opts);
+  }
+
+  /// Bring up the transport under test on path_.
+  virtual void launch(const ServerLoop::Options& opts) {
+    pool_ = std::make_unique<runtime::ScopedPool>(2);
+    cache_ = std::make_unique<ResultCache>(256);
+    session_ = std::make_unique<ServerSession>(*cache_, pool_->pool());
+    loop_ = std::make_unique<ServerLoop>(*session_, opts);
     std::string err;
     ASSERT_TRUE(loop_->listen_unix(path_, &err)) << err;
     thread_ = std::thread([this] { loop_->run(); });
@@ -152,8 +179,21 @@ class RequestFuzzTest : public ::testing::Test {
     if (loop_) loop_->request_shutdown();
     if (thread_.joinable()) thread_.join();
     loop_.reset();
+    // A ScopedPool restores the pool override it replaced when it dies, so
+    // pools must die in reverse order of creation: release this run's pool
+    // before a later start() installs the next one.
+    session_.reset();
+    cache_.reset();
+    pool_.reset();
     if (!path_.empty()) ::unlink(path_.c_str());
   }
+
+  // The feeds, shared by the server- and router-backed fixtures.
+  void whole_line_feed();
+  void byte_at_a_time_feed();
+  void seeded_random_splits();
+  void two_clients_interleaved();
+  void oversized_line();
 
   std::unique_ptr<runtime::ScopedPool> pool_;
   std::unique_ptr<ResultCache> cache_;
@@ -163,7 +203,43 @@ class RequestFuzzTest : public ::testing::Test {
   std::string path_;
 };
 
-TEST_F(RequestFuzzTest, WholeLineFeedMatchesOracle) {
+/// The same feeds through rfmix-router's loop in front of one rfmixd
+/// worker process, with the router's per-client cap at 1.
+class RouterFuzzTest : public RequestFuzzTest {
+ protected:
+  void launch(const ServerLoop::Options& opts) override {
+    const std::string dir = path_ + ".workers";
+    ::mkdir(dir.c_str(), 0700);
+    Supervisor::Options sopts;
+    sopts.worker_bin = RFMIXD_BIN;
+    sopts.workers = 1;
+    sopts.socket_dir = dir;
+    sup_ = std::make_unique<Supervisor>(sopts);
+    std::string err;
+    ASSERT_TRUE(sup_->start(&err)) << err;
+    cache_ = std::make_unique<ResultCache>(256);
+    RouterLoop::Options ropts;
+    ropts.max_inflight = opts.max_inflight;
+    ropts.max_line_bytes = opts.max_line_bytes;
+    router_ = std::make_unique<RouterLoop>(*sup_, *cache_, ropts);
+    ASSERT_TRUE(router_->listen_unix(path_, &err)) << err;
+    thread_ = std::thread([this] { router_->run(); });
+  }
+
+  void TearDown() override {
+    if (router_) router_->request_shutdown();
+    if (thread_.joinable()) thread_.join();
+    router_.reset();
+    if (sup_) sup_->shutdown(2000.0);
+    sup_.reset();
+    RequestFuzzTest::TearDown();
+  }
+
+  std::unique_ptr<Supervisor> sup_;
+  std::unique_ptr<RouterLoop> router_;
+};
+
+void RequestFuzzTest::whole_line_feed() {
   const auto lines = corpus();
   const auto expected = oracle_responses(lines);
   start();
@@ -177,7 +253,7 @@ TEST_F(RequestFuzzTest, WholeLineFeedMatchesOracle) {
   for (std::size_t i = 0; i < expected.size(); ++i) EXPECT_EQ(got[i], expected[i]) << i;
 }
 
-TEST_F(RequestFuzzTest, ByteAtATimeFeedIsByteIdenticalToWholeLines) {
+void RequestFuzzTest::byte_at_a_time_feed() {
   const auto lines = corpus();
   const auto expected = oracle_responses(lines);
   start();
@@ -191,7 +267,7 @@ TEST_F(RequestFuzzTest, ByteAtATimeFeedIsByteIdenticalToWholeLines) {
   for (std::size_t i = 0; i < expected.size(); ++i) EXPECT_EQ(got[i], expected[i]) << i;
 }
 
-TEST_F(RequestFuzzTest, SeededRandomSplitsAreByteIdenticalToWholeLines) {
+void RequestFuzzTest::seeded_random_splits() {
   const auto lines = corpus();
   const auto expected = oracle_responses(lines);
   std::string stream;
@@ -217,7 +293,7 @@ TEST_F(RequestFuzzTest, SeededRandomSplitsAreByteIdenticalToWholeLines) {
   }
 }
 
-TEST_F(RequestFuzzTest, TwoClientsInterleavedTornFeeds) {
+void RequestFuzzTest::two_clients_interleaved() {
   // Two connections, disjoint key sets, bytes drip-fed alternately: per-
   // connection streams must still match the per-half oracles exactly.
   std::vector<std::string> half_a, half_b;
@@ -264,7 +340,7 @@ TEST_F(RequestFuzzTest, TwoClientsInterleavedTornFeeds) {
   for (std::size_t i = 0; i < expected_b.size(); ++i) EXPECT_EQ(got_b[i], expected_b[i]);
 }
 
-TEST_F(RequestFuzzTest, OversizedLineAnswersStructuredErrorAndCloses) {
+void RequestFuzzTest::oversized_line() {
   ServerLoop::Options opts;
   opts.max_line_bytes = 4096;
   start(opts);
@@ -281,6 +357,62 @@ TEST_F(RequestFuzzTest, OversizedLineAnswersStructuredErrorAndCloses) {
   pollfd p{c.fd, POLLIN, 0};
   ASSERT_GT(::poll(&p, 1, 30000), 0);
   EXPECT_EQ(::recv(c.fd, &byte, 1, 0), 0);
+}
+
+TEST_F(RequestFuzzTest, WholeLineFeedMatchesOracle) { whole_line_feed(); }
+TEST_F(RequestFuzzTest, ByteAtATimeFeedIsByteIdenticalToWholeLines) {
+  byte_at_a_time_feed();
+}
+TEST_F(RequestFuzzTest, SeededRandomSplitsAreByteIdenticalToWholeLines) {
+  seeded_random_splits();
+}
+TEST_F(RequestFuzzTest, TwoClientsInterleavedTornFeeds) { two_clients_interleaved(); }
+TEST_F(RequestFuzzTest, OversizedLineAnswersStructuredErrorAndCloses) {
+  oversized_line();
+}
+
+TEST_F(RouterFuzzTest, WholeLineFeedMatchesOracle) { whole_line_feed(); }
+TEST_F(RouterFuzzTest, ByteAtATimeFeedIsByteIdenticalToWholeLines) {
+  byte_at_a_time_feed();
+}
+TEST_F(RouterFuzzTest, SeededRandomSplitsAreByteIdenticalToWholeLines) {
+  seeded_random_splits();
+}
+TEST_F(RouterFuzzTest, TwoClientsInterleavedTornFeeds) { two_clients_interleaved(); }
+TEST_F(RouterFuzzTest, OversizedLineAnswersStructuredErrorAndCloses) {
+  oversized_line();
+}
+
+TEST_F(RouterFuzzTest, EofWithUnterminatedFinalLineStillAnswers) {
+  start();
+  Client c;
+  ASSERT_TRUE(c.connect_to(path_));
+  ASSERT_TRUE(c.send_all(R"({"v":2,"id":"last","kind":"ping"})"));  // no newline
+  ::shutdown(c.fd, SHUT_WR);
+  const auto lines = c.read_lines(1);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(lines[0], R"({"v":2,"id":"last","ok":true,"result":{"pong":true}})");
+}
+
+TEST_F(RouterFuzzTest, PeerDisconnectMidResponseIsConnectionCleanupNotDeath) {
+  // A client that vanishes with responses still owed costs exactly its own
+  // connection; later clients get normal service.
+  start();
+  {
+    Client doomed;
+    ASSERT_TRUE(doomed.connect_to(path_));
+    std::string burst;
+    for (int i = 0; i < 4; ++i) burst += slow_request(i, 70 + i) + "\n";
+    ASSERT_TRUE(doomed.send_all(burst));
+  }
+  Client c;
+  ASSERT_TRUE(c.connect_to(path_));
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(c.send_all("{\"v\":2,\"id\":7,\"kind\":\"ping\"}\n"));
+    const auto lines = c.read_lines(1);
+    ASSERT_EQ(lines.size(), 1u);
+    EXPECT_EQ(lines[0], R"({"v":2,"id":7,"ok":true,"result":{"pong":true}})");
+  }
 }
 
 // ---------------------------------------------------------------------------

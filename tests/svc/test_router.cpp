@@ -115,6 +115,9 @@ class RouterTest : public ::testing::Test {
     sup_ = std::make_unique<Supervisor>(sopts);
     std::string err;
     ASSERT_TRUE(sup_->start(&err)) << err;
+    // The supervisor belongs to the loop thread once run() starts; read
+    // what the tests need before that thread exists.
+    for (const Supervisor::Worker& w : sup_->workers()) pids_.push_back(w.pid);
     cache_ = std::make_unique<ResultCache>(1024);
     loop_ = std::make_unique<RouterLoop>(*sup_, *cache_, ropts);
     ASSERT_TRUE(loop_->listen_unix(path_, &err)) << err;
@@ -136,6 +139,7 @@ class RouterTest : public ::testing::Test {
   std::thread thread_;
   std::string path_;
   std::string dir_;
+  std::vector<pid_t> pids_;  // first-spawn worker pids, by index
 };
 
 /// An analysis request that keeps a worker busy for a while: a dense AC
@@ -246,7 +250,7 @@ TEST_F(RouterTest, KillWorkerMidFlightAnswersEverythingByteIdentical) {
   // Give the router a beat to dispatch, then SIGKILL one worker while its
   // share of the batch is genuinely in flight.
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  const pid_t victim = sup_->workers()[0].pid;
+  const pid_t victim = pids_[0];
   ASSERT_GT(victim, 0);
   ASSERT_EQ(::kill(victim, SIGKILL), 0);
 
@@ -276,7 +280,7 @@ TEST_F(RouterTest, AllWorkersDownDegradesCachedHitsAndStructuredUnavailable) {
   ASSERT_EQ(warm.size(), 1u);
   ASSERT_NE(warm[0].find("\"ok\":true"), std::string::npos);
 
-  for (const Supervisor::Worker& w : sup_->workers()) ::kill(w.pid, SIGKILL);
+  for (const pid_t pid : pids_) ::kill(pid, SIGKILL);
 
   // The cached key answers from the router tier even with zero workers.
   // (Retry until the router has noticed both deaths: a request dispatched
