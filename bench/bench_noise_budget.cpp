@@ -1,12 +1,10 @@
 // Noise budget: per-source breakdown of the output noise at 5 MHz IF from
-// two engines — the LPTV element model (hand-built, calibrated) and the
-// transistor-level PNOISE (extracted, un-calibrated). The designer's view
-// of WHY the two modes have the NF they have.
+// the LPTV element model (hand-built, calibrated). The designer's view of
+// WHY the two modes have the NF they have.
 #include <algorithm>
 #include <iostream>
 
 #include "core/lptv_model.hpp"
-#include "core/pac_transistor.hpp"
 #include "lptv/lptv.hpp"
 #include "obs/cli.hpp"
 #include "rf/table.hpp"

@@ -3,7 +3,7 @@
 #include <cmath>
 #include <map>
 
-#include "lptv/matrix_conversion.hpp"
+#include "lptv/lptv.hpp"
 #include "mathx/units.hpp"
 #include "spice/mna.hpp"
 #include "spice/pss.hpp"
@@ -43,48 +43,88 @@ mathx::MatrixD capacitance_matrix(const spice::Circuit& ckt, const spice::Soluti
   return c;
 }
 
-}  // namespace
+/// A transistor mixer's PSS orbit lowered into the LPTV engine, with the
+/// RF and IF ports as LPTV nodes. Every PAC/PNOISE call starts here.
+struct LoweredOrbit {
+  std::unique_ptr<TransistorMixer> mixer;
+  spice::PssResult pss;
+  lptv::LptvCircuit circuit;
+  int rf_p = 0, rf_m = 0, if_p = 0, if_m = 0;
 
-PacResult pac_conversion_gain(const MixerConfig& config, double f_if_hz,
-                              const PacOptions& opts) {
+  int node(spice::NodeId id) const {
+    return lptv::orbit_node(mixer->circuit.layout().node_unknown(id));
+  }
+};
+
+LoweredOrbit lower_mixer_orbit(const MixerConfig& config, const PacOptions& opts) {
   MixerConfig cfg = config;
   if (cfg.rf_series_r <= 0.0) cfg.rf_series_r = 50.0;  // enable gate injection
-  auto mixer = build_transistor_mixer(cfg);
-  spice::Circuit& ckt = mixer->circuit;
+  LoweredOrbit o;
+  o.mixer = build_transistor_mixer(cfg);
+  spice::Circuit& ckt = o.mixer->circuit;
 
   // PSS under LO only (RF sources stay at their DC bias).
   spice::PssOptions pss_opts;
   pss_opts.samples_per_period = opts.samples_per_period;
-  const double period = 1.0 / config.f_lo_hz;
-  const spice::PssResult pss = spice::periodic_steady_state(ckt, period, pss_opts);
+  o.pss = spice::periodic_steady_state(ckt, 1.0 / cfg.f_lo_hz, pss_opts);
 
   // Sampled Jacobians over the orbit + the constant C matrix.
   std::vector<mathx::MatrixD> g_samples;
-  g_samples.reserve(pss.samples.size());
-  for (const auto& x : pss.samples) g_samples.push_back(jacobian_at(ckt, x));
-  const mathx::MatrixD c = capacitance_matrix(ckt, pss.samples.front());
+  g_samples.reserve(o.pss.samples.size());
+  for (const auto& x : o.pss.samples) g_samples.push_back(jacobian_at(ckt, x));
+  o.circuit =
+      lptv::lower_sampled_orbit(g_samples, capacitance_matrix(ckt, o.pss.samples.front()));
+  o.rf_p = o.node(o.mixer->rf_p);
+  o.rf_m = o.node(o.mixer->rf_m);
+  o.if_p = o.node(o.mixer->if_p);
+  o.if_m = o.node(o.mixer->if_m);
+  return o;
+}
 
-  lptv::MatrixConversionAnalysis pac(std::move(g_samples), c, config.f_lo_hz,
-                                     opts.harmonics);
+/// Sample every device noise source along the orbit into one
+/// cyclostationary source per label (same label = same physical source),
+/// intensity evaluated at the baseband frequency.
+void add_orbit_noise(LoweredOrbit& o, double f_if_hz) {
+  const std::size_t m_samp = o.pss.samples.size();
+  struct Accum {
+    int p, m;
+    lptv::PeriodicWave wave;
+  };
+  std::map<std::string, Accum> by_label;
+  for (std::size_t s = 0; s < m_samp; ++s) {
+    std::vector<spice::NoiseSource> sources;
+    for (const auto& dev : o.mixer->circuit.devices())
+      dev->append_noise(sources, o.pss.samples[s]);
+    for (const auto& src : sources) {
+      auto it = by_label
+                    .try_emplace(src.label, Accum{o.node(src.p), o.node(src.m),
+                                                  lptv::PeriodicWave(m_samp, 0.0)})
+                    .first;
+      it->second.wave[s] = src.psd(f_if_hz);
+    }
+  }
+  for (auto& [label, acc] : by_label)
+    o.circuit.add_cyclo_noise_current(acc.p, acc.m, std::move(acc.wave), label);
+}
+
+}  // namespace
+
+PacResult pac_conversion_gain(const MixerConfig& config, double f_if_hz,
+                              const PacOptions& opts) {
+  const LoweredOrbit o = lower_mixer_orbit(config, opts);
+  const lptv::ConversionAnalysis an(o.circuit, {config.f_lo_hz, opts.harmonics});
+  const auto pac = an.factor(f_if_hz);
+
+  PacResult result;
+  result.pss_converged = o.pss.converged;
+  result.pss_periods = o.pss.periods_used;
 
   // Inject a differential unit AC current at the RF gates; gains are read
   // as ratios so the injection impedance drops out.
-  const spice::MnaLayout layout = ckt.layout();
-  const int u_rfp = layout.node_unknown(mixer->rf_p);
-  const int u_rfm = layout.node_unknown(mixer->rf_m);
-  const int u_ifp = layout.node_unknown(mixer->if_p);
-  const int u_ifm = layout.node_unknown(mixer->if_m);
-
-  PacResult result;
-  result.pss_converged = pss.converged;
-  result.pss_periods = pss.periods_used;
-
   for (const int k_in : {+1, -1}) {
-    const lptv::MatrixPacSolution sol =
-        pac.solve_injection(f_if_hz, u_rfp, u_rfm, k_in);
-    const std::complex<double> v_in =
-        sol.at(k_in, u_rfp) - sol.at(k_in, u_rfm);
-    const std::complex<double> v_out = sol.at(0, u_ifp) - sol.at(0, u_ifm);
+    const lptv::PacSolution sol = pac.solve_current_injection(o.rf_p, o.rf_m, k_in);
+    const std::complex<double> v_in = sol.vd(k_in, o.rf_p, o.rf_m);
+    const std::complex<double> v_out = sol.vd(0, o.if_p, o.if_m);
     const double gain_db =
         mathx::db_from_voltage_ratio(std::abs(v_out) / std::max(std::abs(v_in), 1e-30));
     if (k_in == +1) {
@@ -98,83 +138,31 @@ PacResult pac_conversion_gain(const MixerConfig& config, double f_if_hz,
 
 PnoiseResult pac_nf_dsb(const MixerConfig& config, double f_if_hz,
                         const PacOptions& opts) {
-  MixerConfig cfg = config;
-  if (cfg.rf_series_r <= 0.0) cfg.rf_series_r = 50.0;
-  auto mixer = build_transistor_mixer(cfg);
-  spice::Circuit& ckt = mixer->circuit;
-
-  spice::PssOptions pss_opts;
-  pss_opts.samples_per_period = opts.samples_per_period;
-  const spice::PssResult pss =
-      spice::periodic_steady_state(ckt, 1.0 / cfg.f_lo_hz, pss_opts);
-
-  std::vector<mathx::MatrixD> g_samples;
-  g_samples.reserve(pss.samples.size());
-  for (const auto& x : pss.samples) g_samples.push_back(jacobian_at(ckt, x));
-  const mathx::MatrixD c = capacitance_matrix(ckt, pss.samples.front());
-  const spice::MnaLayout layout = ckt.layout();
-
-  lptv::MatrixConversionAnalysis pac(std::move(g_samples), c, cfg.f_lo_hz,
-                                     opts.harmonics);
-
-  // Sample every device noise source along the orbit: same label = same
-  // physical source, intensity evaluated at the baseband frequency.
-  const int m_samp = static_cast<int>(pss.samples.size());
-  struct Accum {
-    int u_p, u_m;
-    std::vector<double> wave;
-  };
-  std::map<std::string, Accum> by_label;
-  for (int s = 0; s < m_samp; ++s) {
-    std::vector<spice::NoiseSource> sources;
-    for (const auto& dev : ckt.devices())
-      dev->append_noise(sources, pss.samples[static_cast<std::size_t>(s)]);
-    for (const auto& src : sources) {
-      auto [it, inserted] = by_label.try_emplace(
-          src.label, Accum{layout.node_unknown(src.p), layout.node_unknown(src.m),
-                           std::vector<double>(static_cast<std::size_t>(m_samp), 0.0)});
-      it->second.wave[static_cast<std::size_t>(s)] = src.psd(f_if_hz);
-    }
-  }
-  std::vector<lptv::MatrixConversionAnalysis::NoiseSourceSamples> noise_sources;
-  noise_sources.reserve(by_label.size());
-  for (auto& [label, acc] : by_label) {
-    lptv::MatrixConversionAnalysis::NoiseSourceSamples ns;
-    ns.u_p = acc.u_p;
-    ns.u_m = acc.u_m;
-    ns.intensity = std::move(acc.wave);
-    ns.label = label;
-    noise_sources.push_back(std::move(ns));
-  }
-
-  const int u_rfp = layout.node_unknown(mixer->rf_p);
-  const int u_rfm = layout.node_unknown(mixer->rf_m);
-  const int u_ifp = layout.node_unknown(mixer->if_p);
-  const int u_ifm = layout.node_unknown(mixer->if_m);
-
-  const auto noise = pac.output_noise(f_if_hz, u_ifp, u_ifm, noise_sources);
+  LoweredOrbit o = lower_mixer_orbit(config, opts);
+  add_orbit_noise(o, f_if_hz);
+  const lptv::ConversionAnalysis an(o.circuit, {config.f_lo_hz, opts.harmonics});
+  const auto pac = an.factor(f_if_hz);
+  const auto noise = pac.output_noise(o.if_p, o.if_m);
 
   // EMF-referenced conversion gains for both signal sidebands: injecting a
   // unit current at the gate behind the series Rs is a Thevenin EMF of
   // Rs volts per side (2*Rs differentially).
+  const double rs = o.mixer->config.rf_series_r;
   double gain2 = 0.0;
   double gain_up = 0.0;
   for (const int k_in : {+1, -1}) {
-    const lptv::MatrixPacSolution sol =
-        pac.solve_injection(f_if_hz, u_rfp, u_rfm, k_in);
-    const std::complex<double> v_out = sol.at(0, u_ifp) - sol.at(0, u_ifm);
-    const double av = std::abs(v_out) / (2.0 * cfg.rf_series_r);
+    const lptv::PacSolution sol = pac.solve_current_injection(o.rf_p, o.rf_m, k_in);
+    const double av = std::abs(sol.vd(0, o.if_p, o.if_m)) / (2.0 * rs);
     gain2 += av * av;
     if (k_in == +1) gain_up = av;
   }
 
   PnoiseResult r;
-  r.pss_converged = pss.converged;
+  r.pss_converged = o.pss.converged;
   r.output_noise_v2_hz = noise.total_output_psd_v2_hz;
   r.gain_db = mathx::db_from_voltage_ratio(gain_up);
   // DSB NF against the differential source resistance 2*Rs at 290 K.
-  const double source_part =
-      4.0 * mathx::kBoltzmann * 290.0 * (2.0 * cfg.rf_series_r) * gain2;
+  const double source_part = 4.0 * mathx::kBoltzmann * 290.0 * (2.0 * rs) * gain2;
   r.nf_dsb_db = mathx::db_from_power_ratio(noise.total_output_psd_v2_hz / source_part);
   return r;
 }

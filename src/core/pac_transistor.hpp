@@ -5,8 +5,9 @@
 //   2. linearize the nonlinear devices at every time sample of the orbit,
 //      producing the sampled small-signal Jacobian G(t_k) plus the constant
 //      capacitance matrix C;
-//   3. solve the harmonic conversion-matrix system over those samples
-//      (lptv/matrix_conversion.hpp) to get the sideband transfer functions.
+//   3. lower those samples into an LPTV circuit (lptv::lower_sampled_orbit)
+//      and solve the harmonic conversion-matrix system once per call
+//      (lptv::ConversionAnalysis) to get the sideband transfer functions.
 //
 // Unlike core/lptv_model.* (hand-built element values) this path involves
 // no modeling choices: whatever commutation waveforms, overlap, and

@@ -76,6 +76,14 @@ void LptvCircuit::add_vccs(int p, int m, int cp, int cm, double gm) {
   static_gm_.push_back({p, m, cp, cm, gm});
 }
 
+void LptvCircuit::add_transcapacitance(int p, int m, int cp, int cm, double c) {
+  note_node(p);
+  note_node(m);
+  note_node(cp);
+  note_node(cm);
+  static_cm_.push_back({p, m, cp, cm, c});
+}
+
 void LptvCircuit::add_periodic_conductance(int a, int b, PeriodicWave g) {
   check_wave(g);
   note_node(a);
@@ -105,6 +113,34 @@ void LptvCircuit::add_cyclo_noise_current(int p, int m, PeriodicWave s_theta,
   note_node(p);
   note_node(m);
   cyclo_noise_.push_back({p, m, std::move(s_theta), std::move(label)});
+}
+
+LptvCircuit lower_sampled_orbit(const std::vector<mathx::MatrixD>& g_samples,
+                                const mathx::MatrixD& c) {
+  if (g_samples.empty()) throw std::invalid_argument("lower_sampled_orbit: no samples");
+  const std::size_t n = g_samples.front().rows();
+  for (const auto& g : g_samples)
+    if (g.rows() != n || g.cols() != n)
+      throw std::invalid_argument("lower_sampled_orbit: inconsistent sample dimensions");
+  if (c.rows() != n || c.cols() != n)
+    throw std::invalid_argument("lower_sampled_orbit: C dimension mismatch");
+
+  LptvCircuit ckt(static_cast<int>(g_samples.size()));
+  ckt.note_node(orbit_node(static_cast<int>(n) - 1));
+  PeriodicWave wave(g_samples.size());
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j) {
+      const int p = orbit_node(static_cast<int>(i));
+      const int cp = orbit_node(static_cast<int>(j));
+      bool any = false;
+      for (std::size_t s = 0; s < g_samples.size(); ++s) {
+        wave[s] = g_samples[s](i, j);
+        any = any || wave[s] != 0.0;
+      }
+      if (any) ckt.add_periodic_vccs(p, 0, cp, 0, wave);
+      if (c(i, j) != 0.0) ckt.add_transcapacitance(p, 0, cp, 0, c(i, j));
+    }
+  return ckt;
 }
 
 Complex PacSolution::v(int k, int node) const {
@@ -258,6 +294,8 @@ ConversionAnalysis::Factored::Factored(const ConversionAnalysis* an, double f_ba
     for (const auto& e : ckt_.static_c()) stamp_g_block(e.a, e.b, k, k, jw * e.c);
     for (const auto& e : ckt_.static_gm())
       stamp_gm_block(e.p, e.m, e.cp, e.cm, k, k, e.gm);
+    for (const auto& e : ckt_.static_cm())
+      stamp_gm_block(e.p, e.m, e.cp, e.cm, k, k, jw * e.c);
     // Tiny gmin keeps isolated sidebands solvable.
     for (int node = 1; node <= n; ++node) add(unknown(k, node), unknown(k, node), 1e-12);
   }

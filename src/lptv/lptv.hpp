@@ -14,6 +14,10 @@
 // via one adjoint solve, the noise folded from every sideband of every
 // source into the output — including cyclostationary switch noise with its
 // inter-sideband correlations.
+//
+// Circuits come from two front ends: named elements (LptvCircuit's add_*
+// calls, for hand-built models) and a sampled periodic orbit lowered by
+// lower_sampled_orbit (for transistor-level PAC/PNOISE).
 #pragma once
 
 #include <complex>
@@ -21,6 +25,8 @@
 #include <memory>
 #include <string>
 #include <vector>
+
+#include "mathx/matrix.hpp"
 
 namespace rfmix::lptv {
 
@@ -57,6 +63,9 @@ class LptvCircuit {
   void add_capacitance(int a, int b, double c);
   /// Current gm*(v(cp)-v(cm)) flows from p to m.
   void add_vccs(int p, int m, int cp, int cm, double gm);
+  /// Reactive twin of add_vccs: current c*d/dt(v(cp)-v(cm)) flows from p
+  /// to m (an off-diagonal entry of a capacitance matrix).
+  void add_transcapacitance(int p, int m, int cp, int cm, double c);
 
   // -- periodic elements ------------------------------------------------
   /// Conductance g(theta) between a and b (e.g. a MOS switch channel).
@@ -80,6 +89,7 @@ class LptvCircuit {
   struct StaticG { int a, b; double g; };
   struct StaticC { int a, b; double c; };
   struct StaticGm { int p, m, cp, cm; double gm; };
+  struct StaticCm { int p, m, cp, cm; double c; };
   struct PeriodicG { int a, b; PeriodicWave g; };
   struct PeriodicGm { int p, m, cp, cm; PeriodicWave gm; };
   struct StationaryNoise { int p, m; std::function<double(double)> psd; std::string label; };
@@ -88,6 +98,7 @@ class LptvCircuit {
   const std::vector<StaticG>& static_g() const { return static_g_; }
   const std::vector<StaticC>& static_c() const { return static_c_; }
   const std::vector<StaticGm>& static_gm() const { return static_gm_; }
+  const std::vector<StaticCm>& static_cm() const { return static_cm_; }
   const std::vector<PeriodicG>& periodic_g() const { return periodic_g_; }
   const std::vector<PeriodicGm>& periodic_gm() const { return periodic_gm_; }
   const std::vector<StationaryNoise>& stationary_noise() const { return stationary_noise_; }
@@ -105,11 +116,27 @@ class LptvCircuit {
   std::vector<StaticG> static_g_;
   std::vector<StaticC> static_c_;
   std::vector<StaticGm> static_gm_;
+  std::vector<StaticCm> static_cm_;
   std::vector<PeriodicG> periodic_g_;
   std::vector<PeriodicGm> periodic_gm_;
   std::vector<StationaryNoise> stationary_noise_;
   std::vector<CycloNoise> cyclo_noise_;
 };
+
+/// LPTV node of MNA unknown `u`: u + 1, so ground (-1) maps to node 0.
+constexpr int orbit_node(int u) { return u + 1; }
+
+/// Lower a sampled periodic orbit to an LptvCircuit. `g_samples` holds the
+/// small-signal MNA Jacobian G(t_s) at uniformly spaced times over one LO
+/// period (all the same square dimension; the sample count becomes the
+/// circuit's num_samples(), so a ConversionAnalysis at K harmonics needs
+/// at least 4K+2). `c` is the constant capacitance matrix. Unknown u
+/// becomes node orbit_node(u); each G entry nonzero anywhere on the orbit
+/// becomes a grounded periodic VCCS and each nonzero C entry a grounded
+/// transcapacitance. Orbit noise sources go on with add_cyclo_noise_current
+/// over the same node numbering.
+LptvCircuit lower_sampled_orbit(const std::vector<mathx::MatrixD>& g_samples,
+                                const mathx::MatrixD& c);
 
 struct ConversionOptions {
   double f_lo = 1e9;   // LO frequency [Hz]
@@ -146,7 +173,10 @@ struct LptvNoiseResult {
 /// Assembly is per base frequency; factorizations are cached per call.
 class ConversionAnalysis {
  public:
+  /// Keeps a reference to `ckt`, which must outlive the analysis (hence no
+  /// temporaries).
   ConversionAnalysis(const LptvCircuit& ckt, ConversionOptions opts);
+  ConversionAnalysis(LptvCircuit&&, ConversionOptions) = delete;
   ~ConversionAnalysis();
   ConversionAnalysis(const ConversionAnalysis&) = delete;
   ConversionAnalysis& operator=(const ConversionAnalysis&) = delete;

@@ -1,10 +1,7 @@
 #include "spice/mosfet.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <cstdint>
-#include <cstdlib>
 
 #include "mathx/units.hpp"
 #include "obs/obs.hpp"
@@ -157,17 +154,6 @@ MosEval model_core(const MosParams& p, double vg, double vd, double vs, double v
   return e;
 }
 
-bool same_bits(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-double bypass_tol_from_env() {
-  const char* e = std::getenv("RFMIX_BYPASS_TOL");
-  if (e == nullptr || *e == '\0') return 0.0;
-  const double tol = std::strtod(e, nullptr);
-  return tol > 0.0 ? tol : 0.0;
-}
-
 }  // namespace
 
 Mosfet::Mosfet(std::string name, NodeId d, NodeId g, NodeId s, NodeId b, MosParams params)
@@ -302,7 +288,7 @@ MosOperatingPoint Mosfet::evaluate(const Solution& op) const {
 
 // ---------------------------------------------------------------------------
 
-MosBatchEvaluator::MosBatchEvaluator(const Circuit& ckt) : tol_(bypass_tol_from_env()) {
+MosBatchEvaluator::MosBatchEvaluator(const Circuit& ckt) {
   for (const auto& dev : ckt.devices()) {
     const auto* m = dynamic_cast<const Mosfet*>(dev.get());
     if (m == nullptr) continue;
@@ -321,68 +307,34 @@ MosBatchEvaluator::MosBatchEvaluator(const Circuit& ckt) : tol_(bypass_tol_from_
     g.vs.assign(n, 0.0);
     g.vb.assign(n, 0.0);
     g.out.assign(n, MosEval{});
-    g.valid.assign(n, 0);
   }
 }
 
 void MosBatchEvaluator::evaluate(const Solution& x) {
-  tol_bypassed_ = false;
-  std::size_t bypassed = 0, evaluated = 0;
   for (Group& g : groups_) {
     const std::size_t n = g.devs.size();
-    // Gather terminal voltages and decide per device whether the cached
-    // linearization still stands.
     for (std::size_t i = 0; i < n; ++i) {
       const Mosfet* m = g.devs[i];
-      const double vg = x.v(m->gate());
-      const double vd = x.v(m->drain());
-      const double vs = x.v(m->source());
-      const double vb = x.v(m->bulk());
-      if (g.valid[i] && same_bits(vg, g.vg[i]) && same_bits(vd, g.vd[i]) &&
-          same_bits(vs, g.vs[i]) && same_bits(vb, g.vb[i])) {
-        ++bypassed;  // exact bypass: recomputing would reproduce g.out[i]
-        continue;
-      }
-      if (tol_ > 0.0 && g.valid[i] && std::abs(vg - g.vg[i]) < tol_ &&
-          std::abs(vd - g.vd[i]) < tol_ && std::abs(vs - g.vs[i]) < tol_ &&
-          std::abs(vb - g.vb[i]) < tol_) {
-        // Approximate bypass: keep the stale linearization, flag it so the
-        // Newton loop re-certifies convergence with a full evaluation.
-        tol_bypassed_ = true;
-        ++bypassed;
-        continue;
-      }
-      g.vg[i] = vg;
-      g.vd[i] = vd;
-      g.vs[i] = vs;
-      g.vb[i] = vb;
-      g.valid[i] = 2;  // mark for the evaluation loop below
-      ++evaluated;
+      g.vg[i] = x.v(m->gate());
+      g.vd[i] = x.v(m->drain());
+      g.vs[i] = x.v(m->source());
+      g.vb[i] = x.v(m->bulk());
     }
     // One tight loop per model class over the packed SoA arrays; every
     // element routes through the shared model_core, so results are bitwise
     // identical to the per-device path.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (g.valid[i] != 2) continue;
+    for (std::size_t i = 0; i < n; ++i)
       g.out[i] = model_core(g.devs[i]->params(), g.vg[i], g.vd[i], g.vs[i], g.vb[i]);
-      g.valid[i] = 1;
-    }
   }
-  if (bypassed > 0) RFMIX_OBS_COUNT_N("spice.dev.bypassed", bypassed);
-  if (evaluated > 0) RFMIX_OBS_COUNT_N("spice.dev.evaluated", evaluated);
-}
-
-void MosBatchEvaluator::invalidate() {
-  for (Group& g : groups_) std::fill(g.valid.begin(), g.valid.end(), char{0});
-  tol_bypassed_ = false;
+  evaluated_ = true;
+  if (count_ > 0) RFMIX_OBS_COUNT_N("spice.dev.evaluated", count_);
 }
 
 const MosEval* MosBatchEvaluator::lookup(const Mosfet* m) const {
+  if (!evaluated_) return nullptr;
   const auto it = index_.find(m);
   if (it == index_.end()) return nullptr;
-  const Group& g = groups_[it->second.first];
-  if (!g.valid[it->second.second]) return nullptr;
-  return &g.out[it->second.second];
+  return &groups_[it->second.first].out[it->second.second];
 }
 
 }  // namespace rfmix::spice

@@ -133,13 +133,6 @@ class Mosfet : public Device {
 /// each group in one tight loop per Newton iteration. Each per-element
 /// computation calls the same model core as Mosfet::eval, so the batch is
 /// bitwise identical to the per-device path.
-///
-/// Device bypass: a transistor whose four terminal voltages are bitwise
-/// unchanged since its last evaluation keeps the cached linearization
-/// (exact by definition). With RFMIX_BYPASS_TOL > 0 (see docs/solver.md) a
-/// device additionally bypasses when every terminal moved by less than the
-/// tolerance; that result is approximate, so tol_bypass_used() reports it
-/// and the Newton loop re-certifies convergence with a full evaluation.
 class MosBatchEvaluator {
  public:
   /// Bind all Mosfet devices currently registered in `ckt`.
@@ -147,18 +140,11 @@ class MosBatchEvaluator {
 
   std::size_t device_count() const { return count_; }
 
-  /// Linearize every bound device at `x` (counts spice.dev.evaluated and
-  /// spice.dev.bypassed).
+  /// Linearize every bound device at `x` (counts spice.dev.evaluated).
   void evaluate(const Solution& x);
 
-  /// True if the last evaluate() reused any within-tolerance (inexact)
-  /// cached result.
-  bool tol_bypass_used() const { return tol_bypassed_; }
-
-  /// Drop all cached linearizations, forcing the next evaluate() to be full.
-  void invalidate();
-
-  /// Cached linearization for `m`, or null if `m` is not bound.
+  /// Cached linearization for `m`, or null if `m` is not bound or nothing
+  /// has been evaluated yet.
   const MosEval* lookup(const Mosfet* m) const;
 
  private:
@@ -167,13 +153,11 @@ class MosBatchEvaluator {
     // SoA inputs/outputs, index-aligned with `devs`.
     std::vector<double> vg, vd, vs, vb;
     std::vector<MosEval> out;
-    std::vector<char> valid;
   };
   Group groups_[4];  // [level][type]
   std::unordered_map<const Mosfet*, std::pair<int, std::size_t>> index_;
   std::size_t count_ = 0;
-  bool tol_bypassed_ = false;
-  double tol_ = 0.0;  // RFMIX_BYPASS_TOL; 0 = exact-only bypass
+  bool evaluated_ = false;
 };
 
 }  // namespace rfmix::spice

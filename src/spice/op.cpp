@@ -92,13 +92,6 @@ NewtonResult solve_newton(const Circuit& ckt, const Solution& initial,
     result.solution = Solution(layout, std::move(x_next));
     result.iterations = iter + 1;
     if (converged) {
-      if (batch != nullptr && batch->tol_bypass_used()) {
-        // Convergence was reached with stale (within-tolerance) device
-        // linearizations; re-certify with a fully evaluated iteration.
-        RFMIX_OBS_COUNT("spice.newton.bypass_recheck");
-        batch->invalidate();
-        continue;
-      }
       result.converged = true;
       return result;
     }

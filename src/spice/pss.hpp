@@ -2,8 +2,8 @@
 // circuit with its periodic (LO) drive until the state repeats from one
 // period to the next, then record one period of uniformly sampled
 // solutions. Those samples are the large-signal orbit that periodic AC
-// (PAC) analyses linearize around — see lptv/matrix_conversion.hpp and
-// core/pac_transistor.hpp for that pipeline.
+// (PAC) analyses linearize around — see core/pac_transistor.hpp for that
+// pipeline and lptv::lower_sampled_orbit (lptv/lptv.hpp) for its back end.
 #pragma once
 
 #include "spice/circuit.hpp"

@@ -6,8 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <functional>
+#include <vector>
 
 #include "core/measurements.hpp"
+#include "mathx/solver_config.hpp"
+#include "obs/obs.hpp"
 
 namespace rfmix::core {
 namespace {
@@ -97,6 +103,62 @@ TEST(Pnoise, NoiseRisesAtLowIfFromFlicker) {
   const PnoiseResult lo = pac_nf_dsb(cfg, 30e3);
   const PnoiseResult hi = pac_nf_dsb(cfg, 5e6);
   EXPECT_GT(lo.nf_dsb_db, hi.nf_dsb_db + 1.0);  // 1/f corner visible
+}
+
+#if RFMIX_OBS_ENABLED
+
+// The solver contract: each call factors its lowered orbit once at f_if.
+// One forward LU serves both sideband injections; PNOISE adds one adjoint
+// LU for the noise solve.
+std::uint64_t factorizations(const std::function<void()>& run) {
+  const std::uint64_t before = obs::counter_value("lptv.lu.factorizations");
+  run();
+  return obs::counter_value("lptv.lu.factorizations") - before;
+}
+
+TEST(Pac, GainPointCostsOneFactorization) {
+  MixerConfig cfg;
+  cfg.mode = MixerMode::kActive;
+  for (const auto m : {mathx::SolverMode::kClassic, mathx::SolverMode::kReuse}) {
+    mathx::ScopedSolverMode scoped(m);
+    EXPECT_EQ(factorizations([&] { (void)pac_conversion_gain(cfg, 5e6); }), 1u)
+        << (m == mathx::SolverMode::kClassic ? "classic" : "reuse");
+  }
+}
+
+TEST(Pnoise, NfPointCostsTwoFactorizations) {
+  MixerConfig cfg;
+  cfg.mode = MixerMode::kActive;
+  for (const auto m : {mathx::SolverMode::kClassic, mathx::SolverMode::kReuse}) {
+    mathx::ScopedSolverMode scoped(m);
+    EXPECT_EQ(factorizations([&] { (void)pac_nf_dsb(cfg, 5e6); }), 2u)
+        << (m == mathx::SolverMode::kClassic ? "classic" : "reuse");
+  }
+}
+
+#endif  // RFMIX_OBS_ENABLED
+
+TEST(Pac, SolverModesAgreeBitExactly) {
+  // PAC/PNOISE factor through the LPTV engine's shared symbolic LU, so they
+  // ride the same byte-identity contract as the other engines
+  // (test_solver_parity): memcmp, signed zeros included.
+  auto outputs = [](mathx::SolverMode m) {
+    mathx::ScopedSolverMode scoped(m);
+    std::vector<double> out;
+    for (const MixerMode mode : {MixerMode::kActive, MixerMode::kPassive}) {
+      MixerConfig cfg;
+      cfg.mode = mode;
+      const PacResult pac = pac_conversion_gain(cfg, 5e6);
+      const PnoiseResult pn = pac_nf_dsb(cfg, 5e6);
+      out.insert(out.end(), {pac.conversion_gain_db, pac.image_gain_db, pn.nf_dsb_db,
+                             pn.output_noise_v2_hz});
+    }
+    return out;
+  };
+  const std::vector<double> classic = outputs(mathx::SolverMode::kClassic);
+  const std::vector<double> reuse = outputs(mathx::SolverMode::kReuse);
+  ASSERT_EQ(classic.size(), reuse.size());
+  EXPECT_EQ(std::memcmp(classic.data(), reuse.data(), classic.size() * sizeof(double)), 0);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <type_traits>
 
 #include "mathx/units.hpp"
 
@@ -227,6 +228,13 @@ TEST(LptvNoise, FlickerFoldsFromLoSidebands) {
 
   EXPECT_LT(chopped, unchopped * 1e-4);  // chopping removes input 1/f
 }
+
+// The analysis keeps a reference to its circuit, so a temporary (such as
+// lower_sampled_orbit's result) must not bind to it.
+static_assert(std::is_constructible_v<ConversionAnalysis, const LptvCircuit&,
+                                      ConversionOptions>);
+static_assert(!std::is_constructible_v<ConversionAnalysis, LptvCircuit&&,
+                                       ConversionOptions>);
 
 TEST(ConversionAnalysis, ValidatesArguments) {
   LptvCircuit ckt;

@@ -1,8 +1,6 @@
-// Matrix-based conversion analysis tests: equivalence with plain AC for
-// time-invariant systems and with the element-based LPTV engine for a
-// chopper.
-#include "lptv/matrix_conversion.hpp"
-
+// Sampled-orbit front end tests: a periodic orbit of MNA matrices lowered
+// by lower_sampled_orbit must reduce to plain AC for time-invariant
+// systems and reproduce the element-built chopper.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -21,16 +19,19 @@ TEST(MatrixConversion, StaticSystemReducesToAc) {
   g(0, 0) = 1.0 / 250.0;
   std::vector<mathx::MatrixD> samples(m_samp, g);
   mathx::MatrixD c(1, 1);
-  MatrixConversionAnalysis an(samples, c, 1e9, 4);
-  const MatrixPacSolution sol = an.solve_injection(1e6, -1, 0, 0);
-  EXPECT_NEAR(std::abs(sol.at(0, 0)), 250.0, 1e-6);
+  const LptvCircuit ckt = lower_sampled_orbit(samples, c);
+  ConversionAnalysis an(ckt, {1e9, 4});
+  const int n0 = orbit_node(0);
+  const PacSolution sol = an.solve_current_injection(1e6, 0, n0, 0);
+  EXPECT_NEAR(std::abs(sol.v(0, n0)), 250.0, 1e-6);
   for (int k = -4; k <= 4; ++k) {
     if (k == 0) continue;
-    EXPECT_NEAR(std::abs(sol.at(k, 0)), 0.0, 1e-9) << k;
+    EXPECT_NEAR(std::abs(sol.v(k, n0)), 0.0, 1e-9) << k;
   }
 }
 
 TEST(MatrixConversion, RcPoleMatchesAcTheory) {
+  // The C matrix lowers to a grounded transcapacitance on the diagonal.
   const int m_samp = 32;
   const double r = 1e3, cval = 1e-9;
   mathx::MatrixD g(1, 1);
@@ -38,10 +39,11 @@ TEST(MatrixConversion, RcPoleMatchesAcTheory) {
   std::vector<mathx::MatrixD> samples(m_samp, g);
   mathx::MatrixD c(1, 1);
   c(0, 0) = cval;
-  MatrixConversionAnalysis an(samples, c, 1e9, 3);
+  const LptvCircuit ckt = lower_sampled_orbit(samples, c);
+  ConversionAnalysis an(ckt, {1e9, 3});
   const double fc = 1.0 / (mathx::kTwoPi * r * cval);
-  const MatrixPacSolution sol = an.solve_injection(fc, -1, 0, 0);
-  EXPECT_NEAR(std::abs(sol.at(0, 0)), r / std::sqrt(2.0), r * 1e-3);
+  const PacSolution sol = an.solve_current_injection(fc, 0, orbit_node(0), 0);
+  EXPECT_NEAR(std::abs(sol.v(0, orbit_node(0))), r / std::sqrt(2.0), r * 1e-3);
 }
 
 TEST(MatrixConversion, ChopperMatchesElementEngine) {
@@ -52,7 +54,7 @@ TEST(MatrixConversion, ChopperMatchesElementEngine) {
   const double f_lo = 1e9, f_if = 5e6;
   const int k_hi = 6;
 
-  // Element-based engine.
+  // Element-built circuit.
   LptvCircuit ckt(256);
   const int nin = ckt.add_node();
   const int nout = ckt.add_node();
@@ -63,7 +65,7 @@ TEST(MatrixConversion, ChopperMatchesElementEngine) {
   const double h_ref = std::abs(
       ref.conversion_transimpedance(f_if, 0, nin, +1, nout, 0, 0));
 
-  // Matrix-based engine: sampled 2x2 Jacobians.
+  // Lowered from sampled 2x2 Jacobians.
   const int m_samp = 256;
   std::vector<mathx::MatrixD> samples;
   samples.reserve(m_samp);
@@ -79,10 +81,11 @@ TEST(MatrixConversion, ChopperMatchesElementEngine) {
     samples.push_back(g);
   }
   mathx::MatrixD c(2, 2);
-  MatrixConversionAnalysis an(samples, c, f_lo, k_hi);
-  // Unit current into node 0 (from ground): rhs +1 at unknown 0.
-  const MatrixPacSolution sol = an.solve_injection(f_if, -1, 0, +1);
-  const double h_mat = std::abs(sol.at(0, 1));
+  const LptvCircuit lowered = lower_sampled_orbit(samples, c);
+  ConversionAnalysis an(lowered, {f_lo, k_hi});
+  // Unit current into unknown 0 from ground.
+  const PacSolution sol = an.solve_current_injection(f_if, 0, orbit_node(0), +1);
+  const double h_mat = std::abs(sol.v(0, orbit_node(1)));
   EXPECT_NEAR(h_mat, h_ref, h_ref * 0.01);
   // Sanity: textbook value (2/pi) gm rs rl.
   EXPECT_NEAR(h_mat, 2.0 / mathx::kPi * gm * rs * rl, h_mat * 0.02);
@@ -92,14 +95,18 @@ TEST(MatrixConversion, ValidatesArguments) {
   mathx::MatrixD g(1, 1);
   g(0, 0) = 1.0;
   mathx::MatrixD c(1, 1);
-  EXPECT_THROW(MatrixConversionAnalysis({}, c, 1e9, 3), std::invalid_argument);
-  EXPECT_THROW(MatrixConversionAnalysis(std::vector<mathx::MatrixD>(8, g), c, 1e9, 3),
-               std::invalid_argument);  // 8 < 4*3+2
+  EXPECT_THROW(lower_sampled_orbit({}, c), std::invalid_argument);
+  std::vector<mathx::MatrixD> ragged(32, g);
+  ragged[5] = mathx::MatrixD(2, 2);
+  EXPECT_THROW(lower_sampled_orbit(ragged, c), std::invalid_argument);
   mathx::MatrixD c_bad(2, 2);
-  EXPECT_THROW(MatrixConversionAnalysis(std::vector<mathx::MatrixD>(32, g), c_bad, 1e9, 3),
+  EXPECT_THROW(lower_sampled_orbit(std::vector<mathx::MatrixD>(32, g), c_bad),
                std::invalid_argument);
-  MatrixConversionAnalysis ok(std::vector<mathx::MatrixD>(32, g), c, 1e9, 3);
-  EXPECT_THROW(ok.solve_injection(1e6, -1, 0, 9), std::invalid_argument);
+  const LptvCircuit few = lower_sampled_orbit(std::vector<mathx::MatrixD>(8, g), c);
+  EXPECT_THROW(ConversionAnalysis(few, {1e9, 3}), std::invalid_argument);  // 8 < 4*3+2
+  const LptvCircuit ckt = lower_sampled_orbit(std::vector<mathx::MatrixD>(32, g), c);
+  ConversionAnalysis ok(ckt, {1e9, 3});
+  EXPECT_THROW(ok.solve_current_injection(1e6, 0, orbit_node(0), 9), std::invalid_argument);
 }
 
 }  // namespace
