@@ -4,8 +4,6 @@
 #include <cmath>
 
 #include "mathx/units.hpp"
-#include "obs/obs.hpp"
-#include "spice/circuit.hpp"
 
 namespace rfmix::spice {
 
@@ -129,10 +127,11 @@ MosEval level1_core(const MosParams& p, double vg, double vd, double vs, double 
   return e;
 }
 
-// The single model entry point shared by the per-device and batch paths.
-// noinline keeps exactly one compiled instance: if the two call sites each
-// inlined a copy, the optimizer could contract/reassociate them differently
-// and silently break the classic-vs-reuse bit-exactness contract.
+// The single model entry point: Newton stamping, AC, noise, power and the
+// operating-point report all call it. noinline keeps exactly one compiled
+// instance: a copy inlined into each call site could be contracted or
+// reassociated differently, so two callers at the same terminal voltages
+// could see linearizations that differ in the last bits.
 #if defined(__GNUC__) || defined(__clang__)
 __attribute__((noinline))
 #endif
@@ -170,14 +169,9 @@ Mosfet::Mosfet(std::string name, NodeId d, NodeId g, NodeId s, NodeId b, MosPara
   csb_ = std::make_unique<Capacitor>(this->name() + ".csb", s_, b_, c_sb);
 }
 
-MosEval Mosfet::eval(double vg, double vd, double vs, double vb) const {
-  return model_core(p_, vg, vd, vs, vb);
-}
-
 void Mosfet::stamp(RealStamper& s, const Solution& x, const StampParams& sp) const {
   const double vg = x.v(g_), vd = x.v(d_), vs = x.v(s_), vb = x.v(b_);
-  const MosEval* cached = sp.batch != nullptr ? sp.batch->lookup(this) : nullptr;
-  const MosEval e = cached != nullptr ? *cached : model_core(p_, vg, vd, vs, vb);
+  const MosEval e = model_core(p_, vg, vd, vs, vb);
 
   const auto& lay = s.layout();
   const int ud = lay.node_unknown(d_);
@@ -284,57 +278,6 @@ MosOperatingPoint Mosfet::evaluate(const Solution& op) const {
   r.vgs = op.vd(g_, s_);
   r.vds = op.vd(d_, s_);
   return r;
-}
-
-// ---------------------------------------------------------------------------
-
-MosBatchEvaluator::MosBatchEvaluator(const Circuit& ckt) {
-  for (const auto& dev : ckt.devices()) {
-    const auto* m = dynamic_cast<const Mosfet*>(dev.get());
-    if (m == nullptr) continue;
-    const MosParams& p = m->params();
-    const int gi = (p.level == MosModelLevel::kEkv ? 0 : 2) +
-                   (p.type == MosType::kNmos ? 0 : 1);
-    Group& g = groups_[gi];
-    index_.emplace(m, std::make_pair(gi, g.devs.size()));
-    g.devs.push_back(m);
-    ++count_;
-  }
-  for (Group& g : groups_) {
-    const std::size_t n = g.devs.size();
-    g.vg.assign(n, 0.0);
-    g.vd.assign(n, 0.0);
-    g.vs.assign(n, 0.0);
-    g.vb.assign(n, 0.0);
-    g.out.assign(n, MosEval{});
-  }
-}
-
-void MosBatchEvaluator::evaluate(const Solution& x) {
-  for (Group& g : groups_) {
-    const std::size_t n = g.devs.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      const Mosfet* m = g.devs[i];
-      g.vg[i] = x.v(m->gate());
-      g.vd[i] = x.v(m->drain());
-      g.vs[i] = x.v(m->source());
-      g.vb[i] = x.v(m->bulk());
-    }
-    // One tight loop per model class over the packed SoA arrays; every
-    // element routes through the shared model_core, so results are bitwise
-    // identical to the per-device path.
-    for (std::size_t i = 0; i < n; ++i)
-      g.out[i] = model_core(g.devs[i]->params(), g.vg[i], g.vd[i], g.vs[i], g.vb[i]);
-  }
-  evaluated_ = true;
-  if (count_ > 0) RFMIX_OBS_COUNT_N("spice.dev.evaluated", count_);
-}
-
-const MosEval* MosBatchEvaluator::lookup(const Mosfet* m) const {
-  if (!evaluated_) return nullptr;
-  const auto it = index_.find(m);
-  if (it == index_.end()) return nullptr;
-  return &groups_[it->second.first].out[it->second.second];
 }
 
 }  // namespace rfmix::spice

@@ -13,18 +13,14 @@
 // in transient and AC, and ignored in DC.
 #pragma once
 
-#include <cstddef>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "spice/device.hpp"
 #include "spice/devices_passive.hpp"
 
 namespace rfmix::spice {
-
-class Circuit;
 
 enum class MosType { kNmos, kPmos };
 enum class MosModelLevel { kEkv, kLevel1 };
@@ -54,8 +50,7 @@ struct MosParams {
 
 /// One linearization of the DC drain-current model: the signed drain
 /// current plus its partials wrt the absolute terminal voltages. This is
-/// what a Newton iteration stamps; the batch evaluator produces one per
-/// bound transistor per iteration.
+/// what a Newton iteration stamps.
 struct MosEval {
   double ids = 0.0;        // current into drain, out of source (signed)
   double dg = 0.0, dd = 0.0, ds = 0.0, db = 0.0;  // d ids / d v{g,d,s,b}
@@ -95,11 +90,6 @@ class Mosfet : public Device {
   /// from `op`).
   MosOperatingPoint evaluate(const Solution& op) const;
 
-  /// Linearize the DC drain-current model at the given absolute terminal
-  /// voltages. The batch evaluator routes through this same model core, so
-  /// batch and per-device results are bitwise identical.
-  MosEval eval(double vg, double vd, double vs, double vb) const;
-
   DeviceDesc describe() const override {
     return {"mosfet",
             {d_, g_, s_, b_},
@@ -126,38 +116,6 @@ class Mosfet : public Device {
   // Geometry-derived constant parasitics, composed (not registered in the
   // circuit; this device forwards stamp/transient calls).
   std::unique_ptr<Capacitor> cgs_, cgd_, cdb_, csb_;
-};
-
-/// Structure-of-arrays batch evaluator: binds every Mosfet in a circuit
-/// once, grouped by model class (EKV/level-1 x NMOS/PMOS), and linearizes
-/// each group in one tight loop per Newton iteration. Each per-element
-/// computation calls the same model core as Mosfet::eval, so the batch is
-/// bitwise identical to the per-device path.
-class MosBatchEvaluator {
- public:
-  /// Bind all Mosfet devices currently registered in `ckt`.
-  explicit MosBatchEvaluator(const Circuit& ckt);
-
-  std::size_t device_count() const { return count_; }
-
-  /// Linearize every bound device at `x` (counts spice.dev.evaluated).
-  void evaluate(const Solution& x);
-
-  /// Cached linearization for `m`, or null if `m` is not bound or nothing
-  /// has been evaluated yet.
-  const MosEval* lookup(const Mosfet* m) const;
-
- private:
-  struct Group {
-    std::vector<const Mosfet*> devs;
-    // SoA inputs/outputs, index-aligned with `devs`.
-    std::vector<double> vg, vd, vs, vb;
-    std::vector<MosEval> out;
-  };
-  Group groups_[4];  // [level][type]
-  std::unordered_map<const Mosfet*, std::pair<int, std::size_t>> index_;
-  std::size_t count_ = 0;
-  bool evaluated_ = false;
 };
 
 }  // namespace rfmix::spice

@@ -8,7 +8,6 @@
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "spice/mna.hpp"
-#include "spice/mosfet.hpp"
 #include "spice/solver.hpp"
 
 namespace rfmix::spice {
@@ -42,10 +41,6 @@ NewtonResult solve_newton(const Circuit& ckt, const Solution& initial,
     local = std::make_unique<SolverSession>();
     session = local.get();
   }
-  MosBatchEvaluator* batch = session->batch(ckt);
-  StampParams sp = params;
-  sp.batch = batch;
-
   NewtonResult result;
   result.solution = initial;
 
@@ -55,10 +50,10 @@ NewtonResult solve_newton(const Circuit& ckt, const Solution& initial,
   mathx::VectorD b;
   for (int iter = 0; iter < opts.max_iterations; ++iter) {
     RFMIX_OBS_COUNT("spice.newton.iterations");
+    RFMIX_OBS_COUNT_N("spice.dev.evaluated", session->mosfet_count(ckt));
     g.clear();
     b.assign(n, 0.0);
-    if (batch != nullptr) batch->evaluate(result.solution);
-    assemble_real(ckt, result.solution, sp, opts.gmin, g, b);
+    assemble_real(ckt, result.solution, params, opts.gmin, g, b);
 
     mathx::VectorD x_new;
     try {

@@ -32,9 +32,9 @@ struct NewtonResult {
 };
 
 /// One Newton solve at fixed StampParams, starting from `initial`. Pass a
-/// SolverSession to reuse the stamp mapping / symbolic LU / batch device
-/// caches across calls (timesteps, sweep points); with no session each call
-/// opens a private one.
+/// SolverSession to reuse the stamp mapping / symbolic LU caches across
+/// calls (timesteps, sweep points); with no session each call opens a
+/// private one.
 NewtonResult solve_newton(const Circuit& ckt, const Solution& initial,
                           const StampParams& params, const NewtonOptions& opts,
                           SolverSession* session = nullptr);

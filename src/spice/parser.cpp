@@ -542,26 +542,46 @@ Circuit parse_netlist(const std::string& text) {
   std::string line;
   int line_no = 0;
   Subckt* open_sub = nullptr;
+  int sub_line = 0;  // line of the open .subckt header
+  // Where a '+' continuation line appends its tokens: the previous device
+  // card, the open .subckt header's ports, or `dropped` after a directive
+  // the parser ignores (a multi-line .model). Null before the first card.
+  std::vector<std::string>* cont = nullptr;
+  std::vector<std::string> dropped;
   bool ended = false;
   while (std::getline(stream, line) && !ended) {
     ++line_no;
     const std::size_t star = line.find('*');
     if (star != std::string::npos) line = line.substr(0, star);
-    const auto t = tokenize(line);
+    auto t = tokenize(line);
     if (t.empty()) continue;
+    if (t[0][0] == '+') {
+      if (cont == nullptr)
+        throw ParseError(line_no, "continuation line with no card to continue");
+      t[0].erase(0, 1);
+      for (std::string& tok : t)
+        if (!tok.empty()) cont->push_back(std::move(tok));
+      continue;
+    }
     if (t[0][0] == '.') {
+      dropped.clear();
+      cont = &dropped;
       if (t[0] == ".subckt") {
         if (open_sub != nullptr)
           throw ParseError(line_no, "nested .subckt definitions are not supported");
-        if (t.size() < 3)
+        if (t.size() < 2)
           throw ParseError(line_no, ".subckt needs a name and at least one port");
         if (subckts.count(t[1]) != 0)
           throw ParseError(line_no, "duplicate .subckt name '" + t[1] + "'");
         Subckt sub;
         sub.ports.assign(t.begin() + 2, t.end());
         open_sub = &subckts.emplace(t[1], std::move(sub)).first->second;
+        sub_line = line_no;
+        cont = &open_sub->ports;
       } else if (t[0] == ".ends") {
         if (open_sub == nullptr) throw ParseError(line_no, ".ends without .subckt");
+        if (open_sub->ports.empty())
+          throw ParseError(sub_line, ".subckt needs a name and at least one port");
         open_sub = nullptr;
       } else if (t[0] == ".end") {
         if (open_sub != nullptr) throw ParseError(line_no, ".end inside .subckt");
@@ -569,14 +589,9 @@ Circuit parse_netlist(const std::string& text) {
       }
       continue;  // other directives ignored
     }
-    Card card;
-    card.line_no = line_no;
-    card.tokens = t;
-    if (open_sub != nullptr) {
-      open_sub->cards.push_back(std::move(card));
-    } else {
-      main_cards.push_back(std::move(card));
-    }
+    std::vector<Card>& cards = open_sub != nullptr ? open_sub->cards : main_cards;
+    cards.push_back(Card{line_no, std::move(t)});
+    cont = &cards.back().tokens;
   }
   if (open_sub != nullptr) throw ParseError(line_no, "unterminated .subckt");
 

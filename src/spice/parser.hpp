@@ -1,7 +1,7 @@
 // Text netlist parser for a compact SPICE dialect.
 //
-// Supported cards (case-insensitive, '*' comments, engineering suffixes
-// f p n u m k meg g t on every number):
+// Supported cards (case-insensitive, '*' comments, '+' continuation lines,
+// engineering suffixes f p n u m k meg g t on every number):
 //   Rname  n+ n-  value
 //   Cname  n+ n-  value
 //   Lname  n+ n-  value

@@ -8,8 +8,6 @@ namespace rfmix::spice {
 
 SolverSession::SolverSession() : mode_(solver_mode()) {}
 
-SolverSession::~SolverSession() = default;
-
 const mathx::SparseLu<double>& SolverSession::factor(const mathx::TripletMatrix<double>& g) {
   // Counted before the attempt: a singular pivot still did the work.
   RFMIX_OBS_COUNT("spice.lu.factorizations");
@@ -50,13 +48,14 @@ const mathx::SparseLu<double>& SolverSession::factor(const mathx::TripletMatrix<
   return lu_;
 }
 
-MosBatchEvaluator* SolverSession::batch(const Circuit& ckt) {
-  if (mode_ == SolverMode::kClassic) return nullptr;
-  if (batch_ckt_ != &ckt) {
-    batch_ = std::make_unique<MosBatchEvaluator>(ckt);
-    batch_ckt_ = &ckt;
+std::size_t SolverSession::mosfet_count(const Circuit& ckt) {
+  if (counted_ckt_ != &ckt) {
+    mosfets_ = 0;
+    for (const auto& dev : ckt.devices())
+      if (dynamic_cast<const Mosfet*>(dev.get()) != nullptr) ++mosfets_;
+    counted_ckt_ = &ckt;
   }
-  return batch_->device_count() > 0 ? batch_.get() : nullptr;
+  return mosfets_;
 }
 
 }  // namespace rfmix::spice

@@ -3,20 +3,20 @@
 //
 // A SolverSession owns everything a Newton/sweep loop reuses between
 // factorizations: the cached triplet->CSC stamp mapping, the symbolic LU
-// structure with its pinned pivot order, the numeric factor's buffers, and
-// the batch device evaluator. Engines create one session per independent
-// work unit (a transient run, a PSS run, one DC-sweep chunk) so obs counter
-// totals are identical at any thread count.
+// structure with its pinned pivot order, and the numeric factor's buffers.
+// Engines create one session per independent work unit (a transient run, a
+// PSS run, one DC-sweep chunk) so obs counter totals are identical at any
+// thread count.
 //
 // In classic mode the session still factors — it just re-analyzes every
-// time and skips the batch evaluator, reproducing the cold path exactly.
+// time, reproducing the cold path exactly.
 // Both modes produce byte-identical factors: refactor_from() replays the
 // analyze arithmetic and falls back to a full analysis whenever the stamp
 // pattern changes or the pinned pivot sequence stops winning the pivot
 // scan.
 #pragma once
 
-#include <memory>
+#include <cstddef>
 
 #include "mathx/solver_config.hpp"
 #include "mathx/sparse.hpp"
@@ -24,7 +24,6 @@
 namespace rfmix::spice {
 
 class Circuit;
-class MosBatchEvaluator;
 
 using mathx::ScopedSolverMode;
 using mathx::set_solver_mode;
@@ -34,7 +33,6 @@ using mathx::SolverMode;
 class SolverSession {
  public:
   SolverSession();
-  ~SolverSession();
   SolverSession(const SolverSession&) = delete;
   SolverSession& operator=(const SolverSession&) = delete;
 
@@ -47,9 +45,10 @@ class SolverSession {
   /// like a cold factorization.
   const mathx::SparseLu<double>& factor(const mathx::TripletMatrix<double>& g);
 
-  /// The session's batch device evaluator for `ckt` (created on first use;
-  /// null in classic mode or when `ckt` has no MOSFETs).
-  MosBatchEvaluator* batch(const Circuit& ckt);
+  /// MOSFETs in `ckt`, counted on first use per circuit. Each one evaluates
+  /// its model once per stamp, so solve_newton credits spice.dev.evaluated
+  /// with this many per iteration instead of counting per device.
+  std::size_t mosfet_count(const Circuit& ckt);
 
  private:
   SolverMode mode_;
@@ -59,8 +58,8 @@ class SolverSession {
   mathx::SparseLu<double> lu_;
   bool have_map_ = false;
   bool have_sym_ = false;
-  std::unique_ptr<MosBatchEvaluator> batch_;
-  const Circuit* batch_ckt_ = nullptr;
+  const Circuit* counted_ckt_ = nullptr;
+  std::size_t mosfets_ = 0;
 };
 
 }  // namespace rfmix::spice

@@ -82,8 +82,6 @@ enum class AnalysisMode { kDc, kTransient };
 /// Integration method for transient companion models.
 enum class Integrator { kBackwardEuler, kTrapezoidal };
 
-class MosBatchEvaluator;
-
 /// Parameters handed to Device::stamp each Newton iteration.
 struct StampParams {
   AnalysisMode mode = AnalysisMode::kDc;
@@ -91,10 +89,6 @@ struct StampParams {
   double dt = 0.0;         // step size (transient)
   Integrator integrator = Integrator::kBackwardEuler;
   double source_scale = 1.0;  // source stepping homotopy factor in [0,1]
-  // Pre-computed batch device evaluations for this iteration (reuse solver
-  // mode); devices covered by the batch read their linearization from it
-  // instead of re-deriving the model. Null on the classic path.
-  const MosBatchEvaluator* batch = nullptr;
 };
 
 }  // namespace rfmix::spice

@@ -55,7 +55,6 @@ void ServerLoop::on_line(Conn& conn, const std::string& line) {
   const Key key{conn.gen, next_seq_++};
   PendingReq rec;
   rec.id_json = req.id_json;
-  rec.version = req.version;
   rec.start = Clock::now();
   const double timeout_ms = req.timeout_ms > 0.0 ? req.timeout_ms : default_timeout_ms_;
   if (timeout_ms > 0.0) {
@@ -76,10 +75,8 @@ void ServerLoop::do_cancel(Conn& conn, const ParsedRequest& req) {
   auto it = pending_.lower_bound(Key{conn.gen, 0});
   while (it != pending_.end() && it->first.first == conn.gen) {
     if (it->second.id_json == req.cancel_target) {
-      enqueue_response(conn,
-                       make_error_response(it->second.version, it->second.id_json,
-                                           ErrorCode::kCancelled,
-                                           "request cancelled by client"));
+      enqueue_response(conn, make_error_response(it->second.id_json, ErrorCode::kCancelled,
+                                                 "request cancelled by client"));
       RFMIX_OBS_COUNT("svc.server.cancelled");
       it = pending_.erase(it);
       --conn.inflight;
@@ -118,8 +115,7 @@ void ServerLoop::tick() {
   for (auto it = pending_.begin(); it != pending_.end();) {
     if (it->second.has_deadline && it->second.deadline <= now) {
       Conn& conn = conns_.at(it->first.first);
-      enqueue_response(conn, make_error_response(it->second.version, it->second.id_json,
-                                                 ErrorCode::kTimeout,
+      enqueue_response(conn, make_error_response(it->second.id_json, ErrorCode::kTimeout,
                                                  "request deadline exceeded"));
       RFMIX_OBS_COUNT("svc.server.timeouts");
       it = pending_.erase(it);

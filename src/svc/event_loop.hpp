@@ -6,10 +6,10 @@
 // through a mutex-guarded completion queue plus the reactor's wake pipe,
 // and the loop routes them by (connection generation, request sequence) —
 // so responses complete out of order and clients match them up by the
-// echoed id (which is why v2 makes the echo mandatory).
+// echoed id (which is why the envelope makes the echo mandatory).
 //
-// Per request: a deadline (v2 timeout_ms or the server default) answers
-// code "timeout" on expiry and drops the late result; the v2 "cancel" op
+// Per request: a deadline (timeout_ms or the server default) answers
+// code "timeout" on expiry and drops the late result; the "cancel" op
 // removes a pending request (the target answers code "cancelled", the
 // cancel reports whether anything was found); shutdown drains every
 // dispatched job before run() returns.
@@ -54,7 +54,6 @@ class ServerLoop : public LineReactor {
 
   struct PendingReq {
     std::string id_json;
-    int version = 2;
     bool has_deadline = false;
     Clock::time_point deadline{};
     Clock::time_point start{};

@@ -341,7 +341,7 @@ void LineReactor::dispatch(Conn& conn) {
     if (got == Framed::Line::kNone) return;
     if (got == Framed::Line::kOversized) {
       // A line this long cannot be resynchronized; answer and hang up.
-      enqueue_response(conn, make_error_response(2, "null", ErrorCode::kParseError,
+      enqueue_response(conn, make_error_response("null", ErrorCode::kParseError,
                                                  "request line exceeds size limit"));
       protocol_errors_.increment();
       conn.read_closed = true;

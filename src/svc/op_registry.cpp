@@ -163,15 +163,12 @@ const OpSpec* OpRegistry::find(RequestKind kind) const {
   return nullptr;
 }
 
-std::string OpRegistry::kinds_list(int version) const {
-  std::vector<std::string_view> names;
-  for (const OpSpec& op : ops_)
-    if (version >= 2 || op.in_v1) names.push_back(op.name);
+std::string OpRegistry::kinds_list() const {
   std::string out;
-  for (std::size_t i = 0; i < names.size(); ++i) {
+  for (std::size_t i = 0; i < ops_.size(); ++i) {
     if (i > 0) out += ", ";
-    if (i + 1 == names.size()) out += "or ";
-    out += names[i];
+    if (i + 1 == ops_.size()) out += "or ";
+    out += ops_[i].name;
   }
   return out;
 }

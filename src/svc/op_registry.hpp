@@ -11,10 +11,7 @@
 //
 // and parse_request / request_canonical / execute_request /
 // serialize_v2_request in request.cpp become thin, op-agnostic dispatch
-// over the registry. The v1 (version-less) protocol is the same table with
-// `in_v1` gating which kinds exist and schemas applied leniently to the
-// whole document (v1's frozen top-level-fields layout) — one construction
-// path for both wire versions.
+// over the registry.
 //
 // Error-message compatibility is part of the contract: schemas reproduce
 // the exact bytes the hand-rolled parsers emitted ("missing required field
@@ -99,11 +96,10 @@ struct OpSpec {
   std::string name;
   bool analysis = false;  // scheduled through the cache/job layer (vs
                           // answered in place: ping, stats, cancel)
-  bool in_v1 = false;     // part of the frozen v1 protocol surface
   RequestKind kind = RequestKind::kOp;  // meaningful when analysis
 
   Schema params;               // parameter schema (may be empty)
-  bool strict_params = false;  // v2: reject unknown top-level params keys
+  bool strict_params = false;  // reject unknown top-level params keys
   /// Cross-field validation / normalization after the schema applied.
   std::function<void(Request&)> finish;
 
@@ -116,7 +112,7 @@ struct OpSpec {
   /// parse(serialize(req)) reproduces the identical Request.
   std::function<void(std::string&, const Request&)> serialize_params;
 
-  /// Control-op parameter parsing (cancel). Applied to the v2 params.
+  /// Control-op parameter parsing (cancel). Applied to the params object.
   std::function<void(const JsonValue& params, ParsedRequest&)> parse_control;
 };
 
@@ -135,9 +131,9 @@ class OpRegistry {
   const OpSpec* find(RequestKind kind) const;
   const std::vector<OpSpec>& ops() const { return ops_; }
 
-  /// Human-readable kind list for the unknown-kind error: all ops for
-  /// version 2, the `in_v1` subset for version 1 ("a, b, ..., or z").
-  std::string kinds_list(int version) const;
+  /// Human-readable kind list for the unknown-kind error, in registration
+  /// order ("a, b, ..., or z").
+  std::string kinds_list() const;
 
  private:
   OpRegistry();

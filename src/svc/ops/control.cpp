@@ -1,7 +1,6 @@
 // Control ops: ping, stats, cancel. Answered in place by the server loop
 // (never scheduled), so they carry no analysis handlers — registering them
-// here still gives them a single source of truth for kind-name validity
-// and the v1/v2 availability split (cancel postdates the v1 freeze).
+// here still gives them a single source of truth for kind-name validity.
 #include <cmath>
 
 #include "obs/json_writer.hpp"
@@ -32,16 +31,14 @@ std::string serialize_target(const JsonValue& v) {
 void register_control_ops(OpRegistry& r) {
   OpSpec ping;
   ping.name = "ping";
-  ping.in_v1 = true;
   r.register_op(std::move(ping));
 
   OpSpec stats;
   stats.name = "stats";
-  stats.in_v1 = true;
   r.register_op(std::move(stats));
 
   OpSpec cancel;
-  cancel.name = "cancel";  // v2 only
+  cancel.name = "cancel";
   cancel.parse_control = [](const JsonValue& params, ParsedRequest& out) {
     const JsonValue* target = params.find("target");
     if (target == nullptr)

@@ -1,4 +1,4 @@
-// The gen op (v2 only): programmatic netlist generation served through
+// The gen op: programmatic netlist generation served through
 // rfmixd. A request names a template (src/gen) and its parameters; the
 // server renders the deck and either returns it ("analysis":"netlist") or
 // pipes it straight into a DC op, AC sweep, or per-element N-path Zin
@@ -151,7 +151,7 @@ std::string execute_gen(const Request& req) {
 
 void register_gen_op(OpRegistry& r) {
   OpSpec op;
-  op.name = "gen";  // v2 only
+  op.name = "gen";
   op.analysis = true;
   op.kind = RequestKind::kGen;
   op.strict_params = true;

@@ -189,7 +189,6 @@ void register_mixer_metric_op(OpRegistry& r) {
   OpSpec m;
   m.name = "mixer_metric";
   m.analysis = true;
-  m.in_v1 = true;
   m.kind = RequestKind::kMixerMetric;
   m.params.string("metric", [](const std::string& v, Request& req) {
     req.metric.metric = core::metric_from_name(v);

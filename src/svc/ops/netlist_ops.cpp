@@ -116,7 +116,6 @@ void register_netlist_ops(OpRegistry& r) {
   OpSpec op;
   op.name = "op";
   op.analysis = true;
-  op.in_v1 = true;
   op.kind = RequestKind::kOp;
   op.params.string("netlist",
                    [](const std::string& v, Request& req) { req.netlist = v; });
@@ -137,7 +136,6 @@ void register_netlist_ops(OpRegistry& r) {
   OpSpec ac;
   ac.name = "ac";
   ac.analysis = true;
-  ac.in_v1 = true;
   ac.kind = RequestKind::kAc;
   ac.params.string("netlist",
                    [](const std::string& v, Request& req) { req.netlist = v; });

@@ -1,4 +1,4 @@
-// The npath_zin op (v2 only): mixer-first N-path Zin/S11 sweep. Strict
+// The npath_zin op: mixer-first N-path Zin/S11 sweep. Strict
 // parameter object — a silently dropped knob would collide two different
 // front ends on one cache key — with the sweep grid nested under "sweep".
 #include <algorithm>
@@ -80,7 +80,7 @@ std::string execute_npath_zin(const Request& req) {
 
 void register_npath_zin_op(OpRegistry& r) {
   OpSpec np;
-  np.name = "npath_zin";  // v2 only: postdates the v1 freeze
+  np.name = "npath_zin";
   np.analysis = true;
   np.kind = RequestKind::kNpathZin;
   np.strict_params = true;

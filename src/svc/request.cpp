@@ -1,10 +1,9 @@
 // Protocol framing + op-agnostic dispatch. Everything kind-specific —
 // parameter schemas, canonical cache records, execution, router
 // re-serialization — lives in the OpRegistry (src/svc/ops/*); this file
-// only knows the envelope: id echoing, version detection, the v2 strict
+// only knows the envelope: id echoing, the version check, the strict
 // envelope scan, and how to hand the params object to whichever OpSpec the
-// "kind" names. The v1 (version-less) layout is the same table applied
-// leniently to the whole document.
+// "kind" names.
 #include "svc/request.hpp"
 
 #include <climits>
@@ -46,15 +45,12 @@ std::string id_of(const JsonValue& doc) {
 }
 
 /// Apply an op's schema + cross-field checks onto a fresh Request, mapping
-/// any schema throw to kBadParams. `strict` is the v2 top-level setting
-/// (v1 is always lenient: the params *are* the whole document, envelope
-/// fields included).
-Request build_analysis_request(const OpSpec& spec, const JsonValue& params,
-                               bool strict) {
+/// any schema throw to kBadParams.
+Request build_analysis_request(const OpSpec& spec, const JsonValue& params) {
   Request req;
   req.kind = spec.kind;
   try {
-    spec.params.apply(params, req, strict);
+    spec.params.apply(params, req, spec.strict_params);
     if (spec.finish) spec.finish(req);
   } catch (const RequestError&) {
     throw;
@@ -95,15 +91,12 @@ ParsedRequest parse_request(const JsonValue& doc) {
   ParsedRequest out;
   out.id_json = id_of(doc);
 
-  // Version detection: no "v" (or an explicit 1) is the deprecated v1
-  // layout with analysis fields at the top level; 2 is the envelope with
-  // params; anything else is a client from the future.
-  if (const JsonValue* v = doc.find("v")) {
-    if (!v->is_number() || (v->as_number() != 1.0 && v->as_number() != 2.0))
-      throw RequestError(ErrorCode::kUnsupportedVersion,
-                         "unsupported protocol version (this server speaks v1 and v2)");
-    out.version = static_cast<int>(v->as_number());
-  }
+  // One envelope version: a request without "v", or with any other value,
+  // is rejected rather than guessed at.
+  const JsonValue* version = doc.find("v");
+  if (version == nullptr || !version->is_number() || version->as_number() != 2.0)
+    throw RequestError(ErrorCode::kUnsupportedVersion,
+                       "unsupported protocol version (this server speaks v2)");
 
   const JsonValue* kind = doc.find("kind");
   if (kind == nullptr)
@@ -112,15 +105,12 @@ ParsedRequest parse_request(const JsonValue& doc) {
     throw RequestError(ErrorCode::kInvalidRequest, "field 'kind' must be a string");
   out.kind = kind->as_string();
 
-  // Kind resolution against the registry. Ops that postdate the v1 freeze
-  // (cancel, npath_zin, gen, ...) are not in_v1, so v1 rejects them as
-  // unknown rather than growing new top-level fields.
   const OpRegistry& registry = OpRegistry::instance();
   const OpSpec* spec = registry.find(out.kind);
-  if (spec == nullptr || (out.version == 1 && !spec->in_v1))
+  if (spec == nullptr)
     throw RequestError(ErrorCode::kUnknownKind,
                        "unknown request kind '" + out.kind + "' (expected " +
-                           registry.kinds_list(out.version) + ")");
+                           registry.kinds_list() + ")");
 
   try {
     const JsonValue* v = doc.find("priority");
@@ -135,16 +125,8 @@ ParsedRequest parse_request(const JsonValue& doc) {
     throw RequestError(ErrorCode::kBadParams, e.what());
   }
 
-  // v1: analysis fields live at the top level; unknown extras are ignored
-  // for back-compat. Parsed here and frozen — new capability goes to v2.
-  if (out.version == 1) {
-    if (spec->analysis)
-      out.request = build_analysis_request(*spec, doc, /*strict=*/false);
-    return out;
-  }
-
-  // v2: a strict envelope. Everything kind-specific lives under "params";
-  // an unknown envelope field is an error so typos fail loudly instead of
+  // A strict envelope. Everything kind-specific lives under "params"; an
+  // unknown envelope field is an error so typos fail loudly instead of
   // silently changing meaning.
   for (const auto& [key, value] : doc.as_object()) {
     (void)value;
@@ -171,8 +153,7 @@ ParsedRequest parse_request(const JsonValue& doc) {
     spec->parse_control(p, out);
     return out;
   }
-  if (spec->analysis)
-    out.request = build_analysis_request(*spec, p, spec->strict_params);
+  if (spec->analysis) out.request = build_analysis_request(*spec, p);
   return out;
 }
 

@@ -1,5 +1,5 @@
 // Service requests: the unit of work the cache keys and the scheduler runs,
-// plus the one place both wire-protocol versions are parsed.
+// plus the one place the wire protocol is parsed.
 //
 // A request is either a netlist analysis (DC operating point or AC sweep
 // over a parsed SPICE deck) or a mixer metric query (conversion gain, DSB
@@ -9,12 +9,11 @@
 // and execute_request() produces the canonical compact-JSON payload that
 // gets cached and returned to clients byte-for-byte.
 //
-// parse_request() is the single entry point for both protocol versions
-// (version-less v1 and the {"v":2,...} envelope — see docs/service.md):
-// the blocking stdin path, the poll(2) event loop, and the tests all parse
-// through it, so a request means the same thing on every transport.
-// Failures throw RequestError carrying a stable ErrorCode that v2 clients
-// can dispatch on.
+// parse_request() is the single entry point for the {"v":2,...} envelope
+// (docs/service.md): the blocking stdin path, the poll(2) event loop, the
+// router and the tests all parse through it, so a request means the same
+// thing on every transport. Failures throw RequestError carrying a stable
+// ErrorCode that clients can dispatch on.
 #pragma once
 
 #include <stdexcept>
@@ -34,9 +33,9 @@ enum class RequestKind {
   kOp,           // DC operating point of a netlist
   kAc,           // AC sweep of a netlist, probed at one node (pair)
   kMixerMetric,  // core::evaluate_metric over a MixerConfig
-  kNpathZin,     // N-path mixer-first Zin/S11 sweep (v2 only)
+  kNpathZin,     // N-path mixer-first Zin/S11 sweep
   kGen,          // generated netlist (template + params), optionally piped
-                 // into an op/ac/npath_zin analysis (v2 only)
+                 // into an op/ac/npath_zin analysis
 };
 
 struct AcSpec {
@@ -96,16 +95,16 @@ Hash128 request_key(const Request& req);
 std::string execute_request(const Request& req);
 
 // ---------------------------------------------------------------------------
-// Wire protocol (v1 + v2)
+// Wire protocol (v2)
 // ---------------------------------------------------------------------------
 
-/// Stable error codes for the v2 structured error object. The names are
+/// Stable error codes for the structured error object. The names are
 /// wire format — never renumber or rename, only append.
 enum class ErrorCode {
   kParseError,          // the line is not valid JSON
   kInvalidRequest,      // valid JSON, but not a usable envelope (not an
-                        // object, bad id type, unknown v2 envelope field)
-  kUnsupportedVersion,  // "v" present but not a supported version
+                        // object, bad id type, unknown envelope field)
+  kUnsupportedVersion,  // "v" absent or not 2
   kUnknownKind,         // "kind" is not one this server implements
   kBadParams,           // the kind is known but its parameters are not
   kExecFailed,          // the analysis itself threw (netlist errors,
@@ -121,7 +120,7 @@ enum class ErrorCode {
 std::string_view error_code_name(ErrorCode code);
 
 /// Thrown by parse_request(); carries the structured code so the server
-/// can answer v2 clients with something machine-dispatchable.
+/// can answer with something machine-dispatchable.
 class RequestError : public std::runtime_error {
  public:
   RequestError(ErrorCode code, const std::string& what)
@@ -132,15 +131,14 @@ class RequestError : public std::runtime_error {
   ErrorCode code_;
 };
 
-/// One fully parsed request line, protocol version included. `request` is
-/// only meaningful for the analysis kinds (op / ac / mixer_metric);
-/// `cancel_target` only for kind == "cancel" (v2).
+/// One fully parsed request line. `request` is only meaningful for the
+/// analysis kinds (op / ac / mixer_metric / npath_zin / gen);
+/// `cancel_target` only for kind == "cancel".
 struct ParsedRequest {
-  int version = 1;            // 1 (version-less or explicit) or 2
   std::string id_json = "null";  // client id re-serialized for echoing
   std::string kind;
   int priority = 0;           // higher drains first
-  double timeout_ms = 0.0;    // v2 envelope; <= 0 means no deadline
+  double timeout_ms = 0.0;    // <= 0 means no deadline
   Request request;
   std::string cancel_target;  // serialized id the cancel op targets
 };
@@ -150,8 +148,8 @@ struct ParsedRequest {
 /// cancel).
 bool is_analysis_kind(std::string_view kind);
 
-/// Parse one request document (any protocol version) into a ParsedRequest.
-/// Throws RequestError on every failure; never partially succeeds.
+/// Parse one request document into a ParsedRequest. Throws RequestError on
+/// every failure; never partially succeeds.
 ParsedRequest parse_request(const JsonValue& doc);
 
 /// Re-serialize a parsed analysis/control request as one v2 request line

@@ -1,8 +1,8 @@
 // rfmixd: the simulation service daemon.
 //
-// Speaks the newline-delimited JSON protocol from docs/service.md (v2
-// envelope; version-less v1 requests still accepted) over stdin/stdout
-// (default) or a Unix domain socket (--socket PATH). Socket mode serves
+// Speaks the newline-delimited JSON protocol from docs/service.md (the v2
+// envelope; any other version is rejected) over stdin/stdout (default)
+// or a Unix domain socket (--socket PATH). Socket mode serves
 // many clients concurrently through a poll(2) event loop; all requests
 // share one ResultCache and one JobScheduler, so repeated and
 // concurrent-identical requests are served from cache / single-flight

@@ -12,7 +12,6 @@
 
 #include "obs/json_writer.hpp"
 #include "obs/obs.hpp"
-#include "svc/json_parse.hpp"
 
 namespace rfmix::svc {
 
@@ -150,13 +149,13 @@ void RouterLoop::degrade_ticket(std::map<std::uint64_t, Ticket>::iterator it) {
   if (std::optional<std::string> payload = cache_.get(t.key)) {
     ++stats_.cache_hits;
     RFMIX_OBS_COUNT("svc.router.cache_hits");
-    r = make_analysis_response(t.version, t.id_json, /*cached=*/true, /*deduped=*/false,
-                               t.key, *payload);
+    r = make_analysis_response(t.id_json, /*cached=*/true, /*deduped=*/false, t.key,
+                               *payload);
   } else {
     ++stats_.unavailable;
     RFMIX_OBS_COUNT("svc.router.unavailable");
-    r = make_unavailable_response(t.version, t.id_json,
-                                  "no live worker for this request", retry_after_ms());
+    r = make_unavailable_response(t.id_json, "no live worker for this request",
+                                  retry_after_ms());
   }
   finish_ticket(t, r);
   tickets_.erase(it);
@@ -216,7 +215,7 @@ void RouterLoop::reroute_worker(int idx) {
       ++stats_.unavailable;
       RFMIX_OBS_COUNT("svc.router.unavailable");
       finish_ticket(t, make_unavailable_response(
-                           t.version, t.id_json,
+                           t.id_json,
                            "request replayed too many times across worker failures",
                            retry_after_ms()));
       tickets_.erase(tit);
@@ -358,32 +357,7 @@ void RouterLoop::process_worker_line(int idx, const std::string& line) {
   tickets_.erase(it);
 
   if (ok) maybe_cache_fill(t.key, tail);
-
-  Response r;
-  r.ok = ok;
-  if (!ok && t.version == 1) {
-    // v1 errors are a plain string, not the v2 object the worker sent.
-    // The message round-trips; make_error_response ignores the code for
-    // v1 — bytes match a direct v1 session.
-    r = make_error_response(1, t.id_json, ErrorCode::kExecFailed,
-                            error_message_of(tail));
-  } else {
-    r.line = response_head(t.version, t.id_json, ok) + tail;
-  }
-  finish_ticket(t, r);
-}
-
-std::string RouterLoop::error_message_of(const std::string& tail) {
-  // tail = ,"error":{"code":"...","message":<quoted>[,...]}}  — lift the
-  // message text back out through the real JSON parser (it may contain
-  // escapes); fall back to the raw tail on any surprise.
-  try {
-    const JsonValue doc = json_parse("{\"_\":0" + tail);
-    if (const JsonValue* err = doc.find("error"))
-      if (const JsonValue* msg = err->find("message")) return msg->as_string();
-  } catch (const std::exception&) {
-  }
-  return "worker error";
+  finish_ticket(t, Response{response_head(t.id_json, ok) + tail, ok});
 }
 
 void RouterLoop::maybe_cache_fill(const Hash128& key, const std::string& tail) {
@@ -469,12 +443,11 @@ void RouterLoop::on_line(Conn& conn, const std::string& line) {
   try {
     key = request_key(req.request);
   } catch (const std::exception& e) {
-    enqueue_response(conn, make_error_response(req.version, req.id_json,
-                                               ErrorCode::kExecFailed, e.what()));
+    enqueue_response(conn,
+                     make_error_response(req.id_json, ErrorCode::kExecFailed, e.what()));
     return;
   } catch (...) {
-    enqueue_response(conn, make_error_response(req.version, req.id_json,
-                                               ErrorCode::kExecFailed,
+    enqueue_response(conn, make_error_response(req.id_json, ErrorCode::kExecFailed,
                                                "unknown keying failure"));
     return;
   }
@@ -493,7 +466,6 @@ void RouterLoop::on_line(Conn& conn, const std::string& line) {
   Ticket t;
   t.client_gen = conn.gen;
   t.id_json = req.id_json;
-  t.version = req.version;
   t.key = key;
   t.forward_line = serialize_v2_request(req, std::to_string(ticket_id));
   tickets_.emplace(ticket_id, std::move(t));
@@ -506,8 +478,7 @@ void RouterLoop::do_cancel(Conn& conn, const ParsedRequest& req) {
   for (auto it = tickets_.begin(); it != tickets_.end();) {
     Ticket& t = it->second;
     if (t.client_gen == conn.gen && t.id_json == req.cancel_target) {
-      enqueue_response(conn, make_error_response(t.version, t.id_json,
-                                                 ErrorCode::kCancelled,
+      enqueue_response(conn, make_error_response(t.id_json, ErrorCode::kCancelled,
                                                  "request cancelled by client"));
       if (conn.inflight > 0) --conn.inflight;
       it = tickets_.erase(it);

@@ -112,7 +112,6 @@ class RouterLoop : public LineReactor {
   struct Ticket {
     std::uint64_t client_gen = 0;
     std::string id_json;  // the client's id, restored on the response
-    int version = 2;
     Hash128 key;
     std::string forward_line;  // v2 line with the ticket as id
     int worker = -1;
@@ -160,9 +159,6 @@ class RouterLoop : public LineReactor {
   void try_connect(int idx);
   void link_down(int idx, bool and_kill);
   void process_worker_line(int idx, const std::string& line);
-  /// Extract error.message from a worker's structured-error tail (for
-  /// re-serializing toward a v1 client, whose errors are plain strings).
-  static std::string error_message_of(const std::string& tail);
   /// Feed the router cache tier from a successful analysis tail.
   void maybe_cache_fill(const Hash128& key, const std::string& tail);
   void worker_io(int idx, short revents);

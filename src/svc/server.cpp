@@ -46,58 +46,44 @@ std::string stats_json(JobScheduler& sched) {
 
 }  // namespace
 
-std::string response_head(int version, const std::string& id_json, bool ok) {
-  std::string out = version == 2 ? "{\"v\":2,\"id\":" : "{\"id\":";
+std::string response_head(const std::string& id_json, bool ok) {
+  std::string out = "{\"v\":2,\"id\":";
   out += id_json;
   out += ok ? ",\"ok\":true" : ",\"ok\":false";
-  if (version != 2) out += ",\"deprecated\":true";
   return out;
 }
 
-Response make_unavailable_response(int version, const std::string& id_json,
-                                   std::string_view message, double retry_after_ms) {
+Response make_unavailable_response(const std::string& id_json, std::string_view message,
+                                   double retry_after_ms) {
   Response r;
   r.ok = false;
-  r.line = response_head(version, id_json, /*ok=*/false);
-  if (version == 2) {
-    r.line += ",\"error\":{\"code\":\"unavailable\",\"message\":";
-    r.line += json::quoted(message);
-    r.line += ",\"retry_after_ms\":";
-    r.line += json::number(retry_after_ms);
-    r.line += "}}";
-  } else {
-    r.line += ",\"error\":";
-    r.line += json::quoted(message);
-    r.line += "}";
-  }
+  r.line = response_head(id_json, /*ok=*/false);
+  r.line += ",\"error\":{\"code\":\"unavailable\",\"message\":";
+  r.line += json::quoted(message);
+  r.line += ",\"retry_after_ms\":";
+  r.line += json::number(retry_after_ms);
+  r.line += "}}";
   return r;
 }
 
-Response make_error_response(int version, const std::string& id_json, ErrorCode code,
+Response make_error_response(const std::string& id_json, ErrorCode code,
                              std::string_view message, std::size_t offset) {
   Response r;
   r.ok = false;
-  r.line = response_head(version, id_json, /*ok=*/false);
-  if (version == 2) {
-    r.line += ",\"error\":{\"code\":";
-    r.line += json::quoted(error_code_name(code));
-    r.line += ",\"message\":";
-    r.line += json::quoted(message);
-    if (offset != kNoOffset)
-      r.line += ",\"offset\":" + json::number(std::uint64_t(offset));
-    r.line += "}}";
-  } else {
-    r.line += ",\"error\":";
-    r.line += json::quoted(message);
-    r.line += "}";
-  }
+  r.line = response_head(id_json, /*ok=*/false);
+  r.line += ",\"error\":{\"code\":";
+  r.line += json::quoted(error_code_name(code));
+  r.line += ",\"message\":";
+  r.line += json::quoted(message);
+  if (offset != kNoOffset) r.line += ",\"offset\":" + json::number(std::uint64_t(offset));
+  r.line += "}}";
   return r;
 }
 
 Response make_result_response(const ParsedRequest& req, std::string_view result_json) {
   Response r;
   r.ok = true;
-  r.line = response_head(req.version, req.id_json, /*ok=*/true);
+  r.line = response_head(req.id_json, /*ok=*/true);
   r.line += ",\"result\":";
   r.line += result_json;
   r.line += "}";
@@ -106,15 +92,14 @@ Response make_result_response(const ParsedRequest& req, std::string_view result_
 
 Response make_analysis_response(const ParsedRequest& req, bool cached, bool deduped,
                                 const Hash128& key, std::string_view payload) {
-  return make_analysis_response(req.version, req.id_json, cached, deduped, key, payload);
+  return make_analysis_response(req.id_json, cached, deduped, key, payload);
 }
 
-Response make_analysis_response(int version, const std::string& id_json, bool cached,
-                                bool deduped, const Hash128& key,
-                                std::string_view payload) {
+Response make_analysis_response(const std::string& id_json, bool cached, bool deduped,
+                                const Hash128& key, std::string_view payload) {
   Response r;
   r.ok = true;
-  r.line = response_head(version, id_json, /*ok=*/true);
+  r.line = response_head(id_json, /*ok=*/true);
   r.line += ",\"cached\":";
   r.line += cached ? "true" : "false";
   r.line += ",\"deduped\":";
@@ -132,9 +117,6 @@ ServerSession::ServerSession(ResultCache& cache, runtime::ThreadPool& pool)
 
 std::optional<Response> ServerSession::parse_line(const std::string& line,
                                                  ParsedRequest* req) {
-  // Failures before the envelope is understood answer in the current (v2)
-  // error shape: the version is unknowable, and a structured code is the
-  // only thing a client of either vintage can dispatch on.
   try {
     const JsonValue doc = json_parse(line);
     try {
@@ -143,25 +125,21 @@ std::optional<Response> ServerSession::parse_line(const std::string& line,
     } catch (const RequestError& e) {
       // The id (when readable) is still echoed so the failure is routable.
       std::string id = "null";
-      int version = 2;
       if (doc.is_object()) {
         if (const JsonValue* id_field = doc.find("id")) {
           if (id_field->is_string()) id = json::quoted(id_field->as_string());
           if (id_field->is_number() && std::isfinite(id_field->as_number()))
             id = json::number(id_field->as_number());
         }
-        const JsonValue* v = doc.find("v");
-        if (v == nullptr || (v->is_number() && v->as_number() == 1.0)) version = 1;
       }
-      return make_error_response(version, id, e.code(), e.what());
+      return make_error_response(id, e.code(), e.what());
     }
   } catch (const JsonParseError& e) {
-    return make_error_response(2, "null", ErrorCode::kParseError, e.what(), e.offset());
+    return make_error_response("null", ErrorCode::kParseError, e.what(), e.offset());
   } catch (const std::exception& e) {
-    return make_error_response(2, "null", ErrorCode::kParseError, e.what());
+    return make_error_response("null", ErrorCode::kParseError, e.what());
   } catch (...) {
-    return make_error_response(2, "null", ErrorCode::kParseError,
-                               "unknown parse failure");
+    return make_error_response("null", ErrorCode::kParseError, "unknown parse failure");
   }
 }
 
@@ -188,10 +166,9 @@ Response ServerSession::handle_line(const std::string& line) {
     const std::string payload = sched_.await(outcome);
     return make_analysis_response(req, outcome.cache_hit, outcome.deduped, key, payload);
   } catch (const std::exception& e) {
-    return make_error_response(req.version, req.id_json, ErrorCode::kExecFailed,
-                               e.what());
+    return make_error_response(req.id_json, ErrorCode::kExecFailed, e.what());
   } catch (...) {
-    return make_error_response(req.version, req.id_json, ErrorCode::kExecFailed,
+    return make_error_response(req.id_json, ErrorCode::kExecFailed,
                                "unknown execution failure");
   }
 }
@@ -204,17 +181,15 @@ void ServerSession::submit_async(const ParsedRequest& req,
   try {
     key = request_key(req.request);
   } catch (const std::exception& e) {
-    done(make_error_response(req.version, req.id_json, ErrorCode::kExecFailed,
-                             e.what()));
+    done(make_error_response(req.id_json, ErrorCode::kExecFailed, e.what()));
     return;
   }
   const Request r = req.request;
   // `req` is dead by the time a worker completes; copy what the formatter
   // needs into the completion.
-  ParsedRequest meta = req;
   sched_.submit_async(
       JobScheduler::Job{key, [r] { return execute_request(r); }, req.priority},
-      [meta = std::move(meta), key, done = std::move(done)](
+      [id_json = req.id_json, key, done = std::move(done)](
           const std::string* payload, std::exception_ptr err, bool cached,
           bool deduped) {
         if (err) {
@@ -225,11 +200,10 @@ void ServerSession::submit_async(const ParsedRequest& req,
             what = e.what();
           } catch (...) {
           }
-          done(make_error_response(meta.version, meta.id_json, ErrorCode::kExecFailed,
-                                   what));
+          done(make_error_response(id_json, ErrorCode::kExecFailed, what));
           return;
         }
-        done(make_analysis_response(meta, cached, deduped, key, *payload));
+        done(make_analysis_response(id_json, cached, deduped, key, *payload));
       });
 }
 

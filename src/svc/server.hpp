@@ -1,5 +1,5 @@
 // rfmixd request handling: newline-delimited JSON in, newline-delimited
-// JSON out, protocol versions 1 (deprecated) and 2 (docs/service.md).
+// JSON out, protocol v2 (docs/service.md).
 //
 // One ServerSession wraps a JobScheduler over a ResultCache and a thread
 // pool. The session is transport-free: handle_line() is a pure
@@ -36,38 +36,36 @@ struct Response {
 /// Sentinel for "no byte offset" in make_error_response.
 inline constexpr std::size_t kNoOffset = static_cast<std::size_t>(-1);
 
-/// Serialize an error in the request's protocol version: v1 keeps the
-/// legacy string `"error":"..."` (plus `"deprecated":true`), v2 emits the
-/// structured `{"code","message"[,"offset"]}` object. Pure — shared by the
-/// session, the event loop (timeouts, cancels), and the golden tests.
-Response make_error_response(int version, const std::string& id_json, ErrorCode code,
+/// Serialize a structured `{"code","message"[,"offset"]}` error. Pure —
+/// shared by the session, the event loop (timeouts, cancels), and the
+/// golden tests.
+Response make_error_response(const std::string& id_json, ErrorCode code,
                              std::string_view message, std::size_t offset = kNoOffset);
 
-/// The response prefix through the "ok" flag: `{"v":2,"id":<id>,"ok":b`
-/// for v2, `{"id":<id>,"ok":b,"deprecated":true` for v1. Exposed for the
-/// router, which splices a worker response's tail (everything after this
-/// prefix) onto a head rebuilt in the client's protocol version — so a
-/// routed response is byte-identical to talking to the worker directly.
-std::string response_head(int version, const std::string& id_json, bool ok);
+/// The response prefix through the "ok" flag: `{"v":2,"id":<id>,"ok":b`.
+/// Exposed for the router, which splices a worker response's tail
+/// (everything after this prefix) onto a head carrying the client's id —
+/// so a routed response is byte-identical to talking to the worker
+/// directly.
+std::string response_head(const std::string& id_json, bool ok);
 
 /// The cluster's graceful-degradation answer: an `unavailable` error
 /// carrying `retry_after_ms`, the router's hint for when capacity is
 /// expected back (next restart attempt or breaker cooloff expiry).
-Response make_unavailable_response(int version, const std::string& id_json,
-                                   std::string_view message, double retry_after_ms);
+Response make_unavailable_response(const std::string& id_json, std::string_view message,
+                                   double retry_after_ms);
 
-/// Serialize a non-analysis result (ping, stats, cancel) in the request's
-/// protocol version. `result_json` must be one compact JSON value.
+/// Serialize a non-analysis result (ping, stats, cancel). `result_json`
+/// must be one compact JSON value.
 Response make_result_response(const ParsedRequest& req, std::string_view result_json);
 
 /// Serialize an analysis result with its cache provenance.
 Response make_analysis_response(const ParsedRequest& req, bool cached, bool deduped,
                                 const Hash128& key, std::string_view payload);
-/// The same from the request's version and id alone (the router's cache
-/// tier answers tickets, which keep no ParsedRequest).
-Response make_analysis_response(int version, const std::string& id_json, bool cached,
-                                bool deduped, const Hash128& key,
-                                std::string_view payload);
+/// The same from the request's id alone (the router's cache tier answers
+/// tickets, which keep no ParsedRequest).
+Response make_analysis_response(const std::string& id_json, bool cached, bool deduped,
+                                const Hash128& key, std::string_view payload);
 
 class ServerSession {
  public:

@@ -160,6 +160,48 @@ RL sec 0 1meg
   EXPECT_NEAR(std::abs(res.v(0, ckt.find_node("sec"))), 0.5, 0.01);
 }
 
+TEST(Parser, ContinuationLines) {
+  // '+' continues the previous card: a device card, a .subckt header's
+  // port list, or a directive the parser ignores (dropped with it).
+  const std::string net = R"(
+.model nch nmos
++ vto=0.35 kp=400u
+.subckt div in
++ out
+R1 in out
++ 1k
+R2 out 0 1k
+.ends
+V1 a 0
+* a comment between a card and its continuation
++ DC 2
+X1 a m
++ div
+)";
+  Circuit ckt = parse_netlist(net);
+  const Solution op = dc_operating_point(ckt);
+  EXPECT_NEAR(op.v(ckt.find_node("m")), 1.0, 1e-5);
+}
+
+TEST(Parser, ContinuationErrorsCarryLineNumbers) {
+  // A '+' line with nothing to continue fails at its own line...
+  try {
+    parse_netlist("* header\n+ R1 a 0 1k\n");
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 2: continuation line"), std::string::npos) << what;
+  }
+  // ...and an error in a continued card cites the card's first line.
+  try {
+    parse_netlist("V1 a 0 1\nR1 a 0\n+ bogus\n");
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 2: malformed number: 'bogus'"), std::string::npos) << what;
+  }
+}
+
 TEST(Parser, SubcircuitExpansion) {
   // A divider subcircuit instantiated twice; internal nodes must be
   // independent per instance.

@@ -15,6 +15,7 @@
 #include "runtime/thread_pool.hpp"
 #include "spice/ac.hpp"
 #include "spice/dcsweep.hpp"
+#include "spice/mosfet.hpp"
 #include "spice/noise.hpp"
 #include "spice/op.hpp"
 #include "spice/pss.hpp"
@@ -144,14 +145,31 @@ TEST(SolverParity, DcSweepActive) {
 TEST(SolverParity, ReuseModeActuallyRefactors) {
   ScopedSolverMode scoped(SolverMode::kReuse);
   const std::uint64_t refactor0 = obs::counter_value("spice.lu.refactor");
-  const std::uint64_t eval0 = obs::counter_value("spice.dev.evaluated");
   const std::uint64_t analyze0 = obs::counter_value("spice.lu.analyze");
   (void)run_tran(SolverMode::kReuse, 1, core::MixerMode::kActive);
   EXPECT_GT(obs::counter_value("spice.lu.refactor"), refactor0)
       << "transient Newton never refactored";
-  EXPECT_GT(obs::counter_value("spice.dev.evaluated"), eval0)
-      << "batch evaluator never engaged";
   EXPECT_GT(obs::counter_value("spice.lu.analyze"), analyze0);
+}
+
+// Every MOSFET evaluates its model once per Newton iteration inside its
+// stamp, in both modes, so spice.dev.evaluated moves by exactly
+// MOSFETs x iterations.
+TEST(SolverParity, EvaluatedCountsEveryMosfetEveryIteration) {
+  for (const SolverMode mode : {SolverMode::kClassic, SolverMode::kReuse}) {
+    const auto mixer = core::build_transistor_mixer(mixer_config(core::MixerMode::kActive));
+    std::uint64_t mosfets = 0;
+    for (const auto& dev : mixer->circuit.devices())
+      if (dynamic_cast<const Mosfet*>(dev.get()) != nullptr) ++mosfets;
+    ASSERT_GT(mosfets, 0u);
+    const std::uint64_t eval0 = obs::counter_value("spice.dev.evaluated");
+    const std::uint64_t iter0 = obs::counter_value("spice.newton.iterations");
+    (void)run_tran(mode, 1, core::MixerMode::kActive);
+    const std::uint64_t iterations = obs::counter_value("spice.newton.iterations") - iter0;
+    EXPECT_GT(iterations, 0u);
+    EXPECT_EQ(obs::counter_value("spice.dev.evaluated") - eval0, mosfets * iterations)
+        << mathx::solver_mode_name(mode);
+  }
 }
 
 TEST(SolverParity, ClassicModeNeverRefactors) {

@@ -1,7 +1,8 @@
 # End-to-end check of the rfmixd binary: feed the NDJSON request fixture
 # through stdin and assert on the response lines, including that a
 # line-permuted netlist (request 4) is served from cache with the same key
-# as request 3 — the canonical-hashing contract, proven over the wire.
+# as request 3 — the canonical-hashing contract, proven over the wire — and
+# that requests in any envelope but v2 get the exact rejection bytes.
 #
 # Invoked by CTest as:
 #   cmake -DRFMIXD=<binary> -DREQUESTS=<fixture> -DWORK_DIR=<dir> -P rfmixd_e2e.cmake
@@ -25,8 +26,8 @@ endif()
 string(REGEX REPLACE "\n$" "" TRIMMED "${STDOUT}")
 string(REPLACE "\n" ";" LINES "${TRIMMED}")
 list(LENGTH LINES NLINES)
-if(NOT NLINES EQUAL 13)
-  message(FATAL_ERROR "expected 13 response lines, got ${NLINES}:\n${STDOUT}")
+if(NOT NLINES EQUAL 16)
+  message(FATAL_ERROR "expected 16 response lines, got ${NLINES}:\n${STDOUT}")
 endif()
 
 macro(expect_contains idx needle)
@@ -37,10 +38,16 @@ macro(expect_contains idx needle)
   endif()
 endmacro()
 
-# 1: ping (version-less -> v1, answered but flagged deprecated)
+function(expect_line idx expected)
+  list(GET LINES ${idx} _line)
+  if(NOT _line STREQUAL expected)
+    message(FATAL_ERROR "response ${idx}:\n${_line}\nexpected:\n${expected}")
+  endif()
+endfunction()
+
+# 1: ping
 expect_contains(0 "\"id\":1")
 expect_contains(0 "\"pong\":true")
-expect_contains(0 "\"deprecated\":true")
 
 # 2: DC operating point of the 6k/4k divider -> v(mid) = 4 V (up to gmin)
 expect_contains(1 "\"ok\":true")
@@ -89,14 +96,14 @@ if(LINE7 MATCHES "deprecated")
   message(FATAL_ERROR "v2 response carries the v1 deprecation marker:\n${LINE7}")
 endif()
 
-# 8: the same AC request as 3, sent as a v2 envelope -> same key, cache hit
-# (the protocol version is not part of the content hash).
+# 8: the same AC request as 3 under another id -> same key, cache hit
+# (the envelope is not part of the content hash).
 expect_contains(7 "\"v\":2")
 expect_contains(7 "\"cached\":true")
 list(GET LINES 7 LINE8)
 string(REGEX MATCH "\"key\":\"[0-9a-f]+\"" KEY8 "${LINE8}")
 if(NOT KEY8 STREQUAL KEY3 OR KEY8 STREQUAL "")
-  message(FATAL_ERROR "v2 envelope changed the content key: '${KEY3}' vs '${KEY8}'")
+  message(FATAL_ERROR "the envelope changed the content key: '${KEY3}' vs '${KEY8}'")
 endif()
 
 # 9: npath_zin (v2-only op), cold -> full Zin/S11 sweep payload
@@ -162,5 +169,11 @@ string(REGEX MATCH "\"result\":.*$" RES13 "${LINE13}")
 if(NOT RES13 STREQUAL RES11)
   message(FATAL_ERROR "flat gen solve differs from hierarchical:\n${RES11}\n${RES13}")
 endif()
+
+# 14-16: a version-less request, an explicit v1 and an empty object get the
+# v2 unsupported_version error, the id echoed when present.
+expect_line(13 [=[{"v":2,"id":7,"ok":false,"error":{"code":"unsupported_version","message":"unsupported protocol version (this server speaks v2)"}}]=])
+expect_line(14 [=[{"v":2,"id":7,"ok":false,"error":{"code":"unsupported_version","message":"unsupported protocol version (this server speaks v2)"}}]=])
+expect_line(15 [=[{"v":2,"id":null,"ok":false,"error":{"code":"unsupported_version","message":"unsupported protocol version (this server speaks v2)"}}]=])
 
 message(STATUS "rfmixd e2e OK")

@@ -156,7 +156,7 @@ TEST_F(EventLoopTest, EightClientsMixedPrioritiesMatchSerialByteForByte) {
   constexpr int kRequests = 6;
 
   // Globally unique requests (no cross-client cache interaction), mixed
-  // v1/v2, mixed priorities, several kinds.
+  // priorities, several kinds.
   std::vector<std::vector<std::string>> reqs(kClients);
   for (int c = 0; c < kClients; ++c) {
     for (int r = 0; r < kRequests; ++r) {
@@ -172,10 +172,11 @@ TEST_F(EventLoopTest, EightClientsMixedPrioritiesMatchSerialByteForByte) {
                  std::to_string(c + 1) + R"(\nR1 in mid )" +
                  std::to_string(1000 + 100 * c + r) + R"(\nR2 mid 0 4k\n"}})";
           break;
-        case 2:  // a version-less v1 request rides along
-          line = R"({"id":)" + id + R"(,"kind":"mixer_metric","metric":"gain_db",)" +
+        case 2:
+          line = R"({"v":2,"id":)" + id +
+                 R"(,"kind":"mixer_metric","params":{"metric":"gain_db",)" +
                  R"("config":{"f_lo_hz":)" +
-                 std::to_string(1.0e9 + 1e6 * c + 1e3 * r) + "}}";
+                 std::to_string(1.0e9 + 1e6 * c + 1e3 * r) + "}}}";
           break;
         case 3:
           line = R"({"v":2,"id":)" + id + R"(,"kind":"mixer_metric","priority":)" +

@@ -151,6 +151,15 @@ TEST(RequestKey, FloatSpellingInvariant) {
   EXPECT_EQ(request_key(a), request_key(b));
 }
 
+TEST(RequestKey, ContinuationLinesInvariant) {
+  Request a;
+  a.kind = RequestKind::kOp;
+  a.netlist = "V1 in 0 DC 1.2\nM1 out in 0 0 NMOS W=10u L=65n\nR1 in out 1k\n";
+  Request b = a;
+  b.netlist = "V1 in 0\n+ DC 1.2\nM1 out in 0 0 NMOS\n+ W=10u\n+L=65n\nR1 in out 1k\n";
+  EXPECT_EQ(request_key(a), request_key(b));
+}
+
 TEST(RequestKey, AnalysisConfigChangesKey) {
   Request ac;
   ac.kind = RequestKind::kAc;

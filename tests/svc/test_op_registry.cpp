@@ -1,5 +1,5 @@
-// The declarative op registry: table invariants (lookup, v1/v2 kind
-// lists, duplicate rejection) and Schema behavior (order, required,
+// The declarative op registry: table invariants (lookup, the kind list,
+// duplicate rejection) and Schema behavior (order, required,
 // ranges, int validation, strict unknown scan) — the machinery every op's
 // parsing now rides on. Exact error bytes are pinned here because they are
 // protocol surface (test_protocol_golden.cpp pins them end-to-end).
@@ -27,15 +27,10 @@ TEST(OpRegistryTest, FindsBuiltinsByNameAndKind) {
   EXPECT_EQ(r.find(RequestKind::kGen)->name, "gen");
 }
 
-TEST(OpRegistryTest, V1SurfaceIsFrozen) {
+TEST(OpRegistryTest, KindsListFollowsRegistrationOrder) {
   const OpRegistry& r = OpRegistry::instance();
-  // The v1 protocol is frozen: exactly these five ops, nothing newer.
-  EXPECT_EQ(r.kinds_list(1), "ping, stats, op, ac, or mixer_metric");
-  EXPECT_EQ(r.kinds_list(2),
+  EXPECT_EQ(r.kinds_list(),
             "ping, stats, cancel, op, ac, mixer_metric, npath_zin, or gen");
-  EXPECT_FALSE(r.find("npath_zin")->in_v1);
-  EXPECT_FALSE(r.find("gen")->in_v1);
-  EXPECT_FALSE(r.find("cancel")->in_v1);
 }
 
 TEST(OpRegistryTest, AnalysisFlagsMatchDispatch) {
@@ -108,7 +103,8 @@ TEST(SchemaTest, ErrorBytesArePinned) {
             "field 'n' must be in [1, 10]");
   EXPECT_EQ(message(R"({"name":"a","zzz":1})", true),
             "unknown test field 'zzz'");
-  // Lenient mode ignores unknowns (the v1 layout and the v2 lenient ops).
+  // Lenient mode ignores unknowns (the lenient top level of op, ac and
+  // mixer_metric params).
   EXPECT_EQ(message(R"({"name":"a","zzz":1})", false), "(no throw)");
 }
 

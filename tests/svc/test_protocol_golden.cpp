@@ -1,8 +1,7 @@
 // Protocol golden tests: pin the exact response bytes of the rfmixd wire
-// protocol, v1 and v2, per op and per error code. A client matches
-// responses by byte-level conventions (field order, deprecation marker,
-// structured error shape), so any change here is a wire-format break and
-// must be deliberate.
+// protocol, v2, per op and per error code. A client matches responses by
+// byte-level conventions (field order, structured error shape), so any
+// change here is a wire-format break and must be deliberate.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -26,16 +25,6 @@ class ProtocolGoldenTest : public ::testing::Test {
   ResultCache cache_;
   ServerSession session_;
 };
-
-TEST_F(ProtocolGoldenTest, PingV1) {
-  EXPECT_EQ(reply(R"json({"id":7,"kind":"ping"})json"),
-            R"json({"id":7,"ok":true,"deprecated":true,"result":{"pong":true}})json");
-  EXPECT_EQ(reply(R"json({"v":1,"id":"a","kind":"ping"})json"),
-            R"json({"id":"a","ok":true,"deprecated":true,"result":{"pong":true}})json");
-  // No id: echoed as null, never omitted.
-  EXPECT_EQ(reply(R"json({"kind":"ping"})json"),
-            R"json({"id":null,"ok":true,"deprecated":true,"result":{"pong":true}})json");
-}
 
 TEST_F(ProtocolGoldenTest, PingV2) {
   EXPECT_EQ(reply(R"json({"v":2,"id":7,"kind":"ping"})json"),
@@ -82,16 +71,24 @@ TEST_F(ProtocolGoldenTest, ParseErrorV2) {
 TEST_F(ProtocolGoldenTest, UnsupportedVersion) {
   EXPECT_EQ(reply(R"json({"v":3,"id":2,"kind":"ping"})json"),
             R"json({"v":2,"id":2,"ok":false,"error":{"code":"unsupported_version",)json"
-            R"json("message":"unsupported protocol version (this server speaks v1 and v2)json" R"x()"}})x");
+            R"json("message":"unsupported protocol version (this server speaks v2)json" R"x()"}})x");
+  // v2 is the only envelope: a version-less request, an explicit v1 and an
+  // empty object are rejected the same way, the id echoed when present.
+  EXPECT_EQ(reply(R"json({"id":7,"kind":"ping"})json"),
+            R"json({"v":2,"id":7,"ok":false,"error":{"code":"unsupported_version",)json"
+            R"json("message":"unsupported protocol version (this server speaks v2)"}})json");
+  EXPECT_EQ(reply(R"json({"v":1,"id":7,"kind":"ping"})json"),
+            R"json({"v":2,"id":7,"ok":false,"error":{"code":"unsupported_version",)json"
+            R"json("message":"unsupported protocol version (this server speaks v2)"}})json");
+  EXPECT_EQ(reply(R"json({})json"),
+            R"json({"v":2,"id":null,"ok":false,"error":{"code":"unsupported_version",)json"
+            R"json("message":"unsupported protocol version (this server speaks v2)"}})json");
 }
 
 TEST_F(ProtocolGoldenTest, UnknownKind) {
   EXPECT_EQ(reply(R"json({"v":2,"id":3,"kind":"explode"})json"),
             R"json({"v":2,"id":3,"ok":false,"error":{"code":"unknown_kind",)json"
             R"json("message":"unknown request kind 'explode' (expected ping, stats, cancel, op, ac, mixer_metric, npath_zin, or gen)json" R"x()"}})x");
-  EXPECT_EQ(reply(R"json({"id":3,"kind":"explode"})json"),
-            R"json({"id":3,"ok":false,"deprecated":true,)json"
-            R"json("error":"unknown request kind 'explode' (expected ping, stats, op, ac, or mixer_metric)json" R"x()"})x");
 }
 
 TEST_F(ProtocolGoldenTest, BadParamsV2) {
@@ -104,11 +101,6 @@ TEST_F(ProtocolGoldenTest, InvalidRequestV2) {
   EXPECT_EQ(reply(R"json({"v":2,"id":5,"kind":"op","netlist":"x"})json"),
             R"json({"v":2,"id":5,"ok":false,"error":{"code":"invalid_request",)json"
             R"json("message":"unknown envelope field 'netlist' (v2 request parameters live under \"params\)json" R"x(")"}})x");
-}
-
-TEST_F(ProtocolGoldenTest, ExecFailedV1KeepsStringError) {
-  const std::string r = reply(R"json({"id":6,"kind":"op","netlist":"R1 a 0\n"})json");
-  EXPECT_EQ(r.find(R"json({"id":6,"ok":false,"deprecated":true,"error":")json"), 0u) << r;
 }
 
 TEST_F(ProtocolGoldenTest, AnalysisEnvelopeV2) {
@@ -151,14 +143,6 @@ TEST_F(ProtocolGoldenTest, NpathZinEnvelopeV2) {
                           std::string(R"json("cached":false)json").size(),
                           R"json("cached":true)json");
   EXPECT_EQ(reply(line), cached_expected);
-}
-
-TEST_F(ProtocolGoldenTest, NpathZinRejectedInV1) {
-  // npath_zin postdates the v1 freeze: a version-less request gets the
-  // unchanged v1 unknown-kind message, which does not advertise it.
-  EXPECT_EQ(reply(R"json({"id":8,"kind":"npath_zin"})json"),
-            R"json({"id":8,"ok":false,"deprecated":true,)json"
-            R"json("error":"unknown request kind 'npath_zin' (expected ping, stats, op, ac, or mixer_metric)json" R"x()"})x");
 }
 
 TEST_F(ProtocolGoldenTest, NpathZinStrictParams) {
@@ -208,14 +192,6 @@ TEST_F(ProtocolGoldenTest, GenFlatAndHierarchicalKeysDiffer) {
   EXPECT_NE(key(hier), key(flat));
 }
 
-TEST_F(ProtocolGoldenTest, GenRejectedInV1) {
-  // gen postdates the v1 freeze: a version-less request gets the
-  // unchanged v1 unknown-kind message, which does not advertise it.
-  EXPECT_EQ(reply(R"json({"id":8,"kind":"gen"})json"),
-            R"json({"id":8,"ok":false,"deprecated":true,)json"
-            R"json("error":"unknown request kind 'gen' (expected ping, stats, op, ac, or mixer_metric)json" R"x()"})x");
-}
-
 TEST_F(ProtocolGoldenTest, GenBadParams) {
   EXPECT_EQ(reply(R"json({"v":2,"id":9,"kind":"gen","params":{}})json"),
             R"json({"v":2,"id":9,"ok":false,"error":{"code":"bad_params",)json"
@@ -236,28 +212,15 @@ TEST_F(ProtocolGoldenTest, GenBadParams) {
       << bad_template;
 }
 
-TEST_F(ProtocolGoldenTest, AnalysisEnvelopeV1AndV2ShareKeyAndPayload) {
-  const std::string v1 = reply(
-      R"json({"id":1,"kind":"mixer_metric","metric":"gain_db","config":{"mode":"passive"}})json");
-  const std::string v2 = reply(
-      R"json({"v":2,"id":1,"kind":"mixer_metric","params":{"metric":"gain_db","config":{"mode":"passive"}}})json");
-  // Same key, same payload; the envelopes differ exactly by version marker,
-  // deprecation flag, and cache provenance.
-  EXPECT_EQ(v1.find(R"json({"id":1,"ok":true,"deprecated":true,"cached":false,)json"), 0u) << v1;
-  EXPECT_EQ(v2.find(R"json({"v":2,"id":1,"ok":true,"cached":true,)json"), 0u) << v2;
-  const auto tail = [](const std::string& s) { return s.substr(s.find(R"json("key":)json")); };
-  EXPECT_EQ(tail(v1), tail(v2));
-}
-
 TEST_F(ProtocolGoldenTest, TimeoutAndCancelledShapes) {
   // These codes are produced by the event loop (deadline expiry, cancel op);
   // pin the exact formatter output the loop sends.
-  EXPECT_EQ(make_error_response(2, "11", ErrorCode::kTimeout,
+  EXPECT_EQ(make_error_response("11", ErrorCode::kTimeout,
                                 "request deadline exceeded")
                 .line,
             R"json({"v":2,"id":11,"ok":false,"error":{"code":"timeout",)json"
             R"json("message":"request deadline exceeded"}})json");
-  EXPECT_EQ(make_error_response(2, "\"j-3\"", ErrorCode::kCancelled,
+  EXPECT_EQ(make_error_response("\"j-3\"", ErrorCode::kCancelled,
                                 "request cancelled by client")
                 .line,
             R"json({"v":2,"id":"j-3","ok":false,"error":{"code":"cancelled",)json"

@@ -52,7 +52,7 @@ std::vector<std::string> corpus() {
   // Repeat of an earlier key: exercises the cached-flag path in order.
   lines.push_back(
       R"({"v":2,"id":4,"kind":"op","params":{"netlist":"V1 in 0 DC 1\nR1 in out 1000\nR2 out 0 1000\n.end"}})");
-  // Control requests, v2 and v1.
+  // Control requests; the version-less one is rejected.
   lines.push_back(R"({"v":2,"id":5,"kind":"ping"})");
   lines.push_back(R"({"id":6,"kind":"ping"})");
   lines.push_back(R"({"v":2,"id":7,"kind":"cancel","params":{"target":1}})");

@@ -163,20 +163,37 @@ std::string quick_request(const std::string& id_json, int tag) {
          std::to_string(1000 + tag) + R"(\nR2 out 0 1000\n.end"}})";
 }
 
-TEST_F(RouterTest, ControlRequestsAndV1Compat) {
+TEST_F(RouterTest, ControlRequestsAndVersionRejection) {
   start(2);
   Client c;
   ASSERT_TRUE(c.connect_to(path_));
   ASSERT_TRUE(c.send_all("{\"v\":2,\"id\":1,\"kind\":\"ping\"}\n"
-                         "{\"id\":2,\"kind\":\"ping\"}\n"
+                         "{\"v\":2,\"id\":2,\"kind\":\"ping\"}\n"
+                         "{\"id\":7,\"kind\":\"ping\"}\n"
+                         "{\"v\":1,\"id\":7,\"kind\":\"ping\"}\n"
+                         "{}\n"
                          "{\"v\":2,\"id\":3,\"kind\":\"stats\"}\n"
                          "{nope\n"));
-  const auto lines = c.read_lines(4);
-  ASSERT_EQ(lines.size(), 4u);
+  const auto lines = c.read_lines(7);
+  ASSERT_EQ(lines.size(), 7u);
   EXPECT_EQ(lines[0], R"({"v":2,"id":1,"ok":true,"result":{"pong":true}})");
-  EXPECT_EQ(lines[1], R"({"id":2,"ok":true,"deprecated":true,"result":{"pong":true}})");
-  EXPECT_NE(lines[2].find("\"router\":{\"workers\":2,\"alive\":2"), std::string::npos);
-  EXPECT_NE(lines[3].find("\"code\":\"parse_error\""), std::string::npos);
+  EXPECT_EQ(lines[1], R"({"v":2,"id":2,"ok":true,"result":{"pong":true}})");
+  // Anything but the v2 envelope is rejected by the router itself: the
+  // stats below show no request was admitted or left in flight.
+  EXPECT_EQ(lines[2],
+            R"json({"v":2,"id":7,"ok":false,"error":{"code":"unsupported_version",)json"
+            R"json("message":"unsupported protocol version (this server speaks v2)"}})json");
+  EXPECT_EQ(lines[3],
+            R"json({"v":2,"id":7,"ok":false,"error":{"code":"unsupported_version",)json"
+            R"json("message":"unsupported protocol version (this server speaks v2)"}})json");
+  EXPECT_EQ(lines[4],
+            R"json({"v":2,"id":null,"ok":false,"error":{"code":"unsupported_version",)json"
+            R"json("message":"unsupported protocol version (this server speaks v2)"}})json");
+  EXPECT_NE(lines[5].find("\"router\":{\"workers\":2,\"alive\":2,\"inflight\":0,"
+                          "\"requests\":0,"),
+            std::string::npos)
+      << lines[5];
+  EXPECT_NE(lines[6].find("\"code\":\"parse_error\""), std::string::npos);
 }
 
 TEST_F(RouterTest, RoutedAnalysisMatchesDirectSessionByteForByte) {

@@ -1,6 +1,6 @@
 // In-process protocol tests for the rfmixd server session: request
-// parsing, JSON round trips, cache flags, and error reporting for both
-// the legacy v1 surface and the v2 envelope.
+// parsing, JSON round trips, cache flags, and error reporting for the v2
+// envelope.
 #include "svc/server.hpp"
 
 #include <gtest/gtest.h>
@@ -34,12 +34,10 @@ class ServerTest : public ::testing::Test {
 };
 
 TEST_F(ServerTest, Ping) {
-  const JsonValue r = handle(R"({"id":7,"kind":"ping"})");
+  const JsonValue r = handle(R"({"v":2,"id":7,"kind":"ping"})");
   EXPECT_DOUBLE_EQ(r.find("id")->as_number(), 7.0);
   EXPECT_TRUE(r.find("ok")->as_bool());
   EXPECT_TRUE(r.find("result")->find("pong")->as_bool());
-  // Version-less requests are v1: answered, but flagged deprecated.
-  EXPECT_TRUE(r.find("deprecated")->as_bool());
 }
 
 TEST_F(ServerTest, PingV2) {
@@ -49,11 +47,15 @@ TEST_F(ServerTest, PingV2) {
   EXPECT_TRUE(r.find("ok")->as_bool());
   EXPECT_TRUE(r.find("result")->find("pong")->as_bool());
   EXPECT_EQ(r.find("deprecated"), nullptr);
+  // No id: echoed as null, never omitted.
+  const JsonValue anonymous = handle(R"({"v":2,"kind":"ping"})");
+  EXPECT_TRUE(anonymous.find("ok")->as_bool());
+  EXPECT_TRUE(anonymous.find("id")->is_null());
 }
 
 TEST_F(ServerTest, OpRoundTrip) {
   const JsonValue r = handle(
-      R"({"id":"op-1","kind":"op","netlist":"V1 in 0 DC 10\nR1 in mid 6k\nR2 mid 0 4k\n"})");
+      R"({"v":2,"id":"op-1","kind":"op","params":{"netlist":"V1 in 0 DC 10\nR1 in mid 6k\nR2 mid 0 4k\n"}})");
   ASSERT_TRUE(r.find("ok")->as_bool());
   EXPECT_EQ(r.find("id")->as_string(), "op-1");
   EXPECT_FALSE(r.find("cached")->as_bool());
@@ -75,21 +77,10 @@ TEST_F(ServerTest, OpRoundTripV2ParamsEnvelope) {
   EXPECT_NEAR(nodes->find("mid")->as_number(), 4.0, 1e-6);
 }
 
-TEST_F(ServerTest, V1AndV2ProduceTheSameCacheKey) {
-  const JsonValue v1 = handle(
-      R"({"id":1,"kind":"mixer_metric","metric":"gain_db","config":{"mode":"passive"}})");
-  const JsonValue v2 = handle(
-      R"({"v":2,"id":2,"kind":"mixer_metric","params":{"metric":"gain_db","config":{"mode":"passive"}}})");
-  ASSERT_TRUE(v1.find("ok")->as_bool());
-  ASSERT_TRUE(v2.find("ok")->as_bool());
-  EXPECT_EQ(v1.find("key")->as_string(), v2.find("key")->as_string());
-  EXPECT_TRUE(v2.find("cached")->as_bool());  // the envelope is not keyed
-}
-
 TEST_F(ServerTest, AcRoundTrip) {
   const std::string line =
-      R"({"id":2,"kind":"ac","netlist":"V1 in 0 DC 0 AC 1\nR1 in out 1k\nC1 out 0 1u\n",)"
-      R"("ac":{"f_start_hz":159.154943,"f_stop_hz":159.154943,"points":2,"log_scale":false,"probe":"out"}})";
+      R"({"v":2,"id":2,"kind":"ac","params":{"netlist":"V1 in 0 DC 0 AC 1\nR1 in out 1k\nC1 out 0 1u\n",)"
+      R"("ac":{"f_start_hz":159.154943,"f_stop_hz":159.154943,"points":2,"log_scale":false,"probe":"out"}}})";
   const JsonValue r = handle(line);
   ASSERT_TRUE(r.find("ok")->as_bool());
   const JsonValue* res = r.find("result");
@@ -103,7 +94,7 @@ TEST_F(ServerTest, AcRoundTrip) {
 
 TEST_F(ServerTest, MixerMetricAndCacheFlags) {
   const std::string line =
-      R"({"id":3,"kind":"mixer_metric","metric":"gain_db","config":{"mode":"passive"}})";
+      R"({"v":2,"id":3,"kind":"mixer_metric","params":{"metric":"gain_db","config":{"mode":"passive"}}})";
   const JsonValue first = handle(line);
   ASSERT_TRUE(first.find("ok")->as_bool());
   EXPECT_FALSE(first.find("cached")->as_bool());
@@ -122,18 +113,18 @@ TEST_F(ServerTest, ConfigFieldsReachTheModel) {
   // Same metric at two LO frequencies must produce different keys (and
   // generally different gains) — proving config JSON flows into the key.
   const JsonValue a = handle(
-      R"({"id":1,"kind":"mixer_metric","metric":"gain_db","config":{"f_lo_hz":2.4e9}})");
+      R"({"v":2,"id":1,"kind":"mixer_metric","params":{"metric":"gain_db","config":{"f_lo_hz":2.4e9}}})");
   const JsonValue b = handle(
-      R"({"id":2,"kind":"mixer_metric","metric":"gain_db","config":{"f_lo_hz":1.0e9}})");
+      R"({"v":2,"id":2,"kind":"mixer_metric","params":{"metric":"gain_db","config":{"f_lo_hz":1.0e9}}})");
   ASSERT_TRUE(a.find("ok")->as_bool());
   ASSERT_TRUE(b.find("ok")->as_bool());
   EXPECT_NE(a.find("key")->as_string(), b.find("key")->as_string());
 }
 
 TEST_F(ServerTest, StatsReflectTraffic) {
-  handle(R"({"id":1,"kind":"mixer_metric","metric":"gain_db"})");
-  handle(R"({"id":2,"kind":"mixer_metric","metric":"gain_db"})");
-  const JsonValue r = handle(R"({"id":3,"kind":"stats"})");
+  handle(R"({"v":2,"id":1,"kind":"mixer_metric","params":{"metric":"gain_db"}})");
+  handle(R"({"v":2,"id":2,"kind":"mixer_metric","params":{"metric":"gain_db"}})");
+  const JsonValue r = handle(R"({"v":2,"id":3,"kind":"stats"})");
   ASSERT_TRUE(r.find("ok")->as_bool());
   const JsonValue* jobs = r.find("result")->find("jobs");
   EXPECT_DOUBLE_EQ(jobs->find("submitted")->as_number(), 2.0);
@@ -143,31 +134,35 @@ TEST_F(ServerTest, StatsReflectTraffic) {
   EXPECT_DOUBLE_EQ(cache->find("entries")->as_number(), 1.0);
 }
 
-TEST_F(ServerTest, V1ErrorsAreStrings) {
-  // Unknown kind, id still echoed; v1 keeps the legacy string error.
-  JsonValue r = handle(R"({"id":9,"kind":"explode"})");
-  EXPECT_FALSE(r.find("ok")->as_bool());
-  EXPECT_DOUBLE_EQ(r.find("id")->as_number(), 9.0);
-  EXPECT_NE(r.find("error")->as_string().find("unknown request kind"), std::string::npos);
-  // Missing netlist.
-  r = handle(R"({"id":10,"kind":"op"})");
-  EXPECT_FALSE(r.find("ok")->as_bool());
-  EXPECT_NE(r.find("error")->as_string().find("netlist"), std::string::npos);
+TEST_F(ServerTest, AnalysisErrorsCarryCodes) {
+  const auto code = [](const JsonValue& r) {
+    return r.find("error")->find("code")->as_string();
+  };
+  const auto message = [](const JsonValue& r) {
+    return r.find("error")->find("message")->as_string();
+  };
   // Netlist parse errors carry line numbers through the protocol.
-  r = handle(R"({"id":11,"kind":"op","netlist":"V1 a 0 1\nR1 a 0\n"})");
+  JsonValue r = handle(R"({"v":2,"id":11,"kind":"op","params":{"netlist":"V1 a 0 1\nR1 a 0\n"}})");
   EXPECT_FALSE(r.find("ok")->as_bool());
-  EXPECT_NE(r.find("error")->as_string().find("line 2"), std::string::npos);
+  EXPECT_EQ(code(r), "exec_failed");
+  EXPECT_NE(message(r).find("line 2"), std::string::npos);
   // Unknown config field (silently ignoring it would corrupt cache keys).
-  r = handle(R"({"id":12,"kind":"mixer_metric","metric":"gain_db","config":{"tca_gn":1}})");
+  r = handle(
+      R"({"v":2,"id":12,"kind":"mixer_metric","params":{"metric":"gain_db","config":{"tca_gn":1}}})");
   EXPECT_FALSE(r.find("ok")->as_bool());
-  EXPECT_NE(r.find("error")->as_string().find("tca_gn"), std::string::npos);
+  EXPECT_EQ(code(r), "bad_params");
+  EXPECT_NE(message(r).find("tca_gn"), std::string::npos);
   // AC without a probe.
-  r = handle(R"({"id":13,"kind":"ac","netlist":"V1 a 0 DC 1\nR1 a 0 1k\n","ac":{}})");
+  r = handle(
+      R"({"v":2,"id":13,"kind":"ac","params":{"netlist":"V1 a 0 DC 1\nR1 a 0 1k\n","ac":{}}})");
   EXPECT_FALSE(r.find("ok")->as_bool());
+  EXPECT_EQ(code(r), "exec_failed");
   // Bad mode string.
-  r = handle(R"({"id":14,"kind":"mixer_metric","metric":"gain_db","config":{"mode":"both"}})");
+  r = handle(
+      R"({"v":2,"id":14,"kind":"mixer_metric","params":{"metric":"gain_db","config":{"mode":"both"}}})");
   EXPECT_FALSE(r.find("ok")->as_bool());
-  EXPECT_NE(r.find("error")->as_string().find("mode"), std::string::npos);
+  EXPECT_EQ(code(r), "bad_params");
+  EXPECT_NE(message(r).find("mode"), std::string::npos);
 }
 
 TEST_F(ServerTest, V2ErrorsAreStructured) {
@@ -201,18 +196,13 @@ TEST_F(ServerTest, V2ErrorsAreStructured) {
   r = handle(R"({"v":2,"id":1e999,"kind":"ping"})");
   EXPECT_FALSE(r.find("ok")->as_bool());
   EXPECT_EQ(r.find("error")->find("code")->as_string(), "invalid_request");
-  // cancel is v2-only vocabulary.
-  r = handle(R"({"id":1,"kind":"cancel","params":{"target":2}})");
-  EXPECT_FALSE(r.find("ok")->as_bool());
-  EXPECT_NE(r.find("error")->as_string().find("unknown request kind"),
-            std::string::npos);
 }
 
 TEST_F(ServerTest, ServeLoopsOverStream) {
   std::istringstream in(
-      "{\"id\":1,\"kind\":\"ping\"}\n"
+      "{\"v\":2,\"id\":1,\"kind\":\"ping\"}\n"
       "\n"
-      "{\"id\":2,\"kind\":\"ping\"}\n");
+      "{\"v\":2,\"id\":2,\"kind\":\"ping\"}\n");
   std::ostringstream out;
   session_.serve(in, out);
   const std::string text = out.str();
@@ -234,9 +224,9 @@ TEST_F(ServerTest, ServeSurvivesEveryMalformedLine) {
       "42",
       "{\"v\":2,\"id\":{},\"kind\":\"ping\"}",
       "{\"v\":\"two\",\"id\":1,\"kind\":\"ping\"}",
-      "{\"id\":1e999,\"kind\":\"ping\"}",
-      "{\"id\":1}",
-      "{\"id\":1,\"kind\":42}",
+      "{\"v\":2,\"id\":1e999,\"kind\":\"ping\"}",
+      "{\"v\":2,\"id\":1}",
+      "{\"v\":2,\"id\":1,\"kind\":42}",
       "\xff\xfe not even text",
       "{\"v\":2,\"id\":1,\"kind\":\"op\",\"params\":3}",
       "{\"v\":2,\"id\":1,\"kind\":\"ping\",\"stray\":1}",
@@ -291,12 +281,8 @@ TEST_F(ServerTest, ApplyMixerConfigParsesEveryFieldKind) {
 }
 
 TEST_F(ServerTest, ParseRequestClassifiesVersions) {
-  ParsedRequest req = parse_request(json_parse(R"({"id":1,"kind":"ping"})"));
-  EXPECT_EQ(req.version, 1);
-  req = parse_request(json_parse(R"({"v":1,"id":1,"kind":"ping"})"));
-  EXPECT_EQ(req.version, 1);
-  req = parse_request(json_parse(R"({"v":2,"id":1,"kind":"ping"})"));
-  EXPECT_EQ(req.version, 2);
+  ParsedRequest req = parse_request(json_parse(R"({"v":2,"id":1,"kind":"ping"})"));
+  EXPECT_EQ(req.kind, "ping");
   try {
     parse_request(json_parse(R"({"v":7,"id":1,"kind":"ping"})"));
     FAIL() << "expected RequestError";
