@@ -165,15 +165,16 @@ void BM_NewtonLadderTransient(benchmark::State& state) {
                                 spice::Waveform::sine(0.05, 1e9, 0.0));
     spice::NodeId prev = in;
     for (int i = 0; i < stages; ++i) {
-      const auto g = c.node("g" + std::to_string(i));
-      const auto d = c.node("d" + std::to_string(i));
-      c.add<spice::Capacitor>("Cc" + std::to_string(i), prev, g, 1e-12);
-      c.add<spice::Resistor>("Rb1" + std::to_string(i), vdd, g, 200e3);
-      c.add<spice::Resistor>("Rb2" + std::to_string(i), g, spice::kGround, 120e3);
-      c.add<spice::Mosfet>("M" + std::to_string(i), d, g, spice::kGround,
-                           spice::kGround, spice::tech65::nmos(4e-6));
-      c.add<spice::Resistor>("Rl" + std::to_string(i), vdd, d, 2e3);
-      c.add<spice::Capacitor>("Cl" + std::to_string(i), d, spice::kGround, 20e-15);
+      const std::string n = std::to_string(i);
+      const auto g = c.node("g" + n);
+      const auto d = c.node("d" + n);
+      c.add<spice::Capacitor>("Cc" + n, prev, g, 1e-12);
+      c.add<spice::Resistor>("Rb1" + n, vdd, g, 200e3);
+      c.add<spice::Resistor>("Rb2" + n, g, spice::kGround, 120e3);
+      c.add<spice::Mosfet>("M" + n, d, g, spice::kGround, spice::kGround,
+                           spice::tech65::nmos(4e-6));
+      c.add<spice::Resistor>("Rl" + n, vdd, d, 2e3);
+      c.add<spice::Capacitor>("Cl" + n, d, spice::kGround, 20e-15);
       prev = d;
     }
     const double dt = 1.0 / (1e9 * 16);

@@ -106,11 +106,11 @@ int main(int argc, char** argv) {
     for (int r = 0; r < kPerClient; ++r) {
       const int tag = c * kPerClient + r;
       std::string netlist = "V1 n0 0 DC 0 AC 1\\n";
+      const std::string value = std::to_string(1000 + tag);
       for (int k = 0; k < 10; ++k) {
-        netlist += "R" + std::to_string(k + 1) + " n" + std::to_string(k) + " n" +
-                   std::to_string(k + 1) + " " + std::to_string(1000 + tag) + "\\n";
-        netlist += "C" + std::to_string(k + 1) + " n" + std::to_string(k + 1) +
-                   " 0 1n\\n";
+        const std::string a = std::to_string(k), b = std::to_string(k + 1);
+        netlist += "R" + b + " n" + a + " n" + b + " " + value + "\\n";
+        netlist += "C" + b + " n" + b + " 0 1n\\n";
       }
       netlist += ".end\\n";
       std::string line = "{\"v\":2,\"id\":\"c" + std::to_string(c) + "-" +

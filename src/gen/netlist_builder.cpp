@@ -1,5 +1,6 @@
 #include "gen/netlist_builder.hpp"
 
+#include <charconv>
 #include <stdexcept>
 
 #include "obs/json_writer.hpp"
@@ -26,6 +27,32 @@ void check_leaf_type(char type, std::string_view name) {
 
 }  // namespace
 
+void Name::Piece::append_to(std::string& out) const {
+  if (!is_number_) {
+    out += text_;
+    return;
+  }
+  char buf[16];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, number_).ptr);
+}
+
+void Name::append_to(std::string& out) const {
+  if (pieces_.size() == 0) {
+    whole_.append_to(out);
+    return;
+  }
+  for (const Piece& p : pieces_) p.append_to(out);
+}
+
+std::string Name::str() const {
+  std::string out;
+  append_to(out);
+  return out;
+}
+
+Value::Value(double v)
+    : len_(static_cast<std::size_t>(obs::json::write_number(buf_, v) - buf_)) {}
+
 std::string value_token(double v) { return obs::json::number(v); }
 
 NetlistBuilder& NetlistBuilder::comment(std::string_view text) {
@@ -41,90 +68,94 @@ NetlistBuilder& NetlistBuilder::raw(std::string_view line) {
   return *this;
 }
 
-NetlistBuilder& NetlistBuilder::device_card(
-    char type, std::string_view name,
-    std::initializer_list<std::string_view> nodes, std::string_view tail) {
-  check_leaf_type(type, name);
-  buf_ += name;
-  for (const std::string_view n : nodes) {
-    buf_ += ' ';
-    buf_ += n;
+void NetlistBuilder::begin_card(char type, const Name& name,
+                                std::initializer_list<Name> nodes) {
+  const std::size_t start = buf_.size();
+  name.append_to(buf_);
+  try {
+    check_leaf_type(type, std::string_view(buf_).substr(start));
+  } catch (...) {
+    buf_.resize(start);
+    throw;
   }
-  if (!tail.empty()) {
+  for (const Name& n : nodes) {
     buf_ += ' ';
-    buf_ += tail;
+    n.append_to(buf_);
   }
-  buf_ += '\n';
-  ++cards_;
-  return *this;
 }
 
-NetlistBuilder& NetlistBuilder::resistor(std::string_view name, std::string_view a,
-                                         std::string_view b, double ohms) {
-  return device_card('r', name, {a, b}, value_token(ohms));
-}
-
-NetlistBuilder& NetlistBuilder::capacitor(std::string_view name, std::string_view a,
-                                          std::string_view b, double farads) {
-  return device_card('c', name, {a, b}, value_token(farads));
-}
-
-NetlistBuilder& NetlistBuilder::inductor(std::string_view name, std::string_view a,
-                                         std::string_view b, double henries) {
-  return device_card('l', name, {a, b}, value_token(henries));
-}
-
-NetlistBuilder& NetlistBuilder::vsource_dc(std::string_view name, std::string_view p,
-                                           std::string_view m, double volts) {
-  return device_card('v', name, {p, m}, "dc " + value_token(volts));
-}
-
-NetlistBuilder& NetlistBuilder::isource_dc(std::string_view name, std::string_view p,
-                                           std::string_view m, double amps) {
-  return device_card('i', name, {p, m}, "dc " + value_token(amps));
-}
-
-NetlistBuilder& NetlistBuilder::mosfet(std::string_view name, std::string_view d,
-                                       std::string_view g, std::string_view s,
-                                       std::string_view b, std::string_view model,
-                                       double w, double l) {
-  std::string tail;
-  tail += model;
-  tail += " w=";
-  tail += value_token(w);
-  tail += " l=";
-  tail += value_token(l);
-  return device_card('m', name, {d, g, s, b}, tail);
-}
-
-NetlistBuilder& NetlistBuilder::instance(std::string_view name,
-                                         const std::vector<std::string>& nodes,
-                                         std::string_view subckt) {
-  check_leaf_type('x', name);
-  buf_ += name;
-  for (const std::string& n : nodes) {
-    buf_ += ' ';
-    buf_ += n;
-  }
+NetlistBuilder& NetlistBuilder::end_card(std::string_view key, const Value& v) {
   buf_ += ' ';
-  buf_ += subckt;
+  buf_ += key;
+  buf_ += v.text();
   buf_ += '\n';
   ++cards_;
   return *this;
 }
 
-NetlistBuilder& NetlistBuilder::begin_subckt(std::string_view name,
-                                             const std::vector<std::string>& ports) {
+NetlistBuilder& NetlistBuilder::resistor(const Name& name, const Name& a, const Name& b,
+                                         const Value& ohms) {
+  begin_card('r', name, {a, b});
+  return end_card("", ohms);
+}
+
+NetlistBuilder& NetlistBuilder::capacitor(const Name& name, const Name& a, const Name& b,
+                                          const Value& farads) {
+  begin_card('c', name, {a, b});
+  return end_card("", farads);
+}
+
+NetlistBuilder& NetlistBuilder::inductor(const Name& name, const Name& a, const Name& b,
+                                         const Value& henries) {
+  begin_card('l', name, {a, b});
+  return end_card("", henries);
+}
+
+NetlistBuilder& NetlistBuilder::vsource_dc(const Name& name, const Name& p, const Name& m,
+                                           const Value& volts) {
+  begin_card('v', name, {p, m});
+  return end_card("dc ", volts);
+}
+
+NetlistBuilder& NetlistBuilder::isource_dc(const Name& name, const Name& p, const Name& m,
+                                           const Value& amps) {
+  begin_card('i', name, {p, m});
+  return end_card("dc ", amps);
+}
+
+NetlistBuilder& NetlistBuilder::mosfet(const Name& name, const Name& d, const Name& g,
+                                       const Name& s, const Name& b, std::string_view model,
+                                       const Value& w, const Value& l) {
+  begin_card('m', name, {d, g, s, b});
+  buf_ += ' ';
+  buf_ += model;
+  buf_ += " w=";
+  buf_ += w.text();
+  return end_card("l=", l);
+}
+
+NetlistBuilder& NetlistBuilder::instance(const Name& name, std::initializer_list<Name> nodes,
+                                         const Name& subckt) {
+  begin_card('x', name, nodes);
+  buf_ += ' ';
+  subckt.append_to(buf_);
+  buf_ += '\n';
+  ++cards_;
+  return *this;
+}
+
+NetlistBuilder& NetlistBuilder::begin_subckt(const Name& name,
+                                             std::initializer_list<Name> ports) {
   if (in_subckt_)
     throw std::invalid_argument("nested .subckt definitions are not supported");
-  if (ports.empty())
+  if (ports.size() == 0)
     throw std::invalid_argument(".subckt needs at least one port");
   in_subckt_ = true;
   buf_ += ".subckt ";
-  buf_ += name;
-  for (const std::string& p : ports) {
+  name.append_to(buf_);
+  for (const Name& p : ports) {
     buf_ += ' ';
-    buf_ += p;
+    p.append_to(buf_);
   }
   buf_ += '\n';
   return *this;

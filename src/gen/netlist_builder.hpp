@@ -17,15 +17,66 @@
 //    on a mismatch, turning template bugs into immediate errors instead of
 //    mis-typed circuits.
 //
+// Names and values are written straight into the deck buffer: a Name is
+// spelled in pieces (Name{"xe", 12, ".rsw", 3} is "xe12.rsw3"), so a
+// template composes hierarchical names without a temporary string each.
+//
 // See docs/gen.md.
 #pragma once
 
 #include <cstddef>
+#include <initializer_list>
 #include <string>
 #include <string_view>
-#include <vector>
+
+#include "obs/json_writer.hpp"
 
 namespace rfmix::gen {
+
+/// A device, node or subcircuit name, given whole or in pieces of text and
+/// decimal integers. Like std::string_view it refers to its pieces and
+/// must not outlive them: build it in the call that takes it.
+class Name {
+ public:
+  class Piece {
+   public:
+    Piece(std::string_view text) : text_(text) {}
+    Piece(const char* text) : text_(text) {}
+    Piece(const std::string& text) : text_(text) {}
+    Piece(int number) : number_(number), is_number_(true) {}
+    void append_to(std::string& out) const;
+
+   private:
+    std::string_view text_;
+    int number_ = 0;
+    bool is_number_ = false;
+  };
+
+  Name(std::string_view text) : whole_(text) {}
+  Name(const char* text) : whole_(text) {}
+  Name(const std::string& text) : whole_(text) {}
+  Name(std::initializer_list<Piece> pieces) : pieces_(pieces) {}
+
+  void append_to(std::string& out) const;
+  std::string str() const;
+
+ private:
+  Piece whole_{std::string_view()};
+  std::initializer_list<Piece> pieces_;  // used when non-empty
+};
+
+/// A value token: the round-trip spelling of a double (obs::json::number),
+/// formatted once at construction. Value parameters take a plain double
+/// too; a template that writes one value into many cards formats it once.
+class Value {
+ public:
+  Value(double v);
+  std::string_view text() const { return {buf_, len_}; }
+
+ private:
+  char buf_[obs::json::kMaxNumberChars];
+  std::size_t len_ = 0;
+};
 
 class NetlistBuilder {
  public:
@@ -36,30 +87,27 @@ class NetlistBuilder {
   /// do not cover; no name checking.
   NetlistBuilder& raw(std::string_view line);
 
-  NetlistBuilder& resistor(std::string_view name, std::string_view a,
-                           std::string_view b, double ohms);
-  NetlistBuilder& capacitor(std::string_view name, std::string_view a,
-                            std::string_view b, double farads);
-  NetlistBuilder& inductor(std::string_view name, std::string_view a,
-                           std::string_view b, double henries);
-  NetlistBuilder& vsource_dc(std::string_view name, std::string_view p,
-                             std::string_view m, double volts);
-  NetlistBuilder& isource_dc(std::string_view name, std::string_view p,
-                             std::string_view m, double amps);
+  NetlistBuilder& resistor(const Name& name, const Name& a, const Name& b,
+                           const Value& ohms);
+  NetlistBuilder& capacitor(const Name& name, const Name& a, const Name& b,
+                            const Value& farads);
+  NetlistBuilder& inductor(const Name& name, const Name& a, const Name& b,
+                           const Value& henries);
+  NetlistBuilder& vsource_dc(const Name& name, const Name& p, const Name& m,
+                             const Value& volts);
+  NetlistBuilder& isource_dc(const Name& name, const Name& p, const Name& m,
+                             const Value& amps);
   /// `model` is "nmos" or "pmos"; w/l in meters.
-  NetlistBuilder& mosfet(std::string_view name, std::string_view d,
-                         std::string_view g, std::string_view s,
-                         std::string_view b, std::string_view model, double w,
-                         double l);
+  NetlistBuilder& mosfet(const Name& name, const Name& d, const Name& g, const Name& s,
+                         const Name& b, std::string_view model, const Value& w,
+                         const Value& l);
 
   /// Xname n1 n2 ... subckt_name.
-  NetlistBuilder& instance(std::string_view name,
-                           const std::vector<std::string>& nodes,
-                           std::string_view subckt);
+  NetlistBuilder& instance(const Name& name, std::initializer_list<Name> nodes,
+                           const Name& subckt);
 
   /// .subckt blocks. Nesting definitions is rejected (as in the parser).
-  NetlistBuilder& begin_subckt(std::string_view name,
-                               const std::vector<std::string>& ports);
+  NetlistBuilder& begin_subckt(const Name& name, std::initializer_list<Name> ports);
   NetlistBuilder& end_subckt();
 
   /// Number of device/instance cards emitted so far. Cards inside a
@@ -73,9 +121,10 @@ class NetlistBuilder {
   const std::string& text() const { return buf_; }
 
  private:
-  NetlistBuilder& device_card(char type, std::string_view name,
-                              std::initializer_list<std::string_view> nodes,
-                              std::string_view tail);
+  /// Writes "name n1 n2 ..." after checking the name's leaf type; the
+  /// caller appends the rest and ends the card.
+  void begin_card(char type, const Name& name, std::initializer_list<Name> nodes);
+  NetlistBuilder& end_card(std::string_view key, const Value& v);  // " <key><value>\n"
 
   std::string buf_;
   std::size_t cards_ = 0;

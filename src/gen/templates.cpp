@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string_view>
 
 #include "core/circuits.hpp"
 #include "gen/netlist_builder.hpp"
@@ -36,22 +37,21 @@ std::size_t slice_devices(const GenSpec& s) {
 /// off the shared RF node. Used verbatim for the .subckt body (pre = "",
 /// rf = "rf") and for the flat rendering (pre = "xe<i>.", rf = "rf<i>"),
 /// which is what makes the two renderings card-for-card identical.
-void emit_slice_body(NetlistBuilder& nl, const std::string& pre,
-                     const std::string& rf, const GenSpec& s, double ron,
-                     double rbb) {
-  const double rsec = rbb / s.sections;
-  const double csec = has_caps(s) ? s.zbb_c / s.sections : 0.0;
+void emit_slice_body(NetlistBuilder& nl, std::string_view pre, std::string_view rf,
+                     const GenSpec& s, const Value& ron, double rbb) {
+  const Value rterm(rbb);
+  const Value rsec(rbb / s.sections);
+  const double csec_farads = has_caps(s) ? s.zbb_c / s.sections : 0.0;
+  const Value csec(csec_farads);
   for (int p = 0; p < s.paths; ++p) {
-    const std::string bp = pre + "b" + itos(p) + "_";
-    nl.resistor(pre + "rsw" + itos(p), rf, bp + "0", ron);
+    nl.resistor({pre, "rsw", p}, rf, {pre, "b", p, "_0"}, ron);
     for (int k = 0; k < s.sections; ++k) {
-      nl.resistor(pre + "rsec" + itos(p) + "_" + itos(k), bp + itos(k),
-                  bp + itos(k + 1), rsec);
-      if (csec > 0.0)
-        nl.capacitor(pre + "csec" + itos(p) + "_" + itos(k), bp + itos(k + 1),
-                     "0", csec);
+      nl.resistor({pre, "rsec", p, "_", k}, {pre, "b", p, "_", k},
+                  {pre, "b", p, "_", k + 1}, rsec);
+      if (csec_farads > 0.0)
+        nl.capacitor({pre, "csec", p, "_", k}, {pre, "b", p, "_", k + 1}, "0", csec);
     }
-    nl.resistor(pre + "rterm" + itos(p), bp + itos(s.sections), "0", rbb);
+    nl.resistor({pre, "rterm", p}, {pre, "b", p, "_", s.sections}, "0", rterm);
   }
 }
 
@@ -69,21 +69,22 @@ std::string render_rx_array(const GenSpec& s) {
     } else {
       for (int i = 0; i < s.elements; ++i) {
         const ElementDraw d = element_draw(s, i);
-        nl.begin_subckt("slice_" + itos(i), {"rf"});
+        nl.begin_subckt({"slice_", i}, {"rf"});
         emit_slice_body(nl, "", "rf", s, d.switch_ron, d.zbb_r);
         nl.end_subckt();
       }
     }
   }
+  const Value vin(1.0), r_source(s.r_source);
   for (int i = 0; i < s.elements; ++i) {
-    const std::string e = itos(i);
-    nl.vsource_dc("vin_e" + e, "ant" + e, "0", 1.0);
-    nl.resistor("rs_e" + e, "ant" + e, "rf" + e, s.r_source);
+    nl.vsource_dc({"vin_e", i}, {"ant", i}, "0", vin);
+    nl.resistor({"rs_e", i}, {"ant", i}, {"rf", i}, r_source);
     if (s.hierarchical) {
-      nl.instance("xe" + e, {"rf" + e}, shared ? "slice" : "slice_" + e);
+      nl.instance({"xe", i}, {{"rf", i}}, shared ? Name("slice") : Name{"slice_", i});
     } else {
       const ElementDraw d = element_draw(s, i);
-      emit_slice_body(nl, "xe" + e + ".", "rf" + e, s, d.switch_ron, d.zbb_r);
+      emit_slice_body(nl, Name{"xe", i, "."}.str(), Name{"rf", i}.str(), s, d.switch_ron,
+                      d.zbb_r);
     }
   }
   return std::move(nl).str();

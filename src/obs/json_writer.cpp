@@ -1,10 +1,12 @@
 #include "obs/json_writer.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <ostream>
 #include <stdexcept>
+#include <system_error>
 
 namespace rfmix::obs::json {
 
@@ -44,14 +46,24 @@ std::string quoted(std::string_view s) {
   return out;
 }
 
+char* write_number(char* out, double v) {
+  if (!std::isfinite(v)) return std::copy_n("null", 4, out);
+  // to_chars with a precision is specified as printf's %.*g in the C
+  // locale, so these are the bytes of "%.15g" / "%.17g". %.17g round-trips
+  // any double; keep the shorter %.15g form when it reads back exactly so
+  // reports stay human-readable.
+  char* const last = out + kMaxNumberChars;
+  char* end = std::to_chars(out, last, v, std::chars_format::general, 15).ptr;
+  double back = 0.0;
+  const std::from_chars_result r = std::from_chars(out, end, back);
+  if (r.ec != std::errc{} || back != v)
+    end = std::to_chars(out, last, v, std::chars_format::general, 17).ptr;
+  return end;
+}
+
 std::string number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  // %.17g round-trips any double; trim to the shorter %.15g form when it
-  // parses back exactly so reports stay human-readable.
-  std::snprintf(buf, sizeof(buf), "%.15g", v);
-  if (std::strtod(buf, nullptr) != v) std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  char buf[kMaxNumberChars];
+  return std::string(buf, write_number(buf, v));
 }
 
 std::string number(std::uint64_t v) { return std::to_string(v); }

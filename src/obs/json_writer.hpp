@@ -16,10 +16,18 @@ namespace rfmix::obs::json {
 /// `s` escaped and wrapped in double quotes, per RFC 8259.
 std::string quoted(std::string_view s);
 
-/// Shortest round-trip decimal for a double; NaN/Inf (not representable in
-/// JSON) serialize as null.
+/// Round-trip decimal for a double: printf's "%.15g" spelling when it reads
+/// back as exactly `v`, else "%.17g" (which always does). NaN/Inf (not
+/// representable in JSON) serialize as null.
 std::string number(double v);
 std::string number(std::uint64_t v);
+
+/// Room write_number needs.
+inline constexpr std::size_t kMaxNumberChars = 32;
+
+/// Writes number(v)'s bytes at `out`, which has room for kMaxNumberChars,
+/// and returns one past the last.
+char* write_number(char* out, double v);
 
 /// Ordered JSON value: objects keep insertion order so reports serialize
 /// the way they were built (and diff cleanly).

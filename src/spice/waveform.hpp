@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -85,6 +86,15 @@ class Waveform {
   using TextFields = std::vector<std::pair<std::string, std::string>>;
   using NumFields = std::vector<std::pair<std::string, double>>;
 
+  /// Key prefix "<letter><i>." of the i-th tone or point. Appended piece
+  /// by piece: GCC 12 misreports `"t" + std::to_string(i)` under -Wrestrict.
+  static std::string indexed_tag(char letter, std::size_t i) {
+    std::string tag(1, letter);
+    tag += std::to_string(i);
+    tag += '.';
+    return tag;
+  }
+
   static void describe_of(const DcWave& w, TextFields& text, NumFields& params) {
     text.emplace_back("wave", "dc");
     params.emplace_back("v", w.value);
@@ -101,7 +111,7 @@ class Waveform {
     text.emplace_back("wave", "multitone");
     params.emplace_back("off", w.offset);
     for (std::size_t i = 0; i < w.tones.size(); ++i) {
-      const std::string tag = "t" + std::to_string(i) + ".";
+      const std::string tag = indexed_tag('t', i);
       params.emplace_back(tag + "amp", w.tones[i].amplitude);
       params.emplace_back(tag + "freq", w.tones[i].freq_hz);
       params.emplace_back(tag + "phase", w.tones[i].phase_rad);
@@ -120,7 +130,7 @@ class Waveform {
   static void describe_of(const PwlWave& w, TextFields& text, NumFields& params) {
     text.emplace_back("wave", "pwl");
     for (std::size_t i = 0; i < w.points.size(); ++i) {
-      const std::string tag = "p" + std::to_string(i) + ".";
+      const std::string tag = indexed_tag('p', i);
       params.emplace_back(tag + "t", w.points[i].first);
       params.emplace_back(tag + "v", w.points[i].second);
     }

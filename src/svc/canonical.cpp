@@ -15,9 +15,7 @@ namespace {
 
 /// Values may contain arbitrary bytes (node names, waveform tags); escape
 /// the three characters that have structural meaning in the record format.
-std::string escaped(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
+void append_escaped(std::string& out, std::string_view s) {
   for (const char c : s) {
     switch (c) {
       case '%': out += "%25"; break;
@@ -26,26 +24,27 @@ std::string escaped(std::string_view s) {
       default: out.push_back(c);
     }
   }
-  return out;
 }
 
 }  // namespace
 
 void CanonicalWriter::begin_record(std::string_view tag) {
   if (in_record_) end_record();
-  buf_ += escaped(tag);
+  append_escaped(buf_, tag);
   in_record_ = true;
 }
 
 void CanonicalWriter::field(std::string_view key, std::string_view value) {
   buf_.push_back('|');
-  buf_ += escaped(key);
+  append_escaped(buf_, key);
   buf_.push_back('=');
-  buf_ += escaped(value);
+  append_escaped(buf_, value);
 }
 
 void CanonicalWriter::field(std::string_view key, double value) {
-  field(key, std::string_view(obs::json::number(value)));
+  char digits[obs::json::kMaxNumberChars];
+  const char* end = obs::json::write_number(digits, value);
+  field(key, std::string_view(digits, static_cast<std::size_t>(end - digits)));
 }
 
 void CanonicalWriter::field(std::string_view key, std::uint64_t value) {

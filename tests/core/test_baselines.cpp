@@ -34,7 +34,9 @@ TEST(Baselines, ThisWorkGainBeatsMostReferences) {
 
 TEST(Baselines, SixtyFiveNmReferencesRunAt1V2) {
   for (const auto& r : table1_baselines()) {
-    if (r.technology == "65nm") EXPECT_EQ(r.supply_v, "1.2") << r.label;
+    if (r.technology == "65nm") {
+      EXPECT_EQ(r.supply_v, "1.2") << r.label;
+    }
   }
 }
 

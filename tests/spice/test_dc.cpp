@@ -164,7 +164,10 @@ TEST_P(DcKclProperty, RandomResistiveNetworkSatisfiesKcl) {
   Circuit ckt;
   const int n_nodes = 6;
   std::vector<NodeId> nodes;
-  for (int i = 0; i < n_nodes; ++i) nodes.push_back(ckt.node("n" + std::to_string(i)));
+  for (int i = 0; i < n_nodes; ++i) {
+    const std::string name = std::to_string(i);
+    nodes.push_back(ckt.node("n" + name));
+  }
   ckt.add<VoltageSource>("v1", nodes[0], kGround, Waveform::dc(rng.uniform(1.0, 5.0)));
   struct Edge { NodeId a, b; double r; };
   std::vector<Edge> edges;
@@ -182,8 +185,10 @@ TEST_P(DcKclProperty, RandomResistiveNetworkSatisfiesKcl) {
   for (int i = 1; i < n_nodes; ++i)
     edges.push_back({nodes[static_cast<std::size_t>(i)], kGround, rng.uniform(1e3, 50e3)});
   int idx = 0;
-  for (const auto& e : edges)
-    ckt.add<Resistor>("r" + std::to_string(idx++), e.a, e.b, e.r);
+  for (const auto& e : edges) {
+    const std::string name = std::to_string(idx++);
+    ckt.add<Resistor>("r" + name, e.a, e.b, e.r);
+  }
 
   const Solution op = dc_operating_point(ckt);
   // KCL at each non-driven node: net resistor current ~ 0.

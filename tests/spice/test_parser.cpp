@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "spice/ac.hpp"
 #include "spice/devices_sources.hpp"
 #include "spice/op.hpp"
+#include "svc/request.hpp"
 
 namespace rfmix::spice {
 namespace {
@@ -23,6 +26,57 @@ TEST(ParseNumber, EngineeringSuffixes) {
   EXPECT_DOUBLE_EQ(parse_spice_number("42"), 42.0);
   EXPECT_DOUBLE_EQ(parse_spice_number("1e3"), 1000.0);
   EXPECT_DOUBLE_EQ(parse_spice_number("10uF"), 10e-6);  // trailing unit letter
+}
+
+TEST(ParseNumber, MilIsAThousandthOfAnInch) {
+  EXPECT_EQ(parse_spice_number("1mil"), 25.4e-6);
+  EXPECT_EQ(parse_spice_number("4MIL"), 4 * 25.4e-6);
+  // The neighbours that share its leading 'm' keep their scales.
+  EXPECT_EQ(parse_spice_number("1m"), 1e-3);
+  EXPECT_EQ(parse_spice_number("1meg"), 1e6);
+  EXPECT_EQ(parse_spice_number("1megohm"), 1e6);
+  EXPECT_EQ(parse_spice_number("1mi"), 1e-3);
+}
+
+TEST(Parser, SemicolonEndsTheCard) {
+  // A trailing "; note" used to parse on these cards only because the
+  // extra tokens were ignored; as a comment it must leave the cache key of
+  // the card without it unchanged.
+  const char* const decks[] = {
+      "V1 a 0 DC 1\nR1 a b 1k\nC1 b 0 1p\nL1 b c 1n\nRC c 0 1k\n",
+      "I1 0 a 1m\nR1 a 0 1k\n",
+      "VD vdd 0 1.2\nVG g 0 0.6\nM1 d g 0 0 nmos w=2u l=65n\nRD vdd d 1k\n",
+      "V1 a 0 1\nR1 a d 1k\nD1 d 0 is=1e-14 n=1.1\n",
+      "V1 a 0 1\nE1 b 0 a 0 2\nRB b 0 1k\nG1 0 c a 0 1m\nRC c 0 1k\n",
+  };
+  for (const char* deck : decks) {
+    std::string commented;
+    for (const char c : std::string(deck)) {
+      if (c == '\n') commented += " ; note, (with) w=3u\n";
+      else commented.push_back(c);
+    }
+    svc::Request plain, with_note;
+    plain.netlist = deck;
+    with_note.netlist = commented;
+    EXPECT_EQ(svc::request_canonical(with_note), svc::request_canonical(plain)) << commented;
+  }
+}
+
+TEST(Parser, SemicolonCommentsOnCardsThatRejectedThem) {
+  // Before ';' was a comment these read the note as an argument.
+  Circuit x = parse_netlist(
+      ".subckt div in out\nR1 in out 1k\nR2 out 0 1k\n.ends\n"
+      "V1 a 0 DC 2\nX1 a m div ; instance\n");
+  EXPECT_NEAR(dc_operating_point(x).v(x.find_node("m")), 1.0, 1e-9);
+  Circuit k = parse_netlist("V1 in 0 DC 0 AC 1\nK1 in 0 sec 0 4n 1n 0.5 ; coupling\nRL sec 0 1k\n");
+  EXPECT_EQ(k.devices().size(), 3u);
+  Circuit v = parse_netlist("V1 a 0 ; grounded source\nR1 a 0 1k\n");
+  auto* v1 = dynamic_cast<VoltageSource*>(v.find_device("v1"));
+  ASSERT_NE(v1, nullptr);
+  EXPECT_EQ(v1->waveform().dc_value(), 0.0);
+  // ';' ends a continuation line and a directive too.
+  Circuit c = parse_netlist("V1 a 0 ; first line\n+ DC 3 ; continued\nR1 a 0 1k ; load\n");
+  EXPECT_NEAR(dc_operating_point(c).v(c.find_node("a")), 3.0, 1e-12);
 }
 
 TEST(Parser, VoltageDividerNetlist) {

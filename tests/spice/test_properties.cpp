@@ -37,14 +37,19 @@ struct RandomNetwork {
 
   explicit RandomNetwork(std::uint64_t seed) {
     mathx::Rng rng(seed);
-    for (int i = 0; i < 5; ++i) nodes.push_back(ckt.node("n" + std::to_string(i)));
+    for (int i = 0; i < 5; ++i) {
+      const std::string name = std::to_string(i);
+      nodes.push_back(ckt.node("n" + name));
+    }
     va = &ckt.add<VoltageSource>("va", nodes[0], kGround, Waveform::dc(0.0));
     vb = &ckt.add<VoltageSource>("vb", nodes[1], kGround, Waveform::dc(0.0));
     int idx = 0;
-    for (std::size_t i = 0; i < nodes.size(); ++i)
-      for (std::size_t j = i + 1; j < nodes.size(); ++j)
-        ckt.add<Resistor>("r" + std::to_string(idx++), nodes[i], nodes[j],
-                          rng.uniform(100.0, 5e3));
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      for (std::size_t j = i + 1; j < nodes.size(); ++j) {
+        const std::string name = std::to_string(idx++);
+        ckt.add<Resistor>("r" + name, nodes[i], nodes[j], rng.uniform(100.0, 5e3));
+      }
+    }
     for (std::size_t i = 2; i < nodes.size(); ++i)
       ckt.add<Resistor>("rg" + std::to_string(i), nodes[i], kGround,
                         rng.uniform(500.0, 20e3));

@@ -187,7 +187,8 @@ TEST(ResultCache, ConcurrentMixedUseIsSafe) {
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&cache, t] {
       for (int i = 0; i < 200; ++i) {
-        const Hash128 k = key_of("k" + std::to_string((t + i) % 48));
+        const std::string slot = std::to_string((t + i) % 48);
+        const Hash128 k = key_of("k" + slot);
         if (i % 3 == 0) {
           cache.put(k, "payload" + std::to_string(i));
         } else {

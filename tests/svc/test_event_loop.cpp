@@ -126,11 +126,12 @@ class EventLoopTest : public ::testing::Test {
 std::string slow_request(const std::string& id_json, int tag, double timeout_ms = 0.0,
                          int points = 1200) {
   std::string netlist = "V1 n0 0 DC 0 AC 1\\n";
+  const std::string value = std::to_string(1000 + tag);
   for (int i = 0; i < 14; ++i) {
-    const std::string a = "n" + std::to_string(i), b = "n" + std::to_string(i + 1);
-    netlist += "R" + std::to_string(i) + " " + a + " " + b + " " +
-               std::to_string(1000 + tag) + "\\n";
-    netlist += "C" + std::to_string(i) + " " + b + " 0 1e-9\\n";
+    const std::string index = std::to_string(i), next = std::to_string(i + 1);
+    const std::string a = "n" + index, b = "n" + next;
+    netlist += "R" + index + " " + a + " " + b + " " + value + "\\n";
+    netlist += "C" + index + " " + b + " 0 1e-9\\n";
   }
   std::string req = R"({"v":2,"id":)" + id_json + R"(,"kind":"ac")";
   if (timeout_ms > 0.0) req += ",\"timeout_ms\":" + std::to_string(timeout_ms);
@@ -231,7 +232,8 @@ TEST_F(EventLoopTest, EightClientsMixedPrioritiesMatchSerialByteForByte) {
           << "duplicate response for " << line;
     }
     for (int r = 0; r < kRequests; ++r) {
-      const std::string id = "c" + std::to_string(c) + "-r" + std::to_string(r);
+      const std::string client = std::to_string(c), request = std::to_string(r);
+      const std::string id = "c" + client + "-r" + request;
       ASSERT_TRUE(by_id.count(id)) << "no response for " << id;
       const auto exp = expected.find(id);
       ASSERT_NE(exp, expected.end());

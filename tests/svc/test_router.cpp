@@ -146,11 +146,12 @@ class RouterTest : public ::testing::Test {
 /// sweep of an RC ladder, content-unique per `tag`.
 std::string slow_request(const std::string& id_json, int tag, int points = 1200) {
   std::string netlist = "V1 n0 0 DC 0 AC 1\\n";
+  const std::string value = std::to_string(1000 + tag);
   for (int i = 0; i < 14; ++i) {
-    const std::string a = "n" + std::to_string(i), b = "n" + std::to_string(i + 1);
-    netlist += "R" + std::to_string(i) + " " + a + " " + b + " " +
-               std::to_string(1000 + tag) + "\\n";
-    netlist += "C" + std::to_string(i) + " " + b + " 0 1e-9\\n";
+    const std::string index = std::to_string(i), next = std::to_string(i + 1);
+    const std::string a = "n" + index, b = "n" + next;
+    netlist += "R" + index + " " + a + " " + b + " " + value + "\\n";
+    netlist += "C" + index + " " + b + " 0 1e-9\\n";
   }
   return R"({"v":2,"id":)" + id_json + R"(,"kind":"ac","params":{"netlist":")" +
          netlist + R"(","ac":{"f_start_hz":1e3,"f_stop_hz":1e9,"points":)" +
