@@ -25,10 +25,6 @@ namespace {
 
 using namespace rfmix;
 
-mathx::SolverMode mode_arg(const benchmark::State& state) {
-  return state.range(0) == 0 ? mathx::SolverMode::kClassic : mathx::SolverMode::kReuse;
-}
-
 void BM_DenseLuSolve(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   mathx::Rng rng(1);
@@ -84,12 +80,9 @@ void BM_MixerOperatingPoint(benchmark::State& state) {
 }
 BENCHMARK(BM_MixerOperatingPoint)->Arg(0)->Arg(1);
 
-// Arg 0 = classic (analyze every factorization), 1 = reuse (analyze once,
-// refactor per Newton iteration). The ratio of these two is the headline
-// number for the solver fast path: a Newton-heavy transient does hundreds
-// of factorizations on one unchanging sparsity pattern.
+// A Newton-heavy transient: hundreds of factorizations on one unchanging
+// sparsity pattern, analyzed once and refactored per Newton iteration.
 void BM_MixerTransientSteps(benchmark::State& state) {
-  mathx::ScopedSolverMode scoped(mode_arg(state));
   core::MixerConfig cfg;
   cfg.mode = core::MixerMode::kActive;
   auto mixer = core::build_transistor_mixer(cfg);
@@ -103,10 +96,9 @@ void BM_MixerTransientSteps(benchmark::State& state) {
   }
   state.SetItemsProcessed(steps);
 }
-BENCHMARK(BM_MixerTransientSteps)->Arg(0)->Arg(1);
+BENCHMARK(BM_MixerTransientSteps);
 
 void BM_MixerPssPeriods(benchmark::State& state) {
-  mathx::ScopedSolverMode scoped(mode_arg(state));
   core::MixerConfig cfg;
   cfg.mode = core::MixerMode::kActive;
   for (auto _ : state) {
@@ -119,7 +111,7 @@ void BM_MixerPssPeriods(benchmark::State& state) {
     benchmark::DoNotOptimize(result);
   }
 }
-BENCHMARK(BM_MixerPssPeriods)->Arg(0)->Arg(1);
+BENCHMARK(BM_MixerPssPeriods);
 
 // The raw kernel behind the engine ratio: numeric refactorization against a
 // pinned symbolic vs a from-scratch analyzing factorization of the same
@@ -145,17 +137,15 @@ void BM_SparseLuRefactor(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseLuRefactor)->Arg(128)->Arg(512)->Arg(1024);
 
-// Solver-mode scaling probe: an N-stage RC-coupled common-source ladder
+// Solver scaling probe: an N-stage RC-coupled common-source ladder
 // (2N+4 unknowns) under a sine drive. Unlike the mixer, whose Jacobian
 // magnitudes barely reorder between steps, the swinging ladder makes
 // partial pivoting drift often — this is the case the drift-repair path
-// exists for (without it, reuse pays a wasted partial refactor plus a full
-// re-analysis per drift and loses to classic at large N).
-// Args: (stages, 0=classic/1=reuse).
+// exists for (without it, a refactor pays a wasted partial replay plus a
+// full re-analysis per drift and loses to analyzing every time at large N).
+// Arg: stages.
 void BM_NewtonLadderTransient(benchmark::State& state) {
   const int stages = static_cast<int>(state.range(0));
-  mathx::ScopedSolverMode scoped(state.range(1) == 0 ? mathx::SolverMode::kClassic
-                                                     : mathx::SolverMode::kReuse);
   for (auto _ : state) {
     spice::Circuit c;
     const auto vdd = c.node("vdd");
@@ -182,8 +172,7 @@ void BM_NewtonLadderTransient(benchmark::State& state) {
     benchmark::DoNotOptimize(result);
   }
 }
-BENCHMARK(BM_NewtonLadderTransient)
-    ->Args({8, 0})->Args({8, 1})->Args({64, 0})->Args({64, 1});
+BENCHMARK(BM_NewtonLadderTransient)->Arg(8)->Arg(64);
 
 void BM_LptvConversionGain(benchmark::State& state) {
   core::MixerConfig cfg;

@@ -10,16 +10,14 @@
 //   3. Harmonic re-radiation, 4 vs 8 phases — the 8-phase clock cancels
 //      the 3 f_LO re-emission a 4-phase set produces.
 //   4. Parity + service replay — the sweep is byte-identical across
-//      thread counts and solver modes, and an npath_zin request replayed
-//      through a ServerSession is served from cache bit-exactly.
+//      thread counts, and an npath_zin request replayed through a
+//      ServerSession is served from cache bit-exactly.
 #include <cmath>
 #include <complex>
 #include <cstring>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "mathx/solver_config.hpp"
 #include "npath/zin.hpp"
 #include "obs/cli.hpp"
 #include "rf/table.hpp"
@@ -127,23 +125,11 @@ int main(int argc, char** argv) {
   // --- 4. Parity + service replay ------------------------------------------
   const npath::NpathSpec pspec = base_spec();
   const std::vector<double> grid = spice::lin_space(0.8e9, 1.2e9, 33);
-  npath::ZinSweep ref;
-  bool parity_ok = true;
-  bool first = true;
-  for (const int threads : {1, 8}) {
-    for (const auto mode :
-         {mathx::SolverMode::kClassic, mathx::SolverMode::kReuse}) {
-      runtime::ScopedPool pool(threads);
-      mathx::ScopedSolverMode solver(mode);
-      npath::ZinSweep sw = npath::zin_sweep(pspec, grid);
-      if (first) {
-        ref = std::move(sw);
-        first = false;
-      } else {
-        parity_ok = parity_ok && sweeps_identical(ref, sw);
-      }
-    }
-  }
+  const auto sweep_at = [&](int threads) {
+    runtime::ScopedPool pool(threads);
+    return npath::zin_sweep(pspec, grid);
+  };
+  const bool parity_ok = sweeps_identical(sweep_at(1), sweep_at(8));
 
   bool replay_ok = false;
   {
@@ -168,7 +154,7 @@ int main(int argc, char** argv) {
     out << "\npeak tracks f_LO: " << (peak_tracks ? "yes" : "NO")
         << "; Q monotone in Zbb: " << (q_monotone ? "yes" : "NO")
         << "; 8-phase cancels 3f_LO: " << (hr_ok ? "yes" : "NO")
-        << "\nsweep bit-identical (1/8 threads x classic/reuse): "
+        << "\nsweep bit-identical (1/8 threads): "
         << (parity_ok ? "yes" : "NO")
         << "; rfmixd replay byte-identical: " << (replay_ok ? "yes" : "NO")
         << "\n";

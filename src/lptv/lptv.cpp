@@ -6,8 +6,6 @@
 #include <stdexcept>
 
 #include "mathx/fft.hpp"
-#include "mathx/solver_config.hpp"
-#include "mathx/sparse.hpp"
 #include "mathx/units.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
@@ -152,50 +150,21 @@ Complex PacSolution::v(int k, int node) const {
 
 // ---------------------------------------------------------------------------
 
-/// Shared analyze-once state for one direction (forward or adjoint) of the
-/// block system: the first base-frequency point to factor publishes the
-/// pivot order and symbolic structure under the once_flag; every later
-/// point refactors against the immutable symbolic.
-struct ConversionAnalysis::LuShared {
-  std::once_flag once;
-  std::shared_ptr<const mathx::SparseLuSymbolic<Complex>> sym;
+namespace {
 
-  /// Numerically factor `mat`, reusing (or, first time through, publishing)
-  /// this cache's shared symbolic. Counts one lptv.lu.factorizations per
-  /// call regardless of path, so the 2-per-(gain+noise)-point invariant is
-  /// unchanged from the analyze-every-time implementation.
-  std::unique_ptr<mathx::SparseLu<Complex>> factor(const mathx::CscMatrix<Complex>& mat);
-};
-
-std::unique_ptr<mathx::SparseLu<Complex>> ConversionAnalysis::LuShared::factor(
-    const mathx::CscMatrix<Complex>& mat) {
-  LuShared& cache = *this;
-  RFMIX_OBS_COUNT("lptv.lu.factorizations");
-  if (mathx::solver_mode() == mathx::SolverMode::kClassic) {
-    RFMIX_OBS_COUNT("lptv.lu.analyze");
-    return std::make_unique<mathx::SparseLu<Complex>>(mat);
+/// SweepLu's counter hook for the conversion engine: lptv.lu.*. One
+/// lptv.lu.factorizations per factor, whatever its path, so a gain point
+/// counts 1 and a gain + noise point 2.
+void count_lptv_lu(mathx::SweepStep step) {
+  switch (step) {
+    case mathx::SweepStep::kFactor: RFMIX_OBS_COUNT("lptv.lu.factorizations"); break;
+    case mathx::SweepStep::kAnalyze: RFMIX_OBS_COUNT("lptv.lu.analyze"); break;
+    case mathx::SweepStep::kRefactor: RFMIX_OBS_COUNT("lptv.lu.refactor"); break;
+    case mathx::SweepStep::kFallback: RFMIX_OBS_COUNT("lptv.lu.fallback"); break;
   }
-  std::unique_ptr<mathx::SparseLu<Complex>> analyzed;
-  std::call_once(cache.once, [&] {
-    auto sym = std::make_shared<mathx::SparseLuSymbolic<Complex>>();
-    RFMIX_OBS_COUNT("lptv.lu.analyze");
-    analyzed = std::make_unique<mathx::SparseLu<Complex>>(mat, *sym);
-    cache.sym = std::move(sym);
-  });
-  if (analyzed) return analyzed;
-  if (cache.sym->pattern_matches(mat)) {
-    auto lu = std::make_unique<mathx::SparseLu<Complex>>();
-    if (lu->refactor_from(*cache.sym, mat)) {
-      RFMIX_OBS_COUNT("lptv.lu.refactor");
-      return lu;
-    }
-  }
-  // Pattern or pivot disagreement at this base frequency: analyze privately
-  // without touching the shared symbolic (still bit-identical to classic).
-  RFMIX_OBS_COUNT("lptv.lu.fallback");
-  RFMIX_OBS_COUNT("lptv.lu.analyze");
-  return std::make_unique<mathx::SparseLu<Complex>>(mat);
 }
+
+}  // namespace
 
 /// Assembled block system at one base frequency. The forward and adjoint
 /// factorizations are built lazily (and thread-safely) on first use: a
@@ -203,28 +172,32 @@ std::unique_ptr<mathx::SparseLu<Complex>> ConversionAnalysis::LuShared::factor(
 /// point never pays for the forward one.
 struct ConversionAnalysis::Factored::System {
   const ConversionAnalysis* an;
-  mathx::CscMatrix<Complex> a;
-  mathx::CscMatrix<Complex> at;
+  mathx::TripletMatrix<Complex> a;
   mutable std::once_flag once_fwd, once_adj;
-  mutable std::unique_ptr<mathx::SparseLu<Complex>> fwd, adj;
+  mutable mathx::SparseLu<Complex> fwd, adj;
 
-  System(const ConversionAnalysis* an_in, mathx::CscMatrix<Complex> a_in,
-         mathx::CscMatrix<Complex> at_in)
-      : an(an_in), a(std::move(a_in)), at(std::move(at_in)) {}
+  System(const ConversionAnalysis* an_in, mathx::TripletMatrix<Complex> a_in)
+      : an(an_in), a(std::move(a_in)) {}
 
   const mathx::SparseLu<Complex>& forward() const {
-    std::call_once(once_fwd, [&] { fwd = an->lu_fwd_->factor(a); });
-    return *fwd;
+    std::call_once(once_fwd, [&] { fwd = an->lu_fwd_.factor(a); });
+    return fwd;
   }
+  // A^T, stamped entry by entry in A's arrival order, so its duplicate
+  // slots sum in the same order as A's.
   const mathx::SparseLu<Complex>& adjoint() const {
-    std::call_once(once_adj, [&] { adj = an->lu_adj_->factor(at); });
-    return *adj;
+    std::call_once(once_adj, [&] {
+      mathx::TripletMatrix<Complex> at(a.cols(), a.rows());
+      for (std::size_t k = 0; k < a.entry_count(); ++k)
+        at.add(a.col_indices()[k], a.row_indices()[k], a.values()[k]);
+      adj = an->lu_adj_.factor(at);
+    });
+    return adj;
   }
 };
 
 ConversionAnalysis::ConversionAnalysis(const LptvCircuit& ckt, ConversionOptions opts)
-    : ckt_(ckt), opts_(opts),
-      lu_fwd_(std::make_unique<LuShared>()), lu_adj_(std::make_unique<LuShared>()) {
+    : ckt_(ckt), opts_(opts), lu_fwd_(&count_lptv_lu), lu_adj_(&count_lptv_lu) {
   if (opts_.harmonics < 1) throw std::invalid_argument("harmonics must be >= 1");
   if (ckt_.num_samples() < 4 * opts_.harmonics + 2)
     throw std::invalid_argument(
@@ -233,8 +206,6 @@ ConversionAnalysis::ConversionAnalysis(const LptvCircuit& ckt, ConversionOptions
   block_count_ = 2 * opts_.harmonics + 1;
   if (n_unknowns_ < 1) throw std::invalid_argument("LPTV circuit has no nodes");
 }
-
-ConversionAnalysis::~ConversionAnalysis() = default;
 
 std::vector<Complex> ConversionAnalysis::fourier_coeffs(const PeriodicWave& w) const {
   // W_m = (1/M) sum_n w[n] e^{-j 2 pi m n / M}; FFT gives all m in one pass.
@@ -251,18 +222,11 @@ std::vector<Complex> ConversionAnalysis::fourier_coeffs(const PeriodicWave& w) c
   return coeffs;
 }
 
-ConversionAnalysis::Factored::Factored(const ConversionAnalysis* an, double f_base)
-    : an_(an), f_base_(f_base) {
-  const ConversionAnalysis& self = *an;
-  const int k_hi = self.opts_.harmonics;
-  const int n = self.n_unknowns_;
-  const int block_count_ = self.block_count_;
-  const ConversionOptions& opts_ = self.opts_;
-  const LptvCircuit& ckt_ = self.ckt_;
-  auto fourier_coeffs = [&self](const PeriodicWave& w) { return self.fourier_coeffs(w); };
+mathx::TripletMatrix<Complex> ConversionAnalysis::block_system(double f_base) const {
+  const int k_hi = opts_.harmonics;
+  const int n = n_unknowns_;
   const std::size_t dim = static_cast<std::size_t>(block_count_ * n);
   mathx::TripletMatrix<Complex> a(dim, dim);
-  mathx::TripletMatrix<Complex> at(dim, dim);
 
   auto unknown = [&](int k, int node) -> int {
     if (node == 0) return -1;
@@ -271,7 +235,6 @@ ConversionAnalysis::Factored::Factored(const ConversionAnalysis* an, double f_ba
   auto add = [&](int row, int col, Complex v) {
     if (row < 0 || col < 0 || v == Complex{}) return;
     a.add(static_cast<std::size_t>(row), static_cast<std::size_t>(col), v);
-    at.add(static_cast<std::size_t>(col), static_cast<std::size_t>(row), v);
   };
   auto stamp_g_block = [&](int na, int nb, int krow, int kcol, Complex g) {
     add(unknown(krow, na), unknown(kcol, na), g);
@@ -322,9 +285,11 @@ ConversionAnalysis::Factored::Factored(const ConversionAnalysis* an, double f_ba
       }
   }
 
-  sys_ = std::make_shared<System>(an, mathx::CscMatrix<Complex>(a),
-                                  mathx::CscMatrix<Complex>(at));
+  return a;
 }
+
+ConversionAnalysis::Factored::Factored(const ConversionAnalysis* an, double f_base)
+    : an_(an), f_base_(f_base), sys_(std::make_shared<System>(an, an->block_system(f_base))) {}
 
 ConversionAnalysis::Factored::~Factored() = default;
 ConversionAnalysis::Factored::Factored(Factored&&) noexcept = default;

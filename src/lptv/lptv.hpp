@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "mathx/matrix.hpp"
+#include "mathx/sweep_lu.hpp"
 
 namespace rfmix::lptv {
 
@@ -177,7 +178,6 @@ class ConversionAnalysis {
   /// temporaries).
   ConversionAnalysis(const LptvCircuit& ckt, ConversionOptions opts);
   ConversionAnalysis(LptvCircuit&&, ConversionOptions) = delete;
-  ~ConversionAnalysis();
   ConversionAnalysis(const ConversionAnalysis&) = delete;
   ConversionAnalysis& operator=(const ConversionAnalysis&) = delete;
 
@@ -214,6 +214,10 @@ class ConversionAnalysis {
   /// Assemble the block system once at f_base; solve against it repeatedly.
   Factored factor(double f_base) const;
 
+  /// The (2K+1)·N block system at f_base, as factor() stamps it; the
+  /// adjoint factors its transpose.
+  mathx::TripletMatrix<Complex> block_system(double f_base) const;
+
   /// Solve with a unit AC current injected from node p to node m at sideband
   /// k_in, at baseband frequency f_base. Returns all node voltages at all
   /// sidebands (transimpedances, V/A).
@@ -241,13 +245,12 @@ class ConversionAnalysis {
   int n_unknowns_;  // nodes minus ground
   int block_count_; // 2K+1
 
-  // Shared analyze-once symbolic LU patterns (mathx::SparseLuSymbolic behind
-  // an opaque holder so this header stays light). The block-system sparsity
-  // is fixed by (circuit, K), not by f_base, so the first factor() pays a
-  // full analysis per direction and every later base-frequency point only
-  // refactors. Mutable: factor() is const but warms these caches.
-  struct LuShared;
-  mutable std::unique_ptr<LuShared> lu_fwd_, lu_adj_;
+  // One analyze-once sweep per direction (forward, adjoint). The
+  // block-system sparsity is fixed by (circuit, K), not by f_base, so the
+  // first factor pays a full analysis per direction and every later
+  // base-frequency point only refactors. Mutable: factor() is const but
+  // warms these.
+  mutable mathx::SweepLu<Complex> lu_fwd_, lu_adj_;
 };
 
 }  // namespace rfmix::lptv

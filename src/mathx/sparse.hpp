@@ -131,7 +131,7 @@ class CscMatrix {
 /// fill() replays the exact assign/accumulate order of the
 /// CscMatrix(TripletMatrix) constructor (including its duplicate-merge
 /// summation order), so the produced values are byte-identical to a fresh
-/// conversion of the same triplets — a prerequisite for the solver modes'
+/// conversion of the same triplets — a prerequisite for the solver's
 /// bit-exactness contract.
 template <typename T>
 class TripletCscMap {

@@ -22,10 +22,10 @@
 //     while an 8-phase set pushes that to 7*f_LO — the harmonic-rejection
 //     argument for more phases.
 //
-// Frequency sweeps follow the PR-7 solver discipline: one ConversionAnalysis
-// per spec (analyze-once symbolic LU per direction), the first point primed
+// Frequency sweeps follow the solver discipline: one ConversionAnalysis per
+// spec (analyze-once symbolic LU per direction), the first point primed
 // serially, every later point refactored in parallel on the runtime pool —
-// byte-identical at any thread count and in classic vs reuse solver mode.
+// byte-identical at any thread count and to a cold analysis of each point.
 #pragma once
 
 #include <complex>

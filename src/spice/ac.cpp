@@ -55,66 +55,20 @@ AcResult ac_sweep(Circuit& ckt, const Solution& op, const std::vector<double>& f
 
   // Frequency points are independent: stamping is const on the finalized
   // circuit, and each point writes only its own solution slot, so the
-  // parallel run is bit-identical to the serial loop.
+  // parallel run is bit-identical to the serial loop. Point 0 primes the
+  // shared analysis serially, so which point analyzes — and every counter —
+  // does not depend on scheduling.
   const Circuit& stamped = ckt;
   using Cplx = std::complex<double>;
-  auto assemble = [&](std::size_t i, mathx::TripletMatrix<Cplx>& y, mathx::VectorC& b) {
-    const double omega = mathx::kTwoPi * freqs_hz[i];
-    assemble_ac(stamped, op, omega, gmin, y, b);
+  mathx::SweepLu<Cplx> lu(&count_sweep_lu);
+  auto solve_point = [&](std::size_t i) {
+    mathx::TripletMatrix<Cplx> y(n, n);
+    mathx::VectorC b(n, Cplx{});
+    assemble_ac(stamped, op, mathx::kTwoPi * freqs_hz[i], gmin, y, b);
+    result.solutions[i] = lu.factor(y).solve(b);
   };
-
-  if (solver_mode() == SolverMode::kClassic) {
-    runtime::parallel_for(0, freqs_hz.size(), [&](std::size_t i) {
-      mathx::TripletMatrix<Cplx> y(n, n);
-      mathx::VectorC b(n, Cplx{});
-      assemble(i, y, b);
-      RFMIX_OBS_COUNT("spice.lu.factorizations");
-      RFMIX_OBS_COUNT("spice.lu.analyze");
-      result.solutions[i] = mathx::SparseLu<Cplx>(mathx::CscMatrix<Cplx>(y)).solve(b);
-    });
-    return result;
-  }
-
-  // Reuse mode: prime the stamp map and symbolic LU serially at the first
-  // point, then refactor every other point in parallel against the shared
-  // read-only symbolic. A point whose pattern or pivots disagree falls back
-  // to a private analysis without touching the shared state, so the result
-  // — byte-identical either way — and the per-point counters do not depend
-  // on scheduling.
-  mathx::TripletCscMap<Cplx> map;
-  mathx::SparseLuSymbolic<Cplx> sym;
-  {
-    mathx::TripletMatrix<Cplx> y(n, n);
-    mathx::VectorC b(n, Cplx{});
-    assemble(0, y, b);
-    map.build(y);
-    mathx::CscMatrix<Cplx> a;
-    map.fill(y, a);
-    RFMIX_OBS_COUNT("spice.lu.factorizations");
-    RFMIX_OBS_COUNT("spice.lu.analyze");
-    result.solutions[0] = mathx::SparseLu<Cplx>(a, sym).solve(b);
-  }
-  runtime::parallel_for(1, freqs_hz.size(), [&](std::size_t i) {
-    mathx::TripletMatrix<Cplx> y(n, n);
-    mathx::VectorC b(n, Cplx{});
-    assemble(i, y, b);
-    RFMIX_OBS_COUNT("spice.lu.factorizations");
-    mathx::CscMatrix<Cplx> a;
-    if (map.matches(y)) {
-      map.fill(y, a);
-      mathx::SparseLu<Cplx> lu;
-      if (lu.refactor_from(sym, a)) {
-        RFMIX_OBS_COUNT("spice.lu.refactor");
-        result.solutions[i] = lu.solve(b);
-        return;
-      }
-    } else {
-      a = mathx::CscMatrix<Cplx>(y);
-    }
-    RFMIX_OBS_COUNT("spice.lu.fallback");
-    RFMIX_OBS_COUNT("spice.lu.analyze");
-    result.solutions[i] = mathx::SparseLu<Cplx>(a).solve(b);
-  });
+  solve_point(0);
+  runtime::parallel_for(1, freqs_hz.size(), solve_point);
   return result;
 }
 

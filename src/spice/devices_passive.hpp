@@ -61,7 +61,6 @@ class Capacitor : public Device {
   }
 
   double capacitance() const { return farads_; }
-  void set_capacitance(double farads) { farads_ = farads; }
 
   void stamp(RealStamper& s, const Solution&, const StampParams& p) const override {
     if (p.mode == AnalysisMode::kDc || farads_ == 0.0) return;  // open in DC

@@ -108,7 +108,6 @@ class Vccs : public Device {
       : Device(std::move(name)), p_(p), m_(m), c_(c), d_(d), gm_(gm) {}
 
   double gm() const { return gm_; }
-  void set_gm(double gm) { gm_ = gm; }
 
   void stamp(RealStamper& s, const Solution&, const StampParams&) const override {
     s.add_vccs(p_, m_, c_, d_, gm_);
@@ -136,7 +135,6 @@ class Vcvs : public Device {
   int num_branches() const override { return 1; }
 
   double gain() const { return gain_; }
-  void set_gain(double gain) { gain_ = gain; }
 
   void stamp(RealStamper& s, const Solution&, const StampParams&) const override {
     const int b = branch_base();

@@ -72,7 +72,6 @@ class Mosfet : public Device {
   Mosfet(std::string name, NodeId d, NodeId g, NodeId s, NodeId b, MosParams params);
 
   const MosParams& params() const { return p_; }
-  MosParams& mutable_params() { return p_; }
 
   NodeId drain() const { return d_; }
   NodeId gate() const { return g_; }

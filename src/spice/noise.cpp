@@ -40,10 +40,6 @@ NoiseResult noise_analysis(Circuit& ckt, const Solution& op, NodeId out_p, NodeI
   if (freqs_hz.empty()) return result;
 
   using Cplx = std::complex<double>;
-  auto assemble = [&](std::size_t fi, mathx::TripletMatrix<Cplx>& y) {
-    mathx::VectorC b_unused(n, Cplx{});
-    assemble_ac(ckt, op, mathx::kTwoPi * freqs_hz[fi], gmin, y, b_unused);
-  };
   auto output_selector = [&]() {
     mathx::VectorC e(n, Cplx{});
     const int up = layout.node_unknown(out_p);
@@ -53,50 +49,18 @@ NoiseResult noise_analysis(Circuit& ckt, const Solution& op, NodeId out_p, NodeI
     return e;
   };
 
-  // Analyze-once/refactor-per-point, mirroring ac_sweep: in reuse mode the
-  // first point pins the stamp map and symbolic serially, every other point
-  // refactors in parallel (private fallback on disagreement). In classic
-  // mode every point analyzes.
-  const bool reuse = solver_mode() == SolverMode::kReuse;
-  mathx::TripletCscMap<Cplx> map;
-  mathx::SparseLuSymbolic<Cplx> sym;
-  // Adjoint solve at point fi: yv = Y^{-T} e_out.
-  auto adjoint_at = [&](std::size_t fi, bool primed) {
-    mathx::TripletMatrix<Cplx> y(n, n);
-    assemble(fi, y);
-    RFMIX_OBS_COUNT("spice.lu.factorizations");
-    mathx::CscMatrix<Cplx> a;
-    if (!primed) {
-      if (reuse) {
-        map.build(y);
-        map.fill(y, a);
-        RFMIX_OBS_COUNT("spice.lu.analyze");
-        return mathx::SparseLu<Cplx>(a, sym).solve_transposed(output_selector());
-      }
-      RFMIX_OBS_COUNT("spice.lu.analyze");
-      return mathx::SparseLu<Cplx>(mathx::CscMatrix<Cplx>(y)).solve_transposed(output_selector());
-    }
-    if (map.matches(y)) {
-      map.fill(y, a);
-      mathx::SparseLu<Cplx> lu;
-      if (lu.refactor_from(sym, a)) {
-        RFMIX_OBS_COUNT("spice.lu.refactor");
-        return lu.solve_transposed(output_selector());
-      }
-    } else {
-      a = mathx::CscMatrix<Cplx>(y);
-    }
-    RFMIX_OBS_COUNT("spice.lu.fallback");
-    RFMIX_OBS_COUNT("spice.lu.analyze");
-    return mathx::SparseLu<Cplx>(a).solve_transposed(output_selector());
-  };
-
   // Each frequency point assembles and solves independently (stamping and
   // the source PSD callbacks are const), so points run concurrently and
-  // land in fixed slots — bit-identical to the serial loop.
-  auto solve_point = [&](std::size_t fi, bool primed) {
+  // land in fixed slots — bit-identical to the serial loop. As in ac_sweep,
+  // point 0 primes the shared analysis serially.
+  mathx::SweepLu<Cplx> lu(&count_sweep_lu);
+  auto solve_point = [&](std::size_t fi) {
     const double f = freqs_hz[fi];
-    const mathx::VectorC yv = adjoint_at(fi, primed);
+    mathx::TripletMatrix<Cplx> y(n, n);
+    mathx::VectorC b_unused(n, Cplx{});
+    assemble_ac(ckt, op, mathx::kTwoPi * f, gmin, y, b_unused);
+    // Adjoint solve: yv = Y^{-T} e_out.
+    const mathx::VectorC yv = lu.factor(y).solve_transposed(output_selector());
 
     NoisePoint point;
     point.freq_hz = f;
@@ -116,12 +80,8 @@ NoiseResult noise_analysis(Circuit& ckt, const Solution& op, NodeId out_p, NodeI
     result.points[fi] = std::move(point);
   };
 
-  if (reuse) {
-    solve_point(0, false);
-    runtime::parallel_for(1, freqs_hz.size(), [&](std::size_t fi) { solve_point(fi, true); });
-  } else {
-    runtime::parallel_for(0, freqs_hz.size(), [&](std::size_t fi) { solve_point(fi, false); });
-  }
+  solve_point(0);
+  runtime::parallel_for(1, freqs_hz.size(), solve_point);
   return result;
 }
 

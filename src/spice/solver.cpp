@@ -6,17 +6,18 @@
 
 namespace rfmix::spice {
 
-SolverSession::SolverSession() : mode_(solver_mode()) {}
+void count_sweep_lu(mathx::SweepStep step) {
+  switch (step) {
+    case mathx::SweepStep::kFactor: RFMIX_OBS_COUNT("spice.lu.factorizations"); break;
+    case mathx::SweepStep::kAnalyze: RFMIX_OBS_COUNT("spice.lu.analyze"); break;
+    case mathx::SweepStep::kRefactor: RFMIX_OBS_COUNT("spice.lu.refactor"); break;
+    case mathx::SweepStep::kFallback: RFMIX_OBS_COUNT("spice.lu.fallback"); break;
+  }
+}
 
 const mathx::SparseLu<double>& SolverSession::factor(const mathx::TripletMatrix<double>& g) {
   // Counted before the attempt: a singular pivot still did the work.
   RFMIX_OBS_COUNT("spice.lu.factorizations");
-  if (mode_ == SolverMode::kClassic) {
-    RFMIX_OBS_COUNT("spice.lu.analyze");
-    csc_ = mathx::CscMatrix<double>(g);
-    lu_ = mathx::SparseLu<double>(csc_);
-    return lu_;
-  }
   if (!have_map_ || !map_.matches(g)) {
     if (have_map_) RFMIX_OBS_COUNT("spice.lu.pattern_rebuild");
     map_.build(g);
@@ -29,7 +30,7 @@ const mathx::SparseLu<double>& SolverSession::factor(const mathx::TripletMatrix<
     // analysis from the drift column (rewriting sym_ in place) instead of
     // throwing away the columns already eliminated and restarting — without
     // it, drift-heavy circuits pay a wasted partial refactor plus a full
-    // re-analysis and reuse can lose to classic.
+    // re-analysis and refactoring can lose to analyzing every time.
     bool repaired = false;
     if (lu_.refactor_from(sym_, csc_, 0.0, &sym_, &repaired)) {
       if (repaired) {

@@ -8,36 +8,29 @@
 // PSS run, one DC-sweep chunk) so obs counter totals are identical at any
 // thread count.
 //
-// In classic mode the session still factors — it just re-analyzes every
-// time, reproducing the cold path exactly.
-// Both modes produce byte-identical factors: refactor_from() replays the
-// analyze arithmetic and falls back to a full analysis whenever the stamp
-// pattern changes or the pinned pivot sequence stops winning the pivot
-// scan.
+// Every factor is byte-identical to a fresh SparseLu(CscMatrix(g)):
+// refactor_from() replays the analyze arithmetic and falls back to a full
+// analysis whenever the stamp pattern changes or the pinned pivot sequence
+// stops winning the pivot scan.
 #pragma once
 
 #include <cstddef>
 
-#include "mathx/solver_config.hpp"
 #include "mathx/sparse.hpp"
+#include "mathx/sweep_lu.hpp"
 
 namespace rfmix::spice {
 
 class Circuit;
 
-using mathx::ScopedSolverMode;
-using mathx::set_solver_mode;
-using mathx::solver_mode;
-using mathx::SolverMode;
+/// SweepLu's counter hook for the spice sweeps (AC, noise): spice.lu.*.
+void count_sweep_lu(mathx::SweepStep step);
 
 class SolverSession {
  public:
-  SolverSession();
+  SolverSession() = default;
   SolverSession(const SolverSession&) = delete;
   SolverSession& operator=(const SolverSession&) = delete;
-
-  /// Mode latched at construction, so one work unit never mixes paths.
-  SolverMode mode() const { return mode_; }
 
   /// Factor the assembled real system. Counts spice.lu.factorizations plus
   /// spice.lu.analyze / spice.lu.refactor / spice.lu.fallback /
@@ -51,7 +44,6 @@ class SolverSession {
   std::size_t mosfet_count(const Circuit& ckt);
 
  private:
-  SolverMode mode_;
   mathx::TripletCscMap<double> map_;
   mathx::CscMatrix<double> csc_;
   mathx::SparseLuSymbolic<double> sym_;

@@ -1,7 +1,6 @@
 #include "svc/cache.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -165,20 +164,6 @@ void ResultCache::disk_put(const Hash128& key, const std::string& payload) {
   std::lock_guard<std::mutex> lk(mu_);
   ++stats_.disk_stores;
   RFMIX_OBS_COUNT("svc.cache.disk_store");
-}
-
-ResultCache& ResultCache::global() {
-  static ResultCache* cache = [] {
-    std::size_t entries = 4096;
-    if (const char* env = std::getenv("RFMIX_CACHE_ENTRIES")) {
-      char* end = nullptr;
-      const long v = std::strtol(env, &end, 10);
-      if (end != env && *end == '\0' && v >= 1) entries = static_cast<std::size_t>(v);
-    }
-    const char* dir = std::getenv("RFMIX_CACHE_DIR");
-    return new ResultCache(entries, dir ? dir : "");
-  }();
-  return *cache;
 }
 
 }  // namespace rfmix::svc

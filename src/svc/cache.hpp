@@ -64,11 +64,6 @@ class ResultCache {
 
   const std::string& disk_dir() const { return disk_dir_; }
 
-  /// Process-wide instance configured from the environment:
-  /// RFMIX_CACHE_DIR (persistence directory, empty = memory only) and
-  /// RFMIX_CACHE_ENTRIES (LRU capacity, default 4096).
-  static ResultCache& global();
-
  private:
   std::string disk_path(const Hash128& key) const;
   std::optional<std::string> disk_get(const Hash128& key);

@@ -17,6 +17,7 @@
 
 #include "svc/cache.hpp"
 #include "svc/fault.hpp"
+#include "svc/flags.hpp"
 #include "svc/router.hpp"
 #include "svc/supervisor.hpp"
 
@@ -105,12 +106,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--socket") {
       socket_path = value();
     } else if (arg == "--workers") {
-      const long v = std::strtol(value().c_str(), nullptr, 10);
-      if (v < 1 || v > 256) {
-        std::cerr << "rfmix-router: --workers must be in [1, 256]\n";
-        return 2;
-      }
-      sup_opts.workers = static_cast<int>(v);
+      sup_opts.workers = rfmix::svc::parse_number_or_exit("rfmix-router", arg, value(), 1, 256);
     } else if (arg == "--worker-bin") {
       sup_opts.worker_bin = value();
     } else if (arg == "--worker-dir") {
@@ -118,12 +114,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--cache-dir") {
       cache_dir = value();
     } else if (arg == "--max-entries") {
-      const long v = std::strtol(value().c_str(), nullptr, 10);
-      if (v < 1) {
-        std::cerr << "rfmix-router: --max-entries must be >= 1\n";
-        return 2;
-      }
-      max_entries = static_cast<std::size_t>(v);
+      max_entries = rfmix::svc::parse_number_or_exit("rfmix-router", arg, value(), std::size_t{1});
     } else if (arg == "--no-restart") {
       sup_opts.restart = false;
     } else {

@@ -10,12 +10,14 @@
 // finish every dispatched job, flush every response, exit.
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "runtime/thread_pool.hpp"
 #include "svc/cache.hpp"
 #include "svc/event_loop.hpp"
 #include "svc/fault.hpp"
+#include "svc/flags.hpp"
 #include "svc/server.hpp"
 
 #ifndef _WIN32
@@ -56,14 +58,14 @@ extern "C" void handle_shutdown_signal(int) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr std::size_t kMaxOutputKb = std::numeric_limits<std::size_t>::max() / 1024;
   std::string socket_path;
   std::string cache_dir;
   if (const char* env = std::getenv("RFMIX_CACHE_DIR")) cache_dir = env;
+  using rfmix::svc::parse_number_or_exit;
   std::size_t max_entries = 4096;
-  if (const char* env = std::getenv("RFMIX_CACHE_ENTRIES")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v >= 1) max_entries = static_cast<std::size_t>(v);
-  }
+  if (const char* env = std::getenv("RFMIX_CACHE_ENTRIES"); env != nullptr && *env != '\0')
+    max_entries = parse_number_or_exit("rfmixd", "RFMIX_CACHE_ENTRIES", env, std::size_t{1});
   rfmix::svc::ServerLoop::Options loop_opts;
 
   for (int i = 1; i < argc; ++i) {
@@ -83,33 +85,14 @@ int main(int argc, char** argv) {
     } else if (arg == "--cache-dir") {
       cache_dir = value();
     } else if (arg == "--max-entries") {
-      const long v = std::strtol(value().c_str(), nullptr, 10);
-      if (v < 1) {
-        std::cerr << "rfmixd: --max-entries must be >= 1\n";
-        return 2;
-      }
-      max_entries = static_cast<std::size_t>(v);
+      max_entries = parse_number_or_exit("rfmixd", arg, value(), std::size_t{1});
     } else if (arg == "--timeout-ms") {
-      const double v = std::strtod(value().c_str(), nullptr);
-      if (v < 0.0) {
-        std::cerr << "rfmixd: --timeout-ms must be >= 0\n";
-        return 2;
-      }
-      loop_opts.default_timeout_ms = v;
+      loop_opts.default_timeout_ms = parse_number_or_exit("rfmixd", arg, value(), 0.0);
     } else if (arg == "--max-inflight") {
-      const long v = std::strtol(value().c_str(), nullptr, 10);
-      if (v < 1) {
-        std::cerr << "rfmixd: --max-inflight must be >= 1\n";
-        return 2;
-      }
-      loop_opts.max_inflight = static_cast<std::size_t>(v);
+      loop_opts.max_inflight = parse_number_or_exit("rfmixd", arg, value(), std::size_t{1});
     } else if (arg == "--max-output-kb") {
-      const long v = std::strtol(value().c_str(), nullptr, 10);
-      if (v < 1) {
-        std::cerr << "rfmixd: --max-output-kb must be >= 1\n";
-        return 2;
-      }
-      loop_opts.max_output_bytes = static_cast<std::size_t>(v) * 1024;
+      loop_opts.max_output_bytes =
+          parse_number_or_exit("rfmixd", arg, value(), std::size_t{1}, kMaxOutputKb) * 1024;
     } else {
       std::cerr << "rfmixd: unknown option '" << arg << "'\n";
       print_usage(std::cerr);

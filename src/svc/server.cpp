@@ -5,7 +5,6 @@
 #include <ostream>
 #include <utility>
 
-#include "mathx/solver_config.hpp"
 #include "obs/json_writer.hpp"
 #include "runtime/thread_pool.hpp"
 #include "svc/canonical.hpp"
@@ -35,11 +34,8 @@ std::string stats_json(JobScheduler& sched) {
   out += ",\"disk_stores\":" + json::number(cs.disk_stores);
   out += ",\"disk_corrupt\":" + json::number(cs.disk_corrupt);
   out += ",\"entries\":" + json::number(std::uint64_t(sched.cache().size()));
-  // Numeric provenance: which solver path produced the cached payloads and
-  // which canonicalization epoch keyed them. Both modes are byte-identical
-  // by construction, but a client debugging a mismatch wants this pinned.
-  out += "},\"solver_mode\":" + json::quoted(mathx::solver_mode_name(mathx::solver_mode()));
-  out += ",\"canonical_epoch\":" + json::number(std::uint64_t(kCanonicalEpoch));
+  // Numeric provenance: the canonicalization epoch behind every cache key.
+  out += "},\"canonical_epoch\":" + json::number(std::uint64_t(kCanonicalEpoch));
   out.push_back('}');
   return out;
 }

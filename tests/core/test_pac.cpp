@@ -7,12 +7,10 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <vector>
 
 #include "core/measurements.hpp"
-#include "mathx/solver_config.hpp"
 #include "obs/obs.hpp"
 
 namespace rfmix::core {
@@ -119,47 +117,16 @@ std::uint64_t factorizations(const std::function<void()>& run) {
 TEST(Pac, GainPointCostsOneFactorization) {
   MixerConfig cfg;
   cfg.mode = MixerMode::kActive;
-  for (const auto m : {mathx::SolverMode::kClassic, mathx::SolverMode::kReuse}) {
-    mathx::ScopedSolverMode scoped(m);
-    EXPECT_EQ(factorizations([&] { (void)pac_conversion_gain(cfg, 5e6); }), 1u)
-        << (m == mathx::SolverMode::kClassic ? "classic" : "reuse");
-  }
+  EXPECT_EQ(factorizations([&] { (void)pac_conversion_gain(cfg, 5e6); }), 1u);
 }
 
 TEST(Pnoise, NfPointCostsTwoFactorizations) {
   MixerConfig cfg;
   cfg.mode = MixerMode::kActive;
-  for (const auto m : {mathx::SolverMode::kClassic, mathx::SolverMode::kReuse}) {
-    mathx::ScopedSolverMode scoped(m);
-    EXPECT_EQ(factorizations([&] { (void)pac_nf_dsb(cfg, 5e6); }), 2u)
-        << (m == mathx::SolverMode::kClassic ? "classic" : "reuse");
-  }
+  EXPECT_EQ(factorizations([&] { (void)pac_nf_dsb(cfg, 5e6); }), 2u);
 }
 
 #endif  // RFMIX_OBS_ENABLED
-
-TEST(Pac, SolverModesAgreeBitExactly) {
-  // PAC/PNOISE factor through the LPTV engine's shared symbolic LU, so they
-  // ride the same byte-identity contract as the other engines
-  // (test_solver_parity): memcmp, signed zeros included.
-  auto outputs = [](mathx::SolverMode m) {
-    mathx::ScopedSolverMode scoped(m);
-    std::vector<double> out;
-    for (const MixerMode mode : {MixerMode::kActive, MixerMode::kPassive}) {
-      MixerConfig cfg;
-      cfg.mode = mode;
-      const PacResult pac = pac_conversion_gain(cfg, 5e6);
-      const PnoiseResult pn = pac_nf_dsb(cfg, 5e6);
-      out.insert(out.end(), {pac.conversion_gain_db, pac.image_gain_db, pn.nf_dsb_db,
-                             pn.output_noise_v2_hz});
-    }
-    return out;
-  };
-  const std::vector<double> classic = outputs(mathx::SolverMode::kClassic);
-  const std::vector<double> reuse = outputs(mathx::SolverMode::kReuse);
-  ASSERT_EQ(classic.size(), reuse.size());
-  EXPECT_EQ(std::memcmp(classic.data(), reuse.data(), classic.size() * sizeof(double)), 0);
-}
 
 }  // namespace
 }  // namespace rfmix::core

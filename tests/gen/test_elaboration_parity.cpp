@@ -1,7 +1,7 @@
 // The property the gen subsystem is built on: flat and hierarchical
 // renderings of the same GenSpec elaborate to the *same* circuit —
 // identical canonical cache records and bit-identical DC solves — at any
-// thread count and under both solver modes. memcmp over raw solution
+// thread count. memcmp over raw solution
 // vectors, not EXPECT_DOUBLE_EQ: structural sharing is only trustworthy if
 // instance replay performs the exact arithmetic of the flat deck.
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "gen/templates.hpp"
-#include "mathx/solver_config.hpp"
 #include "runtime/thread_pool.hpp"
 #include "spice/circuit.hpp"
 #include "spice/op.hpp"
@@ -30,9 +29,7 @@ std::string canonical_of(const GenSpec& spec, bool hierarchical) {
   return w.str();
 }
 
-std::vector<double> solve(const GenSpec& spec, bool hierarchical,
-                          mathx::SolverMode mode, int threads) {
-  mathx::ScopedSolverMode scoped(mode);
+std::vector<double> solve(const GenSpec& spec, bool hierarchical, int threads) {
   runtime::ScopedPool pool(threads);
   GenSpec s = spec;
   s.hierarchical = hierarchical;
@@ -88,18 +85,12 @@ TEST(ElaborationParityTest, CanonicalRecordsIdentical) {
 
 TEST(ElaborationParityTest, SolvesBitIdenticalAcrossRenderings) {
   for (const GenSpec& spec : parity_specs()) {
-    const std::vector<double> baseline =
-        solve(spec, /*hierarchical=*/false, mathx::SolverMode::kClassic, 1);
+    const std::vector<double> baseline = solve(spec, /*hierarchical=*/false, 1);
     ASSERT_FALSE(baseline.empty());
     for (const bool hier : {false, true}) {
-      for (const auto mode :
-           {mathx::SolverMode::kClassic, mathx::SolverMode::kReuse}) {
-        for (const int threads : {1, 8}) {
-          EXPECT_TRUE(same_bits(baseline, solve(spec, hier, mode, threads)))
-              << spec.template_id << " hier=" << hier
-              << " mode=" << mathx::solver_mode_name(mode)
-              << " threads=" << threads;
-        }
+      for (const int threads : {1, 8}) {
+        EXPECT_TRUE(same_bits(baseline, solve(spec, hier, threads)))
+            << spec.template_id << " hier=" << hier << " threads=" << threads;
       }
     }
   }
@@ -110,15 +101,12 @@ TEST(ElaborationParityTest, MismatchSeedReproducesBitwise) {
   spec.elements = 4;
   spec.mismatch = 0.1;
   spec.seed = 77;
-  const std::vector<double> a =
-      solve(spec, /*hierarchical=*/true, mathx::SolverMode::kClassic, 1);
-  const std::vector<double> b =
-      solve(spec, /*hierarchical=*/true, mathx::SolverMode::kClassic, 1);
+  const std::vector<double> a = solve(spec, /*hierarchical=*/true, 1);
+  const std::vector<double> b = solve(spec, /*hierarchical=*/true, 1);
   EXPECT_TRUE(same_bits(a, b));
   GenSpec other = spec;
   other.seed = 78;
-  EXPECT_FALSE(same_bits(
-      a, solve(other, /*hierarchical=*/true, mathx::SolverMode::kClassic, 1)));
+  EXPECT_FALSE(same_bits(a, solve(other, /*hierarchical=*/true, 1)));
 }
 
 }  // namespace

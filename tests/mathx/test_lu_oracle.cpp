@@ -2,7 +2,7 @@
 // systems and folds the output bits of solve() and solve_transposed(), plus
 // the symbolic's l_capacity()/u_capacity(), into one FNV-1a digest that is
 // pinned below. The refactor tests compare the factorization with itself
-// (replay vs analyze, classic vs reuse), so a change that reorders the
+// (replay vs analyze), so a change that reorders the
 // elimination updates on both sides alike passes them; these pins fail on
 // any changed bit of the factors, the pivot order or the symbolic update
 // lists (the replay steps below run through those lists).

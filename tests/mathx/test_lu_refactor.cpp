@@ -4,7 +4,9 @@
 // pivot drift, singular pinned pivot — must abort the refactor so the caller
 // can re-analyze.
 #include "mathx/sparse.hpp"
+#include "mathx/sweep_lu.hpp"
 
+#include <complex>
 #include <cstring>
 #include <gtest/gtest.h>
 
@@ -360,6 +362,35 @@ TEST(SparseLuRefactorTest, FuzzRefactorAgainstAnalyze) {
   // have taken the fast path; a refactor that never engages would make this
   // whole suite vacuous.
   EXPECT_GT(refactors, 100);
+}
+
+int g_sweep_steps[4];
+
+void count_step(SweepStep step) { ++g_sweep_steps[static_cast<int>(step)]; }
+
+// SweepLu decides replay by the symbolic's pattern, not by its stamp map: a
+// point that stamps a different triplet sequence into the same CSC pattern
+// (here it drops a zero stamp whose slot another stamp also fills) still
+// replays, byte-identical to a cold analysis.
+TEST(SweepLuTest, ReplaysWhenTripletsDifferButPatternMatches) {
+  using Cplx = std::complex<double>;
+  TripletMatrix<Cplx> first(2, 2), dropped(2, 2);
+  for (TripletMatrix<Cplx>* t : {&first, &dropped}) {
+    t->add(0, 0, {4.0, 0.0});
+    t->add(1, 0, {1.0, 0.0});
+    t->add(0, 1, {1.0, 0.0});
+    t->add(1, 1, {4.0, 0.0});
+  }
+  first.add(0, 0, {0.0, 0.5});  // a jwC stamp the next point drops
+  SweepLu<Cplx> sweep(&count_step);
+  (void)sweep.factor(first);
+  const int refactors = g_sweep_steps[static_cast<int>(SweepStep::kRefactor)];
+  const SparseLu<Cplx> lu = sweep.factor(dropped);
+  EXPECT_EQ(g_sweep_steps[static_cast<int>(SweepStep::kRefactor)], refactors + 1);
+  const std::vector<Cplx> b{{1.0, 0.0}, {2.0, -1.0}};
+  const std::vector<Cplx> x = lu.solve(b);
+  const std::vector<Cplx> cold = SparseLu<Cplx>(CscMatrix<Cplx>(dropped)).solve(b);
+  EXPECT_EQ(std::memcmp(x.data(), cold.data(), x.size() * sizeof(Cplx)), 0);
 }
 
 }  // namespace

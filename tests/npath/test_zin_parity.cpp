@@ -1,6 +1,6 @@
-// Bit-exactness harness for the npath Zin sweep, mirroring the PR-7
-// solver-parity discipline: the sweep must produce byte-identical numbers
-// at any thread count and in classic vs reuse solver mode, because the
+// Bit-exactness harness for the npath Zin sweep, mirroring the solver
+// parity discipline: the sweep must produce byte-identical numbers at any
+// thread count and equal a cold analysis at every point, because the
 // rfmixd cache stores one payload per content key and replays it to every
 // client — a single flipped mantissa bit would make a cache hit diverge
 // from a fresh run.
@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "mathx/solver_config.hpp"
 #include "npath/zin.hpp"
 #include "runtime/thread_pool.hpp"
 #include "spice/ac.hpp"
@@ -35,19 +34,23 @@ NpathSpec parity_spec() {
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-/// Compare two sweeps field-by-field at the bit level (NaN-safe, -0.0
+/// Compare two points field-by-field at the bit level (NaN-safe, -0.0
 /// sensitive) — "close" is not the contract here, "identical" is.
+void expect_point_identical(const ZinPoint& a, const ZinPoint& b, std::size_t i) {
+  EXPECT_EQ(bits(a.zin.real()), bits(b.zin.real())) << i;
+  EXPECT_EQ(bits(a.zin.imag()), bits(b.zin.imag())) << i;
+  EXPECT_EQ(bits(a.s11.real()), bits(b.s11.real())) << i;
+  EXPECT_EQ(bits(a.s11.imag()), bits(b.s11.imag())) << i;
+  EXPECT_EQ(bits(a.rerad_minus), bits(b.rerad_minus)) << i;
+  EXPECT_EQ(bits(a.rerad_plus), bits(b.rerad_plus)) << i;
+  EXPECT_EQ(bits(a.rerad_3lo), bits(b.rerad_3lo)) << i;
+}
+
 void expect_bit_identical(const ZinSweep& a, const ZinSweep& b) {
   ASSERT_EQ(a.points.size(), b.points.size());
   for (std::size_t i = 0; i < a.points.size(); ++i) {
     ASSERT_EQ(bits(a.freqs_hz[i]), bits(b.freqs_hz[i])) << i;
-    ASSERT_EQ(bits(a.points[i].zin.real()), bits(b.points[i].zin.real())) << i;
-    ASSERT_EQ(bits(a.points[i].zin.imag()), bits(b.points[i].zin.imag())) << i;
-    ASSERT_EQ(bits(a.points[i].s11.real()), bits(b.points[i].s11.real())) << i;
-    ASSERT_EQ(bits(a.points[i].s11.imag()), bits(b.points[i].s11.imag())) << i;
-    ASSERT_EQ(bits(a.points[i].rerad_minus), bits(b.points[i].rerad_minus)) << i;
-    ASSERT_EQ(bits(a.points[i].rerad_plus), bits(b.points[i].rerad_plus)) << i;
-    ASSERT_EQ(bits(a.points[i].rerad_3lo), bits(b.points[i].rerad_3lo)) << i;
+    expect_point_identical(a.points[i], b.points[i], i);
   }
   EXPECT_EQ(bits(a.summary.f_peak_hz), bits(b.summary.f_peak_hz));
   EXPECT_EQ(bits(a.summary.zin_peak_ohm), bits(b.summary.zin_peak_ohm));
@@ -57,33 +60,31 @@ void expect_bit_identical(const ZinSweep& a, const ZinSweep& b) {
   EXPECT_EQ(bits(a.summary.rerad_3lo_max), bits(b.summary.rerad_3lo_max));
 }
 
-ZinSweep run(const NpathSpec& spec, int threads, mathx::SolverMode mode) {
+// 33 points from 0.6 to 1.4 GHz: the grid hits f_LO = 1 GHz exactly.
+const std::vector<double> kGrid = spice::lin_space(0.6e9, 1.4e9, 33);
+
+ZinSweep run(const NpathSpec& spec, int threads) {
   runtime::ScopedPool pool(threads);
-  mathx::ScopedSolverMode solver(mode);
-  return zin_sweep(spec, spice::lin_space(0.6e9, 1.4e9, 33));
+  return zin_sweep(spec, kGrid);
 }
 
 TEST(NpathZinParityTest, ThreadCountDoesNotChangeBits) {
   const NpathSpec spec = parity_spec();
-  const ZinSweep serial = run(spec, 1, mathx::SolverMode::kReuse);
-  const ZinSweep parallel = run(spec, 8, mathx::SolverMode::kReuse);
-  expect_bit_identical(serial, parallel);
+  expect_bit_identical(run(spec, 1), run(spec, 8));
 }
 
+// The sweep refactors every point after the first against one shared
+// analysis (reuse); a one-point sweep analyzes its point cold (classic).
 TEST(NpathZinParityTest, ClassicAndReuseSolversAgreeBitwise) {
   const NpathSpec spec = parity_spec();
-  const ZinSweep reuse = run(spec, 8, mathx::SolverMode::kReuse);
-  const ZinSweep classic = run(spec, 8, mathx::SolverMode::kClassic);
-  expect_bit_identical(reuse, classic);
-  // And the full 2x2 grid agrees with the serial-classic reference.
-  const ZinSweep ref = run(spec, 1, mathx::SolverMode::kClassic);
-  expect_bit_identical(ref, reuse);
+  const ZinSweep reuse = run(spec, 8);
+  for (std::size_t i = 0; i < kGrid.size(); ++i)
+    expect_point_identical(zin_sweep(spec, {kGrid[i]}).points[0], reuse.points[i], i);
 }
 
 TEST(NpathZinParityTest, ServicePayloadBytesAreInvariant) {
   // The same invariance one layer up: the serialized npath_zin payload the
-  // cache stores must be string-equal across thread counts and solver
-  // modes.
+  // cache stores must be string-equal across thread counts.
   svc::Request req;
   req.kind = svc::RequestKind::kNpathZin;
   req.npath.spec = parity_spec();
@@ -93,14 +94,10 @@ TEST(NpathZinParityTest, ServicePayloadBytesAreInvariant) {
 
   std::vector<std::string> payloads;
   for (const int threads : {1, 8}) {
-    for (const auto mode : {mathx::SolverMode::kClassic, mathx::SolverMode::kReuse}) {
-      runtime::ScopedPool pool(threads);
-      mathx::ScopedSolverMode solver(mode);
-      payloads.push_back(svc::execute_request(req));
-    }
+    runtime::ScopedPool pool(threads);
+    payloads.push_back(svc::execute_request(req));
   }
-  for (std::size_t i = 1; i < payloads.size(); ++i)
-    EXPECT_EQ(payloads[0], payloads[i]) << "variant " << i;
+  EXPECT_EQ(payloads[0], payloads[1]);
   EXPECT_NE(payloads[0].find("\"analysis\":\"npath_zin\""), std::string::npos);
 }
 

@@ -6,7 +6,6 @@
 
 #include <string>
 
-#include "mathx/solver_config.hpp"
 #include "runtime/thread_pool.hpp"
 #include "svc/json_parse.hpp"
 #include "svc/request.hpp"
@@ -34,24 +33,14 @@ TEST_F(ProtocolGoldenTest, PingV2) {
 }
 
 TEST_F(ProtocolGoldenTest, StatsOnFreshSession) {
-  // stats reports numeric provenance after the counters: the active solver
-  // mode (whatever RFMIX_SOLVER pinned — both spellings are wire format)
-  // and the canonicalization epoch behind every cache key.
-  mathx::ScopedSolverMode reuse(mathx::SolverMode::kReuse);
+  // stats reports numeric provenance after the counters: the
+  // canonicalization epoch behind every cache key.
   EXPECT_EQ(
       reply(R"json({"v":2,"id":1,"kind":"stats"})json"),
       R"json({"v":2,"id":1,"ok":true,"result":{"jobs":{"submitted":0,"cache_hits":0,)json"
       R"json("deduped":0,"executed":0,"failed":0},"cache":{"hits":0,"misses":0,)json"
       R"json("evictions":0,"stores":0,"disk_hits":0,"disk_stores":0,"disk_corrupt":0,)json"
-      R"json("entries":0},"solver_mode":"reuse","canonical_epoch":2}})json");
-}
-
-TEST_F(ProtocolGoldenTest, StatsReportsClassicSolverMode) {
-  mathx::ScopedSolverMode classic(mathx::SolverMode::kClassic);
-  const std::string r = reply(R"json({"v":2,"id":1,"kind":"stats"})json");
-  EXPECT_NE(r.find(R"json("solver_mode":"classic","canonical_epoch":2}})json"),
-            std::string::npos)
-      << r;
+      R"json("entries":0},"canonical_epoch":2}})json");
 }
 
 TEST_F(ProtocolGoldenTest, CancelWithNothingPending) {
