@@ -5,7 +5,9 @@
 // the cold pass executes every LPTV solve, the warm pass must be served
 // entirely from the cache with bit-identical payloads. Reports cold/warm
 // wall time, speedup, and hit rate — the service layer's headline numbers.
+#include <atomic>
 #include <chrono>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -23,6 +25,24 @@ namespace {
 double ms_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+/// Submit every job, then help the pool until all have completed; payloads
+/// come back in input order (a failed job leaves its slot empty).
+std::vector<std::string> run_all(svc::JobScheduler& sched,
+                                 const std::vector<svc::JobScheduler::Job>& jobs) {
+  std::vector<std::string> results(jobs.size());
+  std::atomic<std::size_t> remaining{jobs.size()};
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    sched.submit(jobs[i], [&results, &remaining, i](const std::string* payload,
+                                                    std::exception_ptr, bool, bool) {
+      if (payload != nullptr) results[i] = *payload;
+      remaining.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  sched.pool().assist_until(
+      [&remaining] { return remaining.load(std::memory_order_acquire) == 0; });
+  return results;
 }
 
 }  // namespace
@@ -52,11 +72,11 @@ int main(int argc, char** argv) {
   svc::JobScheduler sched(cache, runtime::ThreadPool::current());
 
   const auto t_cold = std::chrono::steady_clock::now();
-  const std::vector<std::string> cold = sched.run_batch(jobs);
+  const std::vector<std::string> cold = run_all(sched, jobs);
   const double cold_ms = ms_since(t_cold);
 
   const auto t_warm = std::chrono::steady_clock::now();
-  const std::vector<std::string> warm = sched.run_batch(jobs);
+  const std::vector<std::string> warm = run_all(sched, jobs);
   const double warm_ms = ms_since(t_warm);
 
   bool identical = cold.size() == warm.size();
@@ -91,10 +111,12 @@ int main(int argc, char** argv) {
   cli.add_metric("bit_identical", identical ? 1.0 : 0.0);
   cli.add_metric("executed", static_cast<double>(stats.executed));
 
-  // Failures the driver can see: a warm pass that re-executed or drifted.
-  if (!identical || stats.executed != jobs.size()) {
+  // Failures the exit code reports: a failed solve, or a warm pass that
+  // re-executed or drifted.
+  if (!identical || stats.executed != jobs.size() || stats.failed != 0) {
     out << "cache replay FAILED: executed=" << stats.executed << " expected "
-        << jobs.size() << ", identical=" << identical << "\n";
+        << jobs.size() << ", failed=" << stats.failed << ", identical=" << identical
+        << "\n";
     cli.finish();
     return 1;
   }

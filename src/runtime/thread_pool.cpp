@@ -107,16 +107,6 @@ void ThreadPool::worker_main(int id) {
   }
 }
 
-bool ThreadPool::on_worker_thread() const { return tl_pool == this; }
-
-bool ThreadPool::help_one() {
-  if (queues_.empty()) return false;
-  // A worker starts from its own deque (LIFO); an outside thread scans from
-  // queue 0 and effectively steals.
-  const int id = (tl_pool == this && tl_worker_id >= 0) ? tl_worker_id : 0;
-  return try_run_one(id);
-}
-
 void ThreadPool::assist_until(const std::function<bool()>& done) {
   using namespace std::chrono_literals;
   if (queues_.empty()) {
@@ -125,6 +115,8 @@ void ThreadPool::assist_until(const std::function<bool()>& done) {
     while (!done()) std::this_thread::sleep_for(50us);
     return;
   }
+  // A worker starts from its own deque (LIFO); an outside thread scans from
+  // queue 0 and effectively steals.
   const int id = (tl_pool == this && tl_worker_id >= 0) ? tl_worker_id : 0;
   while (!done()) {
     if (try_run_one(id)) continue;

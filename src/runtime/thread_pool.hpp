@@ -58,22 +58,13 @@ class ThreadPool {
   /// clamped to [1, 512], else hardware_concurrency() (at least 1).
   static int configured_threads();
 
-  /// True when called from one of this pool's worker threads.
-  bool on_worker_thread() const;
-
-  /// Pop-or-steal one queued job and run it on the calling thread; false
-  /// when every deque is empty (or in the serial fallback, which has no
-  /// queues). Lets a thread that must block on a future lend itself to the
-  /// pool instead — the scheduler in src/svc awaits this way so a worker
-  /// waiting on a deduplicated job cannot deadlock the pool.
-  bool help_one();
-
   /// Run queued jobs on the calling thread until `done()` returns true.
   /// While the queues are empty the caller parks on the pool's wake signal
   /// (bounded waits, so an externally-completed `done` is noticed within
-  /// ~200us) instead of spinning. This is how blocking waiters — the
-  /// svc JobScheduler's await, graceful-shutdown drains — wait without
-  /// starving the pool of a lane.
+  /// ~200us) instead of spinning. This is how blocking waiters — rfmixd's
+  /// blocking request path (ServerSession::handle_line), a job waiting on
+  /// another job — wait without starving the pool of a lane: a worker
+  /// waiting on a queued job runs it instead of deadlocking the pool.
   void assist_until(const std::function<bool()>& done);
 
  private:

@@ -76,11 +76,9 @@ JsonValue JsonValue::object(std::vector<std::pair<std::string, JsonValue>> membe
   return v;
 }
 
-namespace {
-
-class Parser {
+class JsonParser {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  explicit JsonParser(std::string_view text) : text_(text) {}
 
   JsonValue parse_document() {
     skip_ws();
@@ -123,6 +121,14 @@ class Parser {
   }
 
   JsonValue parse_value(int depth) {
+    const std::size_t begin = pos_;
+    JsonValue v = parse_bare_value(depth);
+    v.begin_ = begin;
+    v.end_ = pos_;
+    return v;
+  }
+
+  JsonValue parse_bare_value(int depth) {
     if (depth > kMaxDepth) fail("nesting too deep");
     if (eof()) fail("unexpected end of input");
     const char c = peek();
@@ -309,8 +315,6 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
-}  // namespace
-
-JsonValue json_parse(std::string_view text) { return Parser(text).parse_document(); }
+JsonValue json_parse(std::string_view text) { return JsonParser(text).parse_document(); }
 
 }  // namespace rfmix::svc

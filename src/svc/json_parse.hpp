@@ -5,8 +5,10 @@
 // missing half. Scope is deliberately small: full RFC 8259 value grammar,
 // UTF-8 passed through verbatim, \uXXXX escapes decoded (surrogate pairs
 // included), and objects keep insertion order so error messages can point
-// at the offending key. Parse failures throw JsonParseError with a byte
-// offset into the input line.
+// at the offending key. Each parsed value also records its source byte
+// range, which is how the router splices its ticket over a client's id
+// without re-serializing the request. Parse failures throw JsonParseError
+// with a byte offset into the input line.
 #pragma once
 
 #include <cstddef>
@@ -53,6 +55,11 @@ class JsonValue {
   /// object.
   const JsonValue* find(std::string_view key) const;
 
+  /// Byte range [source_begin, source_end) of this value in the text
+  /// json_parse read; empty for values built by the factories below.
+  std::size_t source_begin() const { return begin_; }
+  std::size_t source_end() const { return end_; }
+
   static JsonValue null();
   static JsonValue boolean(bool b);
   static JsonValue number(double d);
@@ -61,12 +68,16 @@ class JsonValue {
   static JsonValue object(std::vector<std::pair<std::string, JsonValue>> members);
 
  private:
+  friend class JsonParser;
+
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
   double num_ = 0.0;
   std::string str_;
   std::vector<JsonValue> items_;
   std::vector<std::pair<std::string, JsonValue>> members_;
+  std::size_t begin_ = 0;
+  std::size_t end_ = 0;
 };
 
 /// Parse one complete JSON document; trailing non-whitespace is an error.

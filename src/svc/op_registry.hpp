@@ -3,15 +3,16 @@
 //
 // Before this existed, every new rfmixd op re-implemented its own slice of
 // request handling by hand across request.cpp — parameter parsing,
-// strictness rules, canonical cache records, execution, and the router's
-// re-serialization — and the per-op if/else chains grew with each PR. An
-// OpSpec packages those per-op concerns declaratively:
+// strictness rules, canonical cache records and execution — and the per-op
+// if/else chains grew with each PR. An OpSpec packages those per-op
+// concerns declaratively:
 //
 //   name  ->  field schema {type, required, range}  ->  handlers
 //
-// and parse_request / request_canonical / execute_request /
-// serialize_v2_request in request.cpp become thin, op-agnostic dispatch
-// over the registry.
+// and parse_request / request_canonical / execute_request in request.cpp
+// become thin, op-agnostic dispatch over the registry. The router forwards
+// the client's own bytes (forward_request_line), so no op serializes its
+// parameters back to JSON.
 //
 // Error-message compatibility is part of the contract: schemas reproduce
 // the exact bytes the hand-rolled parsers emitted ("missing required field
@@ -107,10 +108,6 @@ struct OpSpec {
   std::function<void(CanonicalWriter&, const Request&)> canonical;
   /// Execute and serialize the result payload (analysis ops).
   std::function<std::string(const Request&)> execute;
-  /// Append the `"k":v,...` body of the v2 params object for router
-  /// replay (analysis ops). Must serialize every field the schema reads so
-  /// parse(serialize(req)) reproduces the identical Request.
-  std::function<void(std::string&, const Request&)> serialize_params;
 
   /// Control-op parameter parsing (cancel). Applied to the params object.
   std::function<void(const JsonValue& params, ParsedRequest&)> parse_control;

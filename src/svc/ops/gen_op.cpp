@@ -29,11 +29,6 @@ namespace {
 
 namespace json = obs::json;
 
-std::vector<double> grid(double f_start, double f_stop, int points, bool log_scale) {
-  return log_scale ? spice::log_space(f_start, f_stop, points)
-                   : spice::lin_space(f_start, f_stop, points);
-}
-
 std::string execute_gen(const Request& req) {
   const GenRequestSpec& g = req.gen;
   const std::string deck = gen::render_netlist(g.spec);
@@ -58,7 +53,7 @@ std::string execute_gen(const Request& req) {
     // statistics a beamforming designer actually wants — where each
     // element's impedance peak landed and how far the array spreads.
     const std::vector<double> freqs =
-        grid(g.f_start_hz, g.f_stop_hz, g.points, g.log_scale);
+        freq_grid(g.f_start_hz, g.f_stop_hz, g.points, g.log_scale);
     std::vector<double> f_peak, q, zin_peak;
     for (int i = 0; i < g.spec.elements; ++i) {
       const npath::ZinSweep sw =
@@ -67,17 +62,6 @@ std::string execute_gen(const Request& req) {
       q.push_back(sw.summary.q);
       zin_peak.push_back(sw.summary.zin_peak_ohm);
     }
-    const auto append_array = [](std::string& out, std::string_view name,
-                                 const std::vector<double>& v) {
-      out += ",\"";
-      out += name;
-      out += "\":[";
-      for (std::size_t i = 0; i < v.size(); ++i) {
-        if (i > 0) out.push_back(',');
-        out += json::number(v[i]);
-      }
-      out.push_back(']');
-    };
     double mn = f_peak[0], mx = f_peak[0], sum = 0.0;
     for (const double f : f_peak) {
       mn = std::min(mn, f);
@@ -86,9 +70,9 @@ std::string execute_gen(const Request& req) {
     }
     std::string out = head;
     out += ",\"elements\":" + json::number(double(g.spec.elements));
-    append_array(out, "f_peak_hz", f_peak);
-    append_array(out, "q", q);
-    append_array(out, "zin_peak_ohm", zin_peak);
+    append_number_array(out, "f_peak_hz", f_peak);
+    append_number_array(out, "q", q);
+    append_number_array(out, "zin_peak_ohm", zin_peak);
     out += ",\"spread\":{\"f_peak_min_hz\":" + json::number(mn);
     out += ",\"f_peak_max_hz\":" + json::number(mx);
     out += ",\"f_peak_mean_hz\":" + json::number(sum / double(f_peak.size()));
@@ -123,27 +107,11 @@ std::string execute_gen(const Request& req) {
   const spice::NodeId probe = ckt.find_node(g.ac.probe);
   const spice::NodeId ref =
       g.ac.probe_ref.empty() ? spice::kGround : ckt.find_node(g.ac.probe_ref);
-  const std::vector<double> freqs =
-      grid(g.ac.f_start_hz, g.ac.f_stop_hz, g.ac.points, g.ac.log_scale);
-  const spice::AcResult res = spice::ac_sweep(ckt, dc, freqs);
+  const spice::AcResult res = spice::ac_sweep(
+      ckt, dc, freq_grid(g.ac.f_start_hz, g.ac.f_stop_hz, g.ac.points, g.ac.log_scale));
   std::string out = head;
-  out += ",\"probe\":" + json::quoted(g.ac.probe);
-  out += ",\"freqs_hz\":[";
-  for (std::size_t i = 0; i < freqs.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    out += json::number(freqs[i]);
-  }
-  out += "],\"real\":[";
-  for (std::size_t i = 0; i < freqs.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    out += json::number(res.vd(i, probe, ref).real());
-  }
-  out += "],\"imag\":[";
-  for (std::size_t i = 0; i < freqs.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    out += json::number(res.vd(i, probe, ref).imag());
-  }
-  out += "]}";
+  append_ac_probe(out, g.ac.probe, res, probe, ref);
+  out.push_back('}');
   return out;
 }
 
@@ -268,35 +236,6 @@ void register_gen_op(OpRegistry& r) {
     w.end_record();
   };
   op.execute = execute_gen;
-  op.serialize_params = [](std::string& out, const Request& req) {
-    const gen::GenSpec& s = req.gen.spec;
-    out += "\"template\":" + json::quoted(s.template_id);
-    out += ",\"elements\":" + json::number(double(s.elements));
-    out += ",\"paths\":" + json::number(double(s.paths));
-    out += ",\"sections\":" + json::number(double(s.sections));
-    out += ",\"depth\":" + json::number(double(s.depth));
-    out += ",\"seed\":" + json::number(double(s.seed));
-    out += ",\"mismatch\":" + json::number(s.mismatch);
-    out += ",\"hierarchical\":";
-    out += s.hierarchical ? "true" : "false";
-    out += ",\"r_source\":" + json::number(s.r_source);
-    out += ",\"switch_ron\":" + json::number(s.switch_ron);
-    out += ",\"zbb_r\":" + json::number(s.zbb_r);
-    out += ",\"zbb_c\":" + json::number(s.zbb_c);
-    out += ",\"f_lo_hz\":" + json::number(s.f_lo_hz);
-    out += ",\"analysis\":" + json::quoted(req.gen.analysis);
-    if (req.gen.analysis == "ac") {
-      out.push_back(',');
-      append_ac_params_json(out, req.gen.ac);
-    } else if (req.gen.analysis == "npath_zin") {
-      out += ",\"sweep\":{\"f_start_hz\":" + json::number(req.gen.f_start_hz);
-      out += ",\"f_stop_hz\":" + json::number(req.gen.f_stop_hz);
-      out += ",\"points\":" + json::number(double(req.gen.points));
-      out += ",\"log_scale\":";
-      out += req.gen.log_scale ? "true" : "false";
-      out.push_back('}');
-    }
-  };
   r.register_op(std::move(op));
 }
 

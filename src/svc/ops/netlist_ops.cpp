@@ -23,11 +23,6 @@ namespace {
 
 namespace json = obs::json;
 
-std::vector<double> ac_freq_grid(const AcSpec& ac) {
-  return ac.log_scale ? spice::log_space(ac.f_start_hz, ac.f_stop_hz, ac.points)
-                      : spice::lin_space(ac.f_start_hz, ac.f_stop_hz, ac.points);
-}
-
 std::string execute_op(const Request& req) {
   spice::Circuit ckt = spice::parse_netlist(req.netlist);
   const spice::Solution op = spice::dc_operating_point(ckt);
@@ -60,41 +55,48 @@ std::string execute_ac(const Request& req) {
   const spice::NodeId ref =
       req.ac.probe_ref.empty() ? spice::kGround : ckt.find_node(req.ac.probe_ref);
   const spice::Solution op = spice::dc_operating_point(ckt);
-  const std::vector<double> freqs = ac_freq_grid(req.ac);
-  const spice::AcResult res = spice::ac_sweep(ckt, op, freqs);
-  std::string out = "{\"analysis\":\"ac\",\"probe\":";
-  out += json::quoted(req.ac.probe);
-  out += ",\"freqs_hz\":[";
-  for (std::size_t i = 0; i < freqs.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    out += json::number(freqs[i]);
-  }
-  out += "],\"real\":[";
-  for (std::size_t i = 0; i < freqs.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    out += json::number(res.vd(i, probe, ref).real());
-  }
-  out += "],\"imag\":[";
-  for (std::size_t i = 0; i < freqs.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    out += json::number(res.vd(i, probe, ref).imag());
-  }
-  out += "]}";
+  const AcSpec& ac = req.ac;
+  const spice::AcResult res =
+      spice::ac_sweep(ckt, op, freq_grid(ac.f_start_hz, ac.f_stop_hz, ac.points, ac.log_scale));
+  std::string out = "{\"analysis\":\"ac\"";
+  append_ac_probe(out, ac.probe, res, probe, ref);
+  out.push_back('}');
   return out;
 }
 
-void serialize_ac_object(std::string& out, const AcSpec& ac) {
-  out += "\"ac\":{\"f_start_hz\":" + json::number(ac.f_start_hz);
-  out += ",\"f_stop_hz\":" + json::number(ac.f_stop_hz);
-  out += ",\"points\":" + json::number(double(ac.points));
-  out += ",\"log_scale\":";
-  out += ac.log_scale ? "true" : "false";
-  out += ",\"probe\":" + json::quoted(ac.probe);
-  if (!ac.probe_ref.empty()) out += ",\"probe_ref\":" + json::quoted(ac.probe_ref);
-  out.push_back('}');
+}  // namespace
+
+std::vector<double> freq_grid(double f_start_hz, double f_stop_hz, int points,
+                              bool log_scale) {
+  return log_scale ? spice::log_space(f_start_hz, f_stop_hz, points)
+                   : spice::lin_space(f_start_hz, f_stop_hz, points);
 }
 
-}  // namespace
+void append_number_array(std::string& out, std::string_view name,
+                         const std::vector<double>& values) {
+  out += ",\"";
+  out += name;
+  out += "\":[";
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) out.push_back(',');
+    out += json::number(values[i]);
+  }
+  out.push_back(']');
+}
+
+void append_ac_probe(std::string& out, std::string_view probe_name,
+                     const spice::AcResult& res, spice::NodeId probe, spice::NodeId ref) {
+  out += ",\"probe\":";
+  out += json::quoted(probe_name);
+  append_number_array(out, "freqs_hz", res.freqs_hz);
+  std::vector<double> re, im;
+  for (std::size_t i = 0; i < res.freqs_hz.size(); ++i) {
+    re.push_back(res.vd(i, probe, ref).real());
+    im.push_back(res.vd(i, probe, ref).imag());
+  }
+  append_number_array(out, "real", re);
+  append_number_array(out, "imag", im);
+}
 
 Schema make_ac_object_schema(AcSpec& (*get)(Request&)) {
   Schema s("ac");
@@ -106,10 +108,6 @@ Schema make_ac_object_schema(AcSpec& (*get)(Request&)) {
   s.string("probe_ref",
            [get](const std::string& v, Request& r) { get(r).probe_ref = v; });
   return s;
-}
-
-void append_ac_params_json(std::string& out, const AcSpec& ac) {
-  serialize_ac_object(out, ac);
 }
 
 void register_netlist_ops(OpRegistry& r) {
@@ -128,9 +126,6 @@ void register_netlist_ops(OpRegistry& r) {
     w.end_record();
   };
   op.execute = execute_op;
-  op.serialize_params = [](std::string& out, const Request& req) {
-    out += "\"netlist\":" + json::quoted(req.netlist);
-  };
   r.register_op(std::move(op));
 
   OpSpec ac;
@@ -161,11 +156,6 @@ void register_netlist_ops(OpRegistry& r) {
     w.end_record();
   };
   ac.execute = execute_ac;
-  ac.serialize_params = [](std::string& out, const Request& req) {
-    out += "\"netlist\":" + json::quoted(req.netlist);
-    out.push_back(',');
-    serialize_ac_object(out, req.ac);
-  };
   r.register_op(std::move(ac));
 }
 

@@ -8,11 +8,11 @@
 
 #include "npath/zin.hpp"
 #include "obs/json_writer.hpp"
-#include "spice/ac.hpp"
 #include "svc/canonical.hpp"
 #include "svc/json_parse.hpp"
 #include "svc/op_registry.hpp"
 #include "svc/ops/registrations.hpp"
+#include "svc/ops/shared.hpp"
 
 namespace rfmix::svc {
 
@@ -20,24 +20,10 @@ namespace {
 
 namespace json = obs::json;
 
-std::vector<double> npath_freq_grid(const NpathSweepSpec& ns) {
-  return ns.log_scale ? spice::log_space(ns.f_start_hz, ns.f_stop_hz, ns.points)
-                      : spice::lin_space(ns.f_start_hz, ns.f_stop_hz, ns.points);
-}
-
 std::string execute_npath_zin(const Request& req) {
   const NpathSweepSpec& ns = req.npath;
-  const npath::ZinSweep sw = npath::zin_sweep(ns.spec, npath_freq_grid(ns));
-  const auto append_array = [](std::string& out, std::string_view name, auto&& value) {
-    out += ",\"";
-    out += name;
-    out += "\":[";
-    for (std::size_t i = 0; i < value.size(); ++i) {
-      if (i > 0) out.push_back(',');
-      out += json::number(value[i]);
-    }
-    out.push_back(']');
-  };
+  const npath::ZinSweep sw = npath::zin_sweep(
+      ns.spec, freq_grid(ns.f_start_hz, ns.f_stop_hz, ns.points, ns.log_scale));
   std::vector<double> zin_re, zin_im, s11_db, rerad3;
   zin_re.reserve(sw.points.size());
   zin_im.reserve(sw.points.size());
@@ -55,11 +41,11 @@ std::string execute_npath_zin(const Request& req) {
   out += json::number(double(ns.spec.lo.phases));
   out += ",\"f_lo_hz\":";
   out += json::number(ns.spec.f_lo_hz);
-  append_array(out, "freqs_hz", sw.freqs_hz);
-  append_array(out, "zin_real", zin_re);
-  append_array(out, "zin_imag", zin_im);
-  append_array(out, "s11_db", s11_db);
-  append_array(out, "rerad3_rel", rerad3);
+  append_number_array(out, "freqs_hz", sw.freqs_hz);
+  append_number_array(out, "zin_real", zin_re);
+  append_number_array(out, "zin_imag", zin_im);
+  append_number_array(out, "s11_db", s11_db);
+  append_number_array(out, "rerad3_rel", rerad3);
   out += ",\"summary\":{\"f_peak_hz\":";
   out += json::number(sw.summary.f_peak_hz);
   out += ",\"zin_peak_ohm\":";
@@ -147,30 +133,6 @@ void register_npath_zin_op(OpRegistry& r) {
     w.end_record();
   };
   np.execute = execute_npath_zin;
-  np.serialize_params = [](std::string& out, const Request& req) {
-    // Serialize every knob (the parser is strict on unknowns but quiet
-    // on missing ones) so the replayed line parses to the same Request,
-    // same canonical bytes, same key.
-    const npath::NpathSpec& s = req.npath.spec;
-    out += "\"phases\":" + json::number(double(s.lo.phases));
-    out += ",\"duty\":" + json::number(s.lo.duty);
-    out += ",\"rise_frac\":" + json::number(s.lo.rise_frac);
-    out += ",\"overlap_guard\":" + json::number(s.lo.overlap_guard);
-    out += ",\"samples\":" + json::number(double(s.lo.samples));
-    out += ",\"f_lo_hz\":" + json::number(s.f_lo_hz);
-    out += ",\"r_source\":" + json::number(s.r_source);
-    out += ",\"switch_ron\":" + json::number(s.switch_ron);
-    out += ",\"zbb_r\":" + json::number(s.zbb_r);
-    out += ",\"zbb_c\":" + json::number(s.zbb_c);
-    out += ",\"c_rf\":" + json::number(s.c_rf);
-    out += ",\"harmonics\":" + json::number(double(s.harmonics));
-    out += ",\"sweep\":{\"f_start_hz\":" + json::number(req.npath.f_start_hz);
-    out += ",\"f_stop_hz\":" + json::number(req.npath.f_stop_hz);
-    out += ",\"points\":" + json::number(double(req.npath.points));
-    out += ",\"log_scale\":";
-    out += req.npath.log_scale ? "true" : "false";
-    out += "}";
-  };
   r.register_op(std::move(np));
 }
 

@@ -1,10 +1,13 @@
-// Internal: schema/serialization pieces shared between op registrations
-// (the `ac` parameter object is used by both the ac op and the gen op's
-// piped-ac analysis).
+// Internal: schema and payload pieces shared between op registrations
+// (the `ac` parameter object and the AC probe payload are used by both the
+// ac op and the gen op's piped-ac analysis).
 #pragma once
 
 #include <string>
+#include <string_view>
+#include <vector>
 
+#include "spice/ac.hpp"
 #include "svc/op_registry.hpp"
 
 namespace rfmix::svc {
@@ -14,8 +17,19 @@ namespace rfmix::svc {
 /// selects out of the request being built.
 Schema make_ac_object_schema(AcSpec& (*get)(Request&));
 
-/// Append `"ac":{...}` (no leading comma) serializing every field the
-/// schema reads.
-void append_ac_params_json(std::string& out, const AcSpec& ac);
+/// The sweep frequencies of a request's grid: log- or linearly spaced,
+/// endpoints included.
+std::vector<double> freq_grid(double f_start_hz, double f_stop_hz, int points,
+                              bool log_scale);
+
+/// Append `,"<name>":[v0,v1,...]`.
+void append_number_array(std::string& out, std::string_view name,
+                         const std::vector<double>& values);
+
+/// Append the AC probe payload `,"probe":…,"freqs_hz":[…],"real":[…],
+/// "imag":[…]`: the voltage of `probe` relative to `ref` at every swept
+/// frequency.
+void append_ac_probe(std::string& out, std::string_view probe_name,
+                     const spice::AcResult& res, spice::NodeId probe, spice::NodeId ref);
 
 }  // namespace rfmix::svc

@@ -1,9 +1,8 @@
 // Protocol framing + op-agnostic dispatch. Everything kind-specific —
-// parameter schemas, canonical cache records, execution, router
-// re-serialization — lives in the OpRegistry (src/svc/ops/*); this file
-// only knows the envelope: id echoing, the version check, the strict
-// envelope scan, and how to hand the params object to whichever OpSpec the
-// "kind" names.
+// parameter schemas, canonical cache records, execution — lives in the
+// OpRegistry (src/svc/ops/*); this file only knows the envelope: id
+// echoing and forwarding, the version check, the strict envelope scan, and
+// how to hand the params object to whichever OpSpec the "kind" names.
 #include "svc/request.hpp"
 
 #include <climits>
@@ -27,11 +26,10 @@ double number_field(const JsonValue& obj, std::string_view key, double fallback)
   return v->as_number();
 }
 
-/// Re-serialize the request's "id" member for echoing (number, string, or
-/// absent -> "null"). Anything else would make responses unroutable, so it
-/// is an invalid_request, not a silent null.
-std::string id_of(const JsonValue& doc) {
-  const JsonValue* id = doc.find("id");
+/// Re-serialize the request's "id" member (nullptr when absent) for
+/// echoing: number, string, or "null". Anything else would make responses
+/// unroutable, so it is an invalid_request, not a silent null.
+std::string id_of(const JsonValue* id) {
   if (id == nullptr || id->is_null()) return "null";
   if (id->is_number()) {
     if (!std::isfinite(id->as_number()))
@@ -89,7 +87,12 @@ ParsedRequest parse_request(const JsonValue& doc) {
     throw RequestError(ErrorCode::kInvalidRequest, "request must be a JSON object");
 
   ParsedRequest out;
-  out.id_json = id_of(doc);
+  const JsonValue* id = doc.find("id");
+  out.id_json = id_of(id);
+  if (id != nullptr) {
+    out.id_begin = id->source_begin();
+    out.id_end = id->source_end();
+  }
 
   // One envelope version: a request without "v", or with any other value,
   // is rejected rather than guessed at.
@@ -169,22 +172,17 @@ std::string request_canonical(const Request& req) {
 
 Hash128 request_key(const Request& req) { return hash128(request_canonical(req)); }
 
-std::string serialize_v2_request(const ParsedRequest& req, const std::string& id_json) {
-  std::string out = "{\"v\":2,\"id\":" + id_json + ",\"kind\":" + json::quoted(req.kind);
-  if (req.priority != 0) out += ",\"priority\":" + json::number(double(req.priority));
-  if (req.timeout_ms > 0.0) out += ",\"timeout_ms\":" + json::number(req.timeout_ms);
-  if (req.kind == "cancel") {
-    out += ",\"params\":{\"target\":" + req.cancel_target + "}}";
+std::string forward_request_line(std::string_view line, const ParsedRequest& req,
+                                 std::string_view id_json) {
+  std::string out;
+  if (req.id_end > req.id_begin) {
+    out.append(line, 0, req.id_begin).append(id_json).append(line, req.id_end);
     return out;
   }
-  const OpSpec* spec = OpRegistry::instance().find(req.kind);
-  if (spec == nullptr || !spec->serialize_params) {  // ping / stats: no params
-    out.push_back('}');
-    return out;
-  }
-  out += ",\"params\":{";
-  spec->serialize_params(out, req.request);
-  out += "}}";
+  // No id: the ticket becomes the first member.
+  const std::size_t body = line.find('{') + 1;
+  out.append(line, 0, body).append("\"id\":").append(id_json).append(",");
+  out.append(line, body);
   return out;
 }
 

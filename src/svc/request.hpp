@@ -16,6 +16,7 @@
 // ErrorCode that clients can dispatch on.
 #pragma once
 
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -136,6 +137,10 @@ class RequestError : public std::runtime_error {
 /// `cancel_target` only for kind == "cancel".
 struct ParsedRequest {
   std::string id_json = "null";  // client id re-serialized for echoing
+  // Source byte range of the first "id" member's value in the parsed
+  // line; empty when the client sent no id.
+  std::size_t id_begin = 0;
+  std::size_t id_end = 0;
   std::string kind;
   int priority = 0;           // higher drains first
   double timeout_ms = 0.0;    // <= 0 means no deadline
@@ -152,13 +157,13 @@ bool is_analysis_kind(std::string_view kind);
 /// every failure; never partially succeeds.
 ParsedRequest parse_request(const JsonValue& doc);
 
-/// Re-serialize a parsed analysis/control request as one v2 request line
-/// (no trailing newline) with `id_json` substituted for the client's id.
-/// The router forwards through this: parse → re-serialize round-trips to
-/// an identical Request (same canonical bytes, same content key, and so a
-/// byte-identical payload), which is what makes replay after a worker
-/// death transparent.
-std::string serialize_v2_request(const ParsedRequest& req, const std::string& id_json);
+/// `line`, the text `req` was parsed from, with `id_json` spliced over the
+/// value of its first "id" member, or inserted as the first member when
+/// the client sent no id. The router forwards (and replays) this: a worker
+/// parses exactly the bytes the router admitted and keyed, and forwarding
+/// a forwarded line again is a fixed point.
+std::string forward_request_line(std::string_view line, const ParsedRequest& req,
+                                 std::string_view id_json);
 
 /// Parse a mixer-config JSON object (field name -> number, "mode" ->
 /// "active"/"passive") onto `config`. Unknown fields and type mismatches

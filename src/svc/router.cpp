@@ -467,7 +467,7 @@ void RouterLoop::on_line(Conn& conn, const std::string& line) {
   t.client_gen = conn.gen;
   t.id_json = req.id_json;
   t.key = key;
-  t.forward_line = serialize_v2_request(req, std::to_string(ticket_id));
+  t.forward_line = forward_request_line(line, req, std::to_string(ticket_id));
   tickets_.emplace(ticket_id, std::move(t));
   ++conn.inflight;
   route_or_degrade(ticket_id);

@@ -113,7 +113,7 @@ class RouterLoop : public LineReactor {
     std::uint64_t client_gen = 0;
     std::string id_json;  // the client's id, restored on the response
     Hash128 key;
-    std::string forward_line;  // v2 line with the ticket as id
+    std::string forward_line;  // the client's line with the ticket as id
     int worker = -1;
     int replays = 0;
   };

@@ -1,8 +1,5 @@
 #include "svc/scheduler.hpp"
 
-#include <algorithm>
-#include <chrono>
-#include <numeric>
 #include <utility>
 
 #include "obs/obs.hpp"
@@ -10,7 +7,7 @@
 
 namespace rfmix::svc {
 
-JobScheduler::Outcome JobScheduler::submit(const Job& job) {
+void JobScheduler::submit(const Job& job, Completion done) {
   std::unique_lock<std::mutex> lk(mu_);
   ++stats_.submitted;
   RFMIX_OBS_COUNT("svc.jobs.submitted");
@@ -20,34 +17,7 @@ JobScheduler::Outcome JobScheduler::submit(const Job& job) {
   if (const auto it = inflight_.find(job.key); it != inflight_.end()) {
     ++stats_.deduped;
     RFMIX_OBS_COUNT("svc.jobs.deduped");
-    return Outcome{it->second.future, job.key, /*cache_hit=*/false, /*deduped=*/true};
-  }
-  if (auto hit = cache_.get(job.key)) {
-    ++stats_.cache_hits;
-    std::promise<std::string> ready;
-    ready.set_value(std::move(*hit));
-    return Outcome{ready.get_future().share(), job.key, /*cache_hit=*/true,
-                   /*deduped=*/false};
-  }
-  auto promise = std::make_shared<std::promise<std::string>>();
-  std::shared_future<std::string> fut = promise->get_future().share();
-  inflight_.emplace(job.key, Inflight{fut, {}});
-  heap_.push(Pending{job.key, job.compute, std::move(promise), job.priority, next_seq_++});
-  lk.unlock();
-  // Each pool task drains one pending job — not necessarily the one pushed
-  // above; the heap decides, which is what makes priority work.
-  pool_.submit([this] { drain_one(); });
-  return Outcome{std::move(fut), job.key, /*cache_hit=*/false, /*deduped=*/false};
-}
-
-void JobScheduler::submit_async(const Job& job, Completion done) {
-  std::unique_lock<std::mutex> lk(mu_);
-  ++stats_.submitted;
-  RFMIX_OBS_COUNT("svc.jobs.submitted");
-  if (const auto it = inflight_.find(job.key); it != inflight_.end()) {
-    ++stats_.deduped;
-    RFMIX_OBS_COUNT("svc.jobs.deduped");
-    it->second.callbacks.emplace_back(std::move(done), /*deduped=*/true);
+    it->second.emplace_back(std::move(done), /*deduped=*/true);
     return;
   }
   if (auto hit = cache_.get(job.key)) {
@@ -57,14 +27,13 @@ void JobScheduler::submit_async(const Job& job, Completion done) {
     done(&payload, nullptr, /*cache_hit=*/true, /*deduped=*/false);
     return;
   }
-  auto promise = std::make_shared<std::promise<std::string>>();
-  Inflight entry{promise->get_future().share(), {}};
-  entry.callbacks.emplace_back(std::move(done), /*deduped=*/false);
-  inflight_.emplace(job.key, std::move(entry));
-  heap_.push(Pending{job.key, job.compute, std::move(promise), job.priority, next_seq_++});
+  inflight_[job.key].emplace_back(std::move(done), /*deduped=*/false);
+  heap_.push(Pending{job.key, job.compute, job.priority, next_seq_++});
   lk.unlock();
-  // On a serial pool this runs the job (and the completion) inline before
-  // returning — callers must tolerate synchronous completion.
+  // Each pool task drains one pending job — not necessarily the one pushed
+  // above; the heap decides, which is what makes priority work. On a serial
+  // pool this runs the job (and its completion) inline before returning, so
+  // callers must tolerate synchronous completion.
   pool_.submit([this] { drain_one(); });
 }
 
@@ -91,58 +60,24 @@ void JobScheduler::drain_one() {
     // arriving in between sees a hit rather than re-executing.
     cache_.put(p.key, payload);
   }
-  std::vector<std::pair<Completion, bool>> callbacks;
+  Callbacks callbacks;
   {
     std::lock_guard<std::mutex> lk(mu_);
     if (const auto it = inflight_.find(p.key); it != inflight_.end()) {
-      callbacks = std::move(it->second.callbacks);
+      callbacks = std::move(it->second);
       inflight_.erase(it);
     }
     ++stats_.executed;
     if (err) ++stats_.failed;
   }
   RFMIX_OBS_COUNT("svc.jobs.executed");
-  if (err) {
-    RFMIX_OBS_COUNT("svc.jobs.failed");
-    p.promise->set_exception(err);
-  } else {
-    p.promise->set_value(payload);
-  }
-  // Callbacks run after the promise so blocking waiters of the same key
-  // are never held behind callback work.
+  if (err) RFMIX_OBS_COUNT("svc.jobs.failed");
   for (auto& [done, deduped] : callbacks) {
     if (err)
       done(nullptr, err, /*cache_hit=*/false, deduped);
     else
       done(&payload, nullptr, /*cache_hit=*/false, deduped);
   }
-}
-
-std::string JobScheduler::await(const Outcome& outcome) {
-  using namespace std::chrono_literals;
-  // Lend this thread to the pool while the result is pending; the pool
-  // parks it on the worker wake signal when there is nothing to help with.
-  pool_.assist_until(
-      [&] { return outcome.result.wait_for(0s) == std::future_status::ready; });
-  return outcome.result.get();
-}
-
-std::string JobScheduler::run(const Job& job) { return await(submit(job)); }
-
-std::vector<std::string> JobScheduler::run_batch(const std::vector<Job>& jobs) {
-  // Pre-sort submissions so priority order also holds on a serial pool,
-  // where submit() executes inline.
-  std::vector<std::size_t> order(jobs.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return jobs[a].priority > jobs[b].priority;
-  });
-  std::vector<Outcome> outcomes(jobs.size());
-  for (const std::size_t idx : order) outcomes[idx] = submit(jobs[idx]);
-  std::vector<std::string> results;
-  results.reserve(jobs.size());
-  for (const Outcome& o : outcomes) results.push_back(await(o));
-  return results;
 }
 
 JobScheduler::Stats JobScheduler::stats() const {

@@ -1,24 +1,26 @@
-// Job scheduler: batched, deduplicated, priority-ordered execution of
-// cacheable computations on the runtime thread pool.
+// Job scheduler: deduplicated, priority-ordered execution of cacheable
+// computations on the runtime thread pool.
 //
-// A job is (content hash, compute closure). The scheduler is the only
-// writer of its ResultCache, which gives the two service guarantees:
+// A job is (content hash, compute closure), and it completes by callback
+// only. The scheduler is the only writer of its ResultCache, which gives
+// the two service guarantees:
 //  * cache coherence — a key is computed at most once per process even
 //    under concurrent submission (single-flight: later submitters of an
-//    in-flight key join the first run's future instead of re-executing);
+//    in-flight key attach their callback to the first run instead of
+//    re-executing);
 //  * priority — pending jobs drain highest-priority first, FIFO within a
-//    priority level. With a serial pool (no workers) jobs run inline at
-//    submit time, so run_batch additionally pre-sorts its submissions and
-//    batch priority order holds at any thread count.
+//    priority level. With a serial pool (no workers) a job runs inline at
+//    submit, so the order only shows once jobs queue behind busy workers.
 //
-// await() never parks a pool worker while work is queued: the waiting
-// thread lends itself to the pool via ThreadPool::help_one, so a worker
-// blocked on a deduplicated neighbour cannot starve the pool.
+// A caller that must block (ServerSession::handle_line, a compute closure
+// waiting on another job) waits with ThreadPool::assist_until on a flag
+// its callback sets, so the waiting thread runs queued jobs instead of
+// starving the pool of a lane.
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <queue>
 #include <string>
@@ -45,27 +47,18 @@ class JobScheduler {
     std::uint64_t failed = 0;      // executions that threw
   };
 
-  /// What submit() resolved a job to. `result` is always valid; get()
-  /// rethrows the compute closure's exception on failure.
-  struct Outcome {
-    std::shared_future<std::string> result;
-    Hash128 key;
-    bool cache_hit = false;
-    bool deduped = false;
-  };
-
   struct Job {
     Hash128 key;
     std::function<std::string()> compute;
     int priority = 0;  // higher drains first
   };
 
-  /// Completion callback for submit_async: exactly one of `payload` /
-  /// `err` is set; `cache_hit` / `deduped` carry the same provenance the
-  /// blocking Outcome does. Runs on whichever thread resolves the job —
-  /// inline in submit_async for cache hits (and inline execution on a
-  /// serial pool), else on the pool worker that finished the compute — so
-  /// it must not block on pool work itself.
+  /// Completion callback: exactly one of `payload` / `err` is set;
+  /// `cache_hit` (served from the cache, no execution) and `deduped`
+  /// (joined an in-flight identical job) carry its provenance. Runs on
+  /// whichever thread resolves the job — inline in submit for cache hits
+  /// (and inline execution on a serial pool), else on the pool worker that
+  /// finished the compute — so it must not block on pool work itself.
   using Completion = std::function<void(const std::string* payload,
                                         std::exception_ptr err, bool cache_hit,
                                         bool deduped)>;
@@ -73,36 +66,22 @@ class JobScheduler {
   JobScheduler(ResultCache& cache, runtime::ThreadPool& pool)
       : cache_(cache), pool_(pool) {}
 
-  /// Resolve a job: cache probe, then single-flight join, then enqueue.
-  /// The compute closure must be a pure function of the key's content —
-  /// its payload is cached under `key` on success.
-  Outcome submit(const Job& job);
-
-  /// submit() without the blocking await: `done` is invoked exactly once
-  /// with the result. Deduplicated submissions of an in-flight key attach
-  /// their callback to the running execution instead of re-executing —
-  /// one compute can fan out to many completions.
-  void submit_async(const Job& job, Completion done);
-
-  /// Block until `outcome` is ready, executing queued jobs on this thread
-  /// while waiting. Returns the payload; rethrows on failure.
-  std::string await(const Outcome& outcome);
-
-  /// submit + await.
-  std::string run(const Job& job);
-
-  /// Submit every job (highest priority first, FIFO within a level), then
-  /// await all; results are returned in input order.
-  std::vector<std::string> run_batch(const std::vector<Job>& jobs);
+  /// Resolve a job — single-flight join, then cache probe, then enqueue —
+  /// and invoke `done` exactly once with the result. Deduplicated
+  /// submissions of an in-flight key attach their callback to the running
+  /// execution, so one compute can fan out to many completions. The
+  /// compute closure must be a pure function of the key's content — its
+  /// payload is cached under `key` on success.
+  void submit(const Job& job, Completion done);
 
   Stats stats() const;
   ResultCache& cache() { return cache_; }
+  runtime::ThreadPool& pool() { return pool_; }
 
  private:
   struct Pending {
     Hash128 key;
     std::function<std::string()> compute;
-    std::shared_ptr<std::promise<std::string>> promise;
     int priority = 0;
     std::uint64_t seq = 0;
   };
@@ -113,12 +92,9 @@ class JobScheduler {
     }
   };
 
-  /// One in-flight key: the future blocking submitters join, plus the
-  /// callbacks async submitters attached (each with its own deduped flag).
-  struct Inflight {
-    std::shared_future<std::string> future;
-    std::vector<std::pair<Completion, bool>> callbacks;
-  };
+  /// The callbacks attached to one in-flight key, each with its own
+  /// deduped flag.
+  using Callbacks = std::vector<std::pair<Completion, bool>>;
 
   /// Pool task body: pop the highest-priority pending job and execute it.
   void drain_one();
@@ -126,7 +102,7 @@ class JobScheduler {
   ResultCache& cache_;
   runtime::ThreadPool& pool_;
   mutable std::mutex mu_;
-  std::unordered_map<Hash128, Inflight, Hash128Hasher> inflight_;
+  std::unordered_map<Hash128, Callbacks, Hash128Hasher> inflight_;
   std::priority_queue<Pending, std::vector<Pending>, PendingOrder> heap_;
   std::uint64_t next_seq_ = 0;
   Stats stats_;

@@ -1,5 +1,6 @@
 #include "svc/server.hpp"
 
+#include <atomic>
 #include <cmath>
 #include <istream>
 #include <ostream>
@@ -153,20 +154,18 @@ Response ServerSession::handle_line(const std::string& line) {
   ParsedRequest req;
   if (std::optional<Response> err = parse_line(line, &req)) return *err;
   if (!is_analysis_kind(req.kind)) return respond_control(req);
-  try {
-    const Request& r = req.request;
-    const Hash128 key = request_key(r);
-    const JobScheduler::Outcome outcome =
-        sched_.submit(JobScheduler::Job{key, [r] { return execute_request(r); },
-                                        req.priority});
-    const std::string payload = sched_.await(outcome);
-    return make_analysis_response(req, outcome.cache_hit, outcome.deduped, key, payload);
-  } catch (const std::exception& e) {
-    return make_error_response(req.id_json, ErrorCode::kExecFailed, e.what());
-  } catch (...) {
-    return make_error_response(req.id_json, ErrorCode::kExecFailed,
-                               "unknown execution failure");
-  }
+  // The completion runs inline (serial pool, cache hit, keying failure) or
+  // on a pool worker. It publishes the response before its release store
+  // and touches nothing on this stack after that store, so returning once
+  // the flag reads true is safe.
+  Response out;
+  std::atomic<bool> done{false};
+  submit_async(req, [&out, &done](Response r) {
+    out = std::move(r);
+    done.store(true, std::memory_order_release);
+  });
+  sched_.pool().assist_until([&done] { return done.load(std::memory_order_acquire); });
+  return out;
 }
 
 void ServerSession::submit_async(const ParsedRequest& req,
@@ -179,12 +178,15 @@ void ServerSession::submit_async(const ParsedRequest& req,
   } catch (const std::exception& e) {
     done(make_error_response(req.id_json, ErrorCode::kExecFailed, e.what()));
     return;
+  } catch (...) {
+    done(make_error_response(req.id_json, ErrorCode::kExecFailed,
+                             "unknown execution failure"));
+    return;
   }
-  const Request r = req.request;
-  // `req` is dead by the time a worker completes; copy what the formatter
-  // needs into the completion.
-  sched_.submit_async(
-      JobScheduler::Job{key, [r] { return execute_request(r); }, req.priority},
+  // `req` is dead by the time a worker completes; copy what the compute and
+  // the formatter need into the job.
+  sched_.submit(
+      JobScheduler::Job{key, [r = req.request] { return execute_request(r); }, req.priority},
       [id_json = req.id_json, key, done = std::move(done)](
           const std::string* payload, std::exception_ptr err, bool cached,
           bool deduped) {

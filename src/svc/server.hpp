@@ -2,12 +2,13 @@
 // JSON out, protocol v2 (docs/service.md).
 //
 // One ServerSession wraps a JobScheduler over a ResultCache and a thread
-// pool. The session is transport-free: handle_line() is a pure
-// request->response function (no streams, no flushing) used by the
-// blocking stdin path and the tests, and submit_async() is the
-// callback-completion entry the poll(2) event loop (event_loop.hpp) routes
-// through so responses can finish out of order. The binary in rfmixd.cpp
-// is a thin transport shell around these two.
+// pool. The session is transport-free: submit_async() is the one request
+// path, the callback-completion entry the poll(2) event loop
+// (event_loop.hpp) routes through so responses can finish out of order,
+// and handle_line() is its blocking wrapper (parse, submit_async, then
+// assist the pool until the callback has run) for the stdin path and the
+// tests. The binary in rfmixd.cpp is a thin transport shell around these
+// two.
 #pragma once
 
 #include <cstddef>

@@ -8,6 +8,7 @@
 
 #include <cmath>
 
+#include "core/behavioral.hpp"
 #include "lptv/lptv.hpp"
 #include "mathx/interp.hpp"
 #include "mathx/units.hpp"
@@ -28,6 +29,18 @@ TEST(LptvMixer, ActiveGainNearPaper) {
 
 TEST(LptvMixer, PassiveGainNearPaper) {
   EXPECT_NEAR(lptv_conversion_gain_db(config_for(MixerMode::kPassive)), 25.5, 1.0);
+}
+
+TEST(LptvMixer, GainAgreesWithBehavioralModelAtTheAnchor) {
+  // Two independent engines at the paper's anchor (2.405 GHz RF, 5 MHz
+  // IF): the conversion-matrix model and the paper-calibrated behavioral
+  // model. Measured margin: 0.119 dB active, 0.132 dB passive.
+  for (const MixerMode mode : {MixerMode::kActive, MixerMode::kPassive}) {
+    const MixerConfig cfg = config_for(mode);
+    EXPECT_NEAR(lptv_conversion_gain_db(cfg, 5e6),
+                BehavioralMixer(cfg).conversion_gain_db(2.405e9, 5e6), 0.2)
+        << frontend::mode_name(mode);
+  }
 }
 
 TEST(LptvMixer, ActiveNfNearPaper) {

@@ -35,7 +35,9 @@ TEST_P(PacVsTransient, ConversionGainsAgree) {
   topt.samples_per_lo = 20;
   const double g_tran = measure_conversion_gain_db(*mixer, 5e6, 2e-3, topt);
 
-  EXPECT_NEAR(pac.conversion_gain_db, g_tran, 1.0) << frontend::mode_name(GetParam());
+  // Measured margin at this configuration: 0.196 dB active, 0.0001 dB
+  // passive (deterministic at any thread count).
+  EXPECT_NEAR(pac.conversion_gain_db, g_tran, 0.3) << frontend::mode_name(GetParam());
 }
 
 TEST_P(PacVsTransient, ImageGainNearlyEqualAtLowIf) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace rfmix::svc {
 namespace {
 
@@ -47,6 +49,22 @@ TEST(JsonParse, ObjectKeepsInsertionOrder) {
   EXPECT_EQ(members[0].first, "z");
   EXPECT_EQ(members[1].first, "a");
   EXPECT_EQ(members[2].first, "m");
+}
+
+TEST(JsonParse, RecordsSourceRanges) {
+  // Every value knows the bytes it was parsed from, escapes and nesting
+  // included; the surrounding whitespace is not part of a value.
+  const std::string text = R"( {"id" : "a\"b", "n":[1, -2.5e3 ,null]} )";
+  const JsonValue v = json_parse(text);
+  const auto source = [&text](const JsonValue& x) {
+    return text.substr(x.source_begin(), x.source_end() - x.source_begin());
+  };
+  EXPECT_EQ(source(v), R"({"id" : "a\"b", "n":[1, -2.5e3 ,null]})");
+  EXPECT_EQ(source(*v.find("id")), R"("a\"b")");
+  EXPECT_EQ(source(*v.find("n")), "[1, -2.5e3 ,null]");
+  EXPECT_EQ(source(v.find("n")->as_array()[1]), "-2.5e3");
+  EXPECT_EQ(source(v.find("n")->as_array()[2]), "null");
+  EXPECT_EQ(JsonValue::number(1.0).source_end(), 0u);
 }
 
 TEST(JsonParse, Errors) {

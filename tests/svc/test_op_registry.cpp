@@ -41,7 +41,6 @@ TEST(OpRegistryTest, AnalysisFlagsMatchDispatch) {
     EXPECT_TRUE(spec->analysis) << name;
     EXPECT_TRUE(bool(spec->canonical)) << name;
     EXPECT_TRUE(bool(spec->execute)) << name;
-    EXPECT_TRUE(bool(spec->serialize_params)) << name;
   }
   for (const char* name : {"ping", "stats", "cancel"})
     EXPECT_FALSE(r.find(name)->analysis) << name;

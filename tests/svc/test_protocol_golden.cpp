@@ -86,6 +86,18 @@ TEST_F(ProtocolGoldenTest, BadParamsV2) {
             R"json("message":"missing required field 'netlist'"}})json");
 }
 
+TEST_F(ProtocolGoldenTest, MixerConfigTypeErrorOutranksUnknownName) {
+  // The config value's type is checked before its name is looked up.
+  EXPECT_EQ(reply(R"json({"v":2,"id":6,"kind":"mixer_metric","params":{"metric":"gain_db",)json"
+                  R"json("config":{"bogus":"x"}}})json"),
+            R"json({"v":2,"id":6,"ok":false,"error":{"code":"bad_params",)json"
+            R"json("message":"json value is not a number"}})json");
+  EXPECT_EQ(reply(R"json({"v":2,"id":6,"kind":"mixer_metric","params":{"metric":"gain_db",)json"
+                  R"json("config":{"bogus":1}}})json"),
+            R"json({"v":2,"id":6,"ok":false,"error":{"code":"bad_params",)json"
+            R"json("message":"unknown config field 'bogus'"}})json");
+}
+
 TEST_F(ProtocolGoldenTest, InvalidRequestV2) {
   EXPECT_EQ(reply(R"json({"v":2,"id":5,"kind":"op","netlist":"x"})json"),
             R"json({"v":2,"id":5,"ok":false,"error":{"code":"invalid_request",)json"

@@ -10,9 +10,9 @@
 // real rfmixd worker (RFMIXD_BIN): the router's client-side framing must
 // be just as invisible, against the same serial oracle.
 //
-// Also pins the serialize_v2_request fixed point the router's replay
-// machinery depends on: parse -> serialize -> parse must converge (same
-// content key, identical bytes), so a replayed request is the request.
+// The corpus (request_corpus.hpp) routes every analysis kind, so the
+// router's forward path (the client's own line with the ticket spliced over
+// its id) is checked against the same oracle for each op.
 #include <gtest/gtest.h>
 
 #ifndef _WIN32
@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "runtime/thread_pool.hpp"
+#include "request_corpus.hpp"
 #include "svc/event_loop.hpp"
 #include "svc/request.hpp"
 #include "svc/router.hpp"
@@ -39,46 +40,6 @@
 
 namespace rfmix::svc {
 namespace {
-
-std::vector<std::string> corpus() {
-  std::vector<std::string> lines;
-  // Valid v2 analysis requests (distinct content keys).
-  lines.push_back(
-      R"({"v":2,"id":1,"kind":"op","params":{"netlist":"V1 in 0 DC 1\nR1 in out 1000\nR2 out 0 1000\n.end"}})");
-  lines.push_back(
-      R"({"v":2,"id":"two","kind":"op","params":{"netlist":"V1 in 0 DC 2\nR1 in out 1000\nR2 out 0 2000\n.end"}})");
-  lines.push_back(
-      R"({"v":2,"id":3,"kind":"ac","priority":5,"params":{"netlist":"V1 in 0 DC 0 AC 1\nR1 in out 1000\nC1 out 0 1e-9\n.end","ac":{"f_start_hz":10.0,"f_stop_hz":1e6,"points":16,"log_scale":true,"probe":"out"}}})");
-  // Repeat of an earlier key: exercises the cached-flag path in order.
-  lines.push_back(
-      R"({"v":2,"id":4,"kind":"op","params":{"netlist":"V1 in 0 DC 1\nR1 in out 1000\nR2 out 0 1000\n.end"}})");
-  // Control requests; the version-less one is rejected.
-  lines.push_back(R"({"v":2,"id":5,"kind":"ping"})");
-  lines.push_back(R"({"id":6,"kind":"ping"})");
-  lines.push_back(R"({"v":2,"id":7,"kind":"cancel","params":{"target":1}})");
-  // Malformed JSON of assorted shapes.
-  lines.push_back("{nope");
-  lines.push_back(R"({"v":2,"id":8,)");
-  lines.push_back("[1,2,3]");
-  lines.push_back("\"just a string\"");
-  lines.push_back("{}");
-  // Envelope violations: unknown field, unknown kind, bad version, bad
-  // params, wrong types.
-  lines.push_back(R"({"v":2,"id":9,"kind":"ping","bogus":1})");
-  lines.push_back(R"({"v":2,"id":10,"kind":"frobnicate"})");
-  lines.push_back(R"({"v":3,"id":11,"kind":"ping"})");
-  lines.push_back(R"({"v":2,"id":12,"kind":"op","params":{"netlist":42}})");
-  lines.push_back(R"({"v":2,"id":13,"kind":"op"})");
-  lines.push_back(R"({"v":2,"id":{},"kind":"ping"})");
-  lines.push_back(R"({"v":2,"id":14,"kind":"ac","params":{"netlist":"x","ac":{"f_start_hz":-1}}})");
-  // Escapes and unicode in strings that land in responses.
-  lines.push_back(R"({"v":2,"id":"q\"uote\\\n","kind":"ping"})");
-  lines.push_back(R"({"v":2,"id":"é€","kind":"ping"})");
-  // Deep nesting and a long-but-legal line.
-  lines.push_back(R"({"v":2,"id":15,"kind":"op","params":{"netlist":")" +
-                  std::string(2000, 'x') + R"("}})");
-  return lines;
-}
 
 /// A dense AC sweep of an RC ladder that keeps a worker busy for a while;
 /// `tag` makes the content (and so the cache key) unique.
@@ -240,7 +201,7 @@ class RouterFuzzTest : public RequestFuzzTest {
 };
 
 void RequestFuzzTest::whole_line_feed() {
-  const auto lines = corpus();
+  const auto lines = request_corpus();
   const auto expected = oracle_responses(lines);
   start();
   Client c;
@@ -254,7 +215,7 @@ void RequestFuzzTest::whole_line_feed() {
 }
 
 void RequestFuzzTest::byte_at_a_time_feed() {
-  const auto lines = corpus();
+  const auto lines = request_corpus();
   const auto expected = oracle_responses(lines);
   start();
   Client c;
@@ -268,7 +229,7 @@ void RequestFuzzTest::byte_at_a_time_feed() {
 }
 
 void RequestFuzzTest::seeded_random_splits() {
-  const auto lines = corpus();
+  const auto lines = request_corpus();
   const auto expected = oracle_responses(lines);
   std::string stream;
   for (const auto& line : lines) stream += line + "\n";
@@ -413,53 +374,6 @@ TEST_F(RouterFuzzTest, PeerDisconnectMidResponseIsConnectionCleanupNotDeath) {
     ASSERT_EQ(lines.size(), 1u);
     EXPECT_EQ(lines[0], R"({"v":2,"id":7,"ok":true,"result":{"pong":true}})");
   }
-}
-
-// ---------------------------------------------------------------------------
-// serialize_v2_request: the replay fixed point.
-// ---------------------------------------------------------------------------
-
-TEST(SerializeV2Request, RoundTripsToIdenticalBytesAndKey) {
-  std::vector<std::string> valid;
-  for (const auto& line : corpus()) {
-    ParsedRequest req;
-    if (ServerSession::parse_line(line, &req)) continue;  // skip invalid
-    if (!is_analysis_kind(req.kind)) continue;
-    try {
-      (void)request_key(req.request);  // skip un-keyable netlists: those
-    } catch (const std::exception&) {  // answer exec_failed, never replay
-      continue;
-    }
-    valid.push_back(line);
-  }
-  ASSERT_GE(valid.size(), 3u);
-  for (const auto& line : valid) {
-    ParsedRequest req;
-    ASSERT_FALSE(ServerSession::parse_line(line, &req));
-    const std::string once = serialize_v2_request(req, "42");
-    ParsedRequest again;
-    ASSERT_FALSE(ServerSession::parse_line(once, &again)) << once;
-    EXPECT_EQ(again.id_json, "42");
-    EXPECT_EQ(again.kind, req.kind);
-    EXPECT_EQ(again.priority, req.priority);
-    // Same content key (replay idempotence)...
-    EXPECT_EQ(request_key(again.request).hex(), request_key(req.request).hex());
-    // ...and serialization is a fixed point (replay of a replay is stable).
-    EXPECT_EQ(serialize_v2_request(again, "42"), once) << line;
-  }
-}
-
-TEST(SerializeV2Request, PreservesTimeoutAndPriority) {
-  const std::string line =
-      R"({"v":2,"id":1,"kind":"op","priority":-3,"timeout_ms":1500,"params":{"netlist":"V1 a 0 DC 1\nR1 a 0 50\n.end"}})";
-  ParsedRequest req;
-  ASSERT_FALSE(ServerSession::parse_line(line, &req));
-  const std::string out = serialize_v2_request(req, "\"t\"");
-  ParsedRequest again;
-  ASSERT_FALSE(ServerSession::parse_line(out, &again)) << out;
-  EXPECT_EQ(again.priority, -3);
-  EXPECT_DOUBLE_EQ(again.timeout_ms, 1500.0);
-  EXPECT_EQ(request_key(again.request).hex(), request_key(req.request).hex());
 }
 
 }  // namespace

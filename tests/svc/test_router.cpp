@@ -124,6 +124,13 @@ class RouterTest : public ::testing::Test {
     thread_ = std::thread([this] { loop_->run(); });
   }
 
+  /// Stop the loop thread. Only then may a test read what that thread
+  /// owns: the loop's counters and the supervisor's worker table.
+  void stop_loop() {
+    loop_->request_shutdown();
+    if (thread_.joinable()) thread_.join();
+  }
+
   void TearDown() override {
     if (loop_) loop_->request_shutdown();
     if (thread_.joinable()) thread_.join();
@@ -242,6 +249,7 @@ TEST_F(RouterTest, RepeatedKeyAnswersFromRouterCacheTier) {
     return line.substr(line.find("\"key\":"));
   };
   EXPECT_EQ(tail_of(first[0]), tail_of(second[0]));
+  stop_loop();
   EXPECT_GE(loop_->stats().cache_hits, 1u);
 }
 
@@ -360,6 +368,7 @@ TEST_F(RouterTest, CrashAfterFaultIsSurvivedByReplayAndRestart) {
   }
   // The fleet crashed repeatedly underneath the batch, with the fault's
   // distinctive exit code.
+  stop_loop();
   std::uint64_t spawns = 0;
   bool saw_fault_exit = false;
   for (const Supervisor::Worker& w : sup_->workers()) {
@@ -417,6 +426,7 @@ TEST_F(RouterTest, HungWorkersAreKilledByHeartbeatAndRequestsDegrade) {
   // must see is a bounded structured failure, not an infinite wait.
   EXPECT_NE(lines[0].find("\"code\":\"unavailable\""), std::string::npos) << lines[0];
   EXPECT_LT(elapsed, 30000);
+  stop_loop();
   EXPECT_GE(loop_->stats().heartbeat_failures, 1u);
 }
 
