@@ -50,53 +50,55 @@ class PendingSteps {
   std::size_t lo_ = kNoStep, hi_ = 0;  // word range that may hold set bits
 };
 
+// The one triplet -> CSC conversion: count entries per column, scatter
+// their arrival indices column by column, sort each column by row, and
+// merge every entry whose row its column already holds. Writes the pattern
+// into col_ptr/row_idx and calls visit(k, first) for each triplet entry k
+// in the order its value lands: first == true opens the CSC slot
+// row_idx.size() - 1, false accumulates into it. Duplicates of one (row, col)
+// arrive in the order std::sort leaves them; the constructor and
+// TripletCscMap::build share this walk, so their sums match to the bit.
+template <typename T, typename Visit>
+void triplet_to_csc(const TripletMatrix<T>& t, std::vector<std::size_t>& col_ptr,
+                    std::vector<std::size_t>& row_idx, Visit visit) {
+  const auto& tr = t.row_indices();
+  const auto& tc = t.col_indices();
+  const std::size_t m = tr.size();
+  std::vector<std::size_t> start(t.cols() + 1, 0);
+  for (std::size_t k = 0; k < m; ++k) ++start[tc[k] + 1];
+  for (std::size_t j = 0; j < t.cols(); ++j) start[j + 1] += start[j];
+  std::vector<std::size_t> next(start.begin(), start.end() - 1);
+  std::vector<std::size_t> arrival(m);
+  for (std::size_t k = 0; k < m; ++k) arrival[next[tc[k]]++] = k;
+
+  col_ptr.assign(t.cols() + 1, 0);
+  row_idx.clear();
+  row_idx.reserve(m);
+  for (std::size_t j = 0; j < t.cols(); ++j) {
+    const auto lo = arrival.begin() + static_cast<std::ptrdiff_t>(start[j]);
+    const auto hi = arrival.begin() + static_cast<std::ptrdiff_t>(start[j + 1]);
+    std::sort(lo, hi, [&](std::size_t a, std::size_t b) { return tr[a] < tr[b]; });
+    for (auto it = lo; it != hi; ++it) {
+      const bool first = row_idx.size() == col_ptr[j] || row_idx.back() != tr[*it];
+      if (first) row_idx.push_back(tr[*it]);
+      visit(*it, first);
+    }
+    col_ptr[j + 1] = row_idx.size();
+  }
+}
+
 }  // namespace
 
 template <typename T>
-CscMatrix<T>::CscMatrix(const TripletMatrix<T>& t)
-    : rows_(t.rows()), cols_(t.cols()), col_ptr_(t.cols() + 1, 0) {
-  const auto& tr = t.row_indices();
-  const auto& tc = t.col_indices();
+CscMatrix<T>::CscMatrix(const TripletMatrix<T>& t) : rows_(t.rows()), cols_(t.cols()) {
   const auto& tv = t.values();
-
-  // Count entries per column, then prefix-sum into col_ptr.
-  std::vector<std::size_t> count(cols_, 0);
-  for (std::size_t k = 0; k < tv.size(); ++k) ++count[tc[k]];
-  for (std::size_t j = 0; j < cols_; ++j) col_ptr_[j + 1] = col_ptr_[j] + count[j];
-
-  // Scatter unsorted, then sort and merge duplicates per column.
-  std::vector<std::size_t> next(col_ptr_.begin(), col_ptr_.end() - 1);
-  std::vector<std::size_t> ri(tv.size());
-  std::vector<T> va(tv.size());
-  for (std::size_t k = 0; k < tv.size(); ++k) {
-    const std::size_t p = next[tc[k]]++;
-    ri[p] = tr[k];
-    va[p] = tv[k];
-  }
-
-  row_idx_.reserve(tv.size());
   values_.reserve(tv.size());
-  std::vector<std::size_t> new_col_ptr(cols_ + 1, 0);
-  std::vector<std::size_t> order;
-  for (std::size_t j = 0; j < cols_; ++j) {
-    const std::size_t lo = col_ptr_[j], hi = col_ptr_[j + 1];
-    order.resize(hi - lo);
-    for (std::size_t k = 0; k < order.size(); ++k) order[k] = lo + k;
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) { return ri[a] < ri[b]; });
-    for (std::size_t k = 0; k < order.size(); ++k) {
-      const std::size_t p = order[k];
-      if (new_col_ptr[j + 1] > new_col_ptr[j] && row_idx_.back() == ri[p]) {
-        values_.back() += va[p];  // merge duplicate stamp
-      } else {
-        row_idx_.push_back(ri[p]);
-        values_.push_back(va[p]);
-        ++new_col_ptr[j + 1];
-      }
-    }
-    new_col_ptr[j + 1] += new_col_ptr[j];
-  }
-  col_ptr_ = std::move(new_col_ptr);
+  triplet_to_csc(t, col_ptr_, row_idx_, [&](std::size_t k, bool first) {
+    if (first)
+      values_.push_back(tv[k]);
+    else
+      values_.back() += tv[k];
+  });
 }
 
 template <typename T>
@@ -118,58 +120,14 @@ void TripletCscMap<T>::build(const TripletMatrix<T>& t) {
   cols_ = t.cols();
   trip_rows_ = t.row_indices();
   trip_cols_ = t.col_indices();
-  const auto& tr = trip_rows_;
-  const auto& tc = trip_cols_;
-  const std::size_t m = tr.size();
-
-  // Mirror the CscMatrix(TripletMatrix) constructor step for step — count,
-  // prefix-sum, scatter in arrival order, per-column sort by row — but
-  // record where each entry lands instead of accumulating values, so the
-  // sort sees the identical index sequence (and thus produces the identical
-  // permutation, ties included).
-  std::vector<std::size_t> cp(cols_ + 1, 0);
-  std::vector<std::size_t> count(cols_, 0);
-  for (std::size_t k = 0; k < m; ++k) ++count[tc[k]];
-  for (std::size_t j = 0; j < cols_; ++j) cp[j + 1] = cp[j] + count[j];
-
-  std::vector<std::size_t> next(cp.begin(), cp.end() - 1);
-  std::vector<std::size_t> ri(m);
-  std::vector<std::size_t> arrival(m);  // scatter position -> arrival index
-  for (std::size_t k = 0; k < m; ++k) {
-    const std::size_t p = next[tc[k]]++;
-    ri[p] = tr[k];
-    arrival[p] = k;
-  }
-
   walk_src_.clear();
-  walk_dst_.clear();
   walk_first_.clear();
-  walk_src_.reserve(m);
-  walk_dst_.reserve(m);
-  walk_first_.reserve(m);
-  col_ptr_.assign(cols_ + 1, 0);
-  row_idx_.clear();
-  row_idx_.reserve(m);
-  std::vector<std::size_t> order;
-  for (std::size_t j = 0; j < cols_; ++j) {
-    const std::size_t lo = cp[j], hi = cp[j + 1];
-    order.resize(hi - lo);
-    for (std::size_t k = 0; k < order.size(); ++k) order[k] = lo + k;
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) { return ri[a] < ri[b]; });
-    for (std::size_t k = 0; k < order.size(); ++k) {
-      const std::size_t p = order[k];
-      const bool dup = col_ptr_[j + 1] > col_ptr_[j] && row_idx_.back() == ri[p];
-      if (!dup) {
-        row_idx_.push_back(ri[p]);
-        ++col_ptr_[j + 1];
-      }
-      walk_src_.push_back(arrival[p]);
-      walk_dst_.push_back(row_idx_.size() - 1);
-      walk_first_.push_back(dup ? 0 : 1);
-    }
-    col_ptr_[j + 1] += col_ptr_[j];
-  }
+  walk_src_.reserve(trip_rows_.size());
+  walk_first_.reserve(trip_rows_.size());
+  triplet_to_csc(t, col_ptr_, row_idx_, [&](std::size_t k, bool first) {
+    walk_src_.push_back(k);
+    walk_first_.push_back(first ? 1 : 0);
+  });
 }
 
 template <typename T>
@@ -185,11 +143,12 @@ void TripletCscMap<T>::fill(const TripletMatrix<T>& t, CscMatrix<T>& csc) const 
   std::vector<T>& v = csc.mutable_values();
   // Assign-then-accumulate matches the constructor's push_back/+= merge
   // exactly (an initial `T{} + x` would flip the sign of a -0.0 stamp).
+  std::size_t end = 0;  // one past the slot the walk last opened
   for (std::size_t w = 0; w < walk_src_.size(); ++w) {
     if (walk_first_[w])
-      v[walk_dst_[w]] = tv[walk_src_[w]];
+      v[end++] = tv[walk_src_[w]];
     else
-      v[walk_dst_[w]] += tv[walk_src_[w]];
+      v[end - 1] += tv[walk_src_[w]];
   }
 }
 
@@ -212,6 +171,13 @@ bool SparseLu<T>::refactor_from(const SparseLuSymbolic<T>& sym, const CscMatrix<
     n_ = 0;
     return false;
   }
+  // Size the factor buffers from the symbolic before the replay. Not inside
+  // factorize(): inlined there, reserve() made GCC 12 at -O3 compile the
+  // complex replay loop about 2.5x slower (N-path block systems).
+  l_row_idx_.reserve(sym.l_capacity_);
+  l_values_.reserve(sym.l_capacity_);
+  u_row_idx_.reserve(sym.u_capacity_);
+  u_values_.reserve(sym.u_capacity_);
   return factorize(a, pivot_tol, &sym, repair, repaired);
 }
 
@@ -263,12 +229,6 @@ bool SparseLu<T>::factorize(const CscMatrix<T>& a, double pivot_tol,
   u_values_.clear();
   perm_.assign(n, static_cast<std::size_t>(-1));
   perm_inv_.assign(n, static_cast<std::size_t>(-1));
-  if (sym) {
-    l_row_idx_.reserve(sym->l_capacity_);
-    l_values_.reserve(sym->l_capacity_);
-    u_row_idx_.reserve(sym->u_capacity_);
-    u_values_.reserve(sym->u_capacity_);
-  }
 
   work_.assign(n, T{});      // dense column, original row coords
   occupied_.assign(n, 0);    // nonzero-pattern flags for `work_`

@@ -84,6 +84,8 @@ class CscMatrix {
  public:
   CscMatrix() = default;
 
+  /// Rows sorted within each column, one entry per distinct (row, col):
+  /// duplicate stamps merge into their sum.
   explicit CscMatrix(const TripletMatrix<T>& t);
 
   /// Adopt a prebuilt pattern + value array (the StampMap fast path). The
@@ -157,10 +159,10 @@ class TripletCscMap {
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<std::size_t> trip_rows_, trip_cols_;  // recorded entry sequence
-  // One record per triplet entry, in the constructor's per-column sorted
-  // walk order: source arrival index, destination CSC slot, and whether the
-  // walk assigns the slot (first hit) or accumulates into it (duplicate).
-  std::vector<std::size_t> walk_src_, walk_dst_;
+  // One record per triplet entry, in the order the conversion walk visits
+  // them: source arrival index, and whether it opens the next CSC slot
+  // (first hit) or accumulates into the slot it last opened (duplicate).
+  std::vector<std::size_t> walk_src_;
   std::vector<char> walk_first_;
   std::vector<std::size_t> col_ptr_, row_idx_;  // resulting CSC pattern
 };

@@ -17,7 +17,7 @@ namespace {
 /// is the unit of work both overloads share: identical inputs produce
 /// identical solutions whether ranges run in sequence or concurrently.
 void sweep_range(Circuit& ckt, VoltageSource& source, double start, double stop,
-                 int points, const OpOptions& opts, int i0, int i1,
+                 int points, const NewtonOptions& opts, int i0, int i1,
                  DcSweepResult& result) {
   const MnaLayout layout = ckt.finalize();
   StampParams params;
@@ -32,7 +32,7 @@ void sweep_range(Circuit& ckt, VoltageSource& source, double start, double stop,
     RFMIX_OBS_COUNT("spice.dcsweep.points");
     const double v = start + (stop - start) * i / (points - 1);
     source.set_waveform(Waveform::dc(v));
-    NewtonResult nr = solve_newton(ckt, guess, params, opts.newton, &session);
+    NewtonResult nr = solve_newton(ckt, guess, params, opts, &session);
     if (!nr.converged) {
       // Cold restart through the full homotopy machinery.
       try {
@@ -58,7 +58,7 @@ DcSweepResult make_result(int points) {
 }  // namespace
 
 DcSweepResult dc_sweep(Circuit& ckt, VoltageSource& source, double start, double stop,
-                       int points, const OpOptions& opts) {
+                       int points, const NewtonOptions& opts) {
   RFMIX_OBS_SCOPED_TIMER("spice.dcsweep");
   RFMIX_OBS_TRACE_SCOPE("spice.dcsweep");
   DcSweepResult result = make_result(points);
@@ -76,7 +76,7 @@ DcSweepResult dc_sweep(Circuit& ckt, VoltageSource& source, double start, double
 }
 
 DcSweepResult dc_sweep(const DcSweepFactory& make, double start, double stop,
-                       int points, const OpOptions& opts) {
+                       int points, const NewtonOptions& opts) {
   RFMIX_OBS_SCOPED_TIMER("spice.dcsweep");
   RFMIX_OBS_TRACE_SCOPE("spice.dcsweep");
   DcSweepResult result = make_result(points);

@@ -54,7 +54,7 @@ inline constexpr int kDcSweepChunk = 8;
 /// the warm start and a cold restart. Runs chunks serially on this one
 /// circuit; use the factory overload to run them concurrently.
 DcSweepResult dc_sweep(Circuit& ckt, VoltageSource& source, double start, double stop,
-                       int points, const OpOptions& opts = {});
+                       int points, const NewtonOptions& opts = {});
 
 /// A private circuit plus a pointer to its swept source, built fresh for
 /// each parallel chunk so chunks never share mutable device state.
@@ -69,6 +69,6 @@ using DcSweepFactory = std::function<DcSweepInstance()>;
 /// runtime pool, each on a circuit freshly built by `make`. Results are
 /// bit-identical to the serial overload applied to the same circuit.
 DcSweepResult dc_sweep(const DcSweepFactory& make, double start, double stop,
-                       int points, const OpOptions& opts = {});
+                       int points, const NewtonOptions& opts = {});
 
 }  // namespace rfmix::spice

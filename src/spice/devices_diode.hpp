@@ -38,8 +38,8 @@ class Diode : public Device {
       id = p_.is * (e - 1.0) + gd * (v - vmax);
     }
     gd = std::max(gd, 1e-12);
-    s.add_conductance(a_, c_, gd);
-    s.add_device_current(a_, c_, id - gd * v);
+    s.add_admittance(a_, c_, gd);
+    s.add_current(a_, c_, id - gd * v);
   }
 
   void stamp_ac(ComplexStamper& s, const Solution& op, double) const override {

@@ -26,7 +26,7 @@ class Resistor : public Device {
   }
 
   void stamp(RealStamper& s, const Solution&, const StampParams&) const override {
-    s.add_conductance(p_, m_, 1.0 / ohms_);
+    s.add_admittance(p_, m_, 1.0 / ohms_);
   }
 
   void stamp_ac(ComplexStamper& s, const Solution&, double) const override {
@@ -66,12 +66,12 @@ class Capacitor : public Device {
     if (p.mode == AnalysisMode::kDc || farads_ == 0.0) return;  // open in DC
     if (p.integrator == Integrator::kBackwardEuler) {
       const double geq = farads_ / p.dt;
-      s.add_conductance(p_, m_, geq);
-      s.add_device_current(p_, m_, -geq * v_prev_);
+      s.add_admittance(p_, m_, geq);
+      s.add_current(p_, m_, -geq * v_prev_);
     } else {
       const double geq = 2.0 * farads_ / p.dt;
-      s.add_conductance(p_, m_, geq);
-      s.add_device_current(p_, m_, -geq * v_prev_ - i_prev_);
+      s.add_admittance(p_, m_, geq);
+      s.add_current(p_, m_, -geq * v_prev_ - i_prev_);
     }
   }
 
@@ -178,7 +178,7 @@ class IdealSwitch : public Device {
     // The control dependence is intentionally not linearized (derivative is
     // zero almost everywhere); the switch state is frozen per NR iteration.
     const double g = x.vd(c_, d_) > vth_ ? g_on_ : g_off_;
-    s.add_conductance(p_, m_, g);
+    s.add_admittance(p_, m_, g);
   }
 
   void stamp_ac(ComplexStamper& s, const Solution& op, double) const override {

@@ -79,11 +79,11 @@ class CurrentSource : public Device {
 
   void stamp(RealStamper& s, const Solution&, const StampParams& p) const override {
     const double i = (p.mode == AnalysisMode::kDc ? wave_.dc_value() : wave_.value(p.time));
-    s.add_device_current(p_, m_, i * p.source_scale);
+    s.add_current(p_, m_, i * p.source_scale);
   }
 
   void stamp_ac(ComplexStamper& s, const Solution&, double) const override {
-    if (ac_mag_ != 0.0) s.add_current_source(p_, m_, std::polar(ac_mag_, ac_phase_));
+    if (ac_mag_ != 0.0) s.add_current(p_, m_, std::polar(ac_mag_, ac_phase_));
   }
 
   DeviceDesc describe() const override {
@@ -137,6 +137,19 @@ class Vcvs : public Device {
   double gain() const { return gain_; }
 
   void stamp(RealStamper& s, const Solution&, const StampParams&) const override {
+    stamp_any(s);
+  }
+
+  void stamp_ac(ComplexStamper& s, const Solution&, double) const override { stamp_any(s); }
+
+  DeviceDesc describe() const override {
+    return {"vcvs", {p_, m_, c_, d_}, {{"gain", gain_}}, {}};
+  }
+
+ private:
+  // Frequency-independent: DC, transient and AC take the same stamp.
+  template <typename T>
+  void stamp_any(Stamper<T>& s) const {
     const int b = branch_base();
     s.add_branch_incidence(p_, m_, b);
     const int ub = s.layout().branch_unknown(b);
@@ -144,19 +157,6 @@ class Vcvs : public Device {
     s.add_entry(ub, s.layout().node_unknown(d_), gain_);
   }
 
-  void stamp_ac(ComplexStamper& s, const Solution&, double) const override {
-    const int b = branch_base();
-    s.add_branch_incidence(p_, m_, b);
-    const int ub = s.layout().branch_unknown(b);
-    s.add_entry(ub, s.layout().node_unknown(c_), std::complex<double>(-gain_));
-    s.add_entry(ub, s.layout().node_unknown(d_), std::complex<double>(gain_));
-  }
-
-  DeviceDesc describe() const override {
-    return {"vcvs", {p_, m_, c_, d_}, {{"gain", gain_}}, {}};
-  }
-
- private:
   NodeId p_, m_, c_, d_;
   double gain_;
 };
@@ -173,26 +173,23 @@ class Cccs : public Device {
   }
 
   void stamp(RealStamper& s, const Solution&, const StampParams&) const override {
-    const int ub = s.layout().branch_unknown(control_->branch_base());
-    const int up = s.layout().node_unknown(p_);
-    const int um = s.layout().node_unknown(m_);
-    if (up >= 0) s.add_entry(up, ub, gain_);
-    if (um >= 0) s.add_entry(um, ub, -gain_);
+    stamp_any(s);
   }
 
-  void stamp_ac(ComplexStamper& s, const Solution&, double) const override {
-    const int ub = s.layout().branch_unknown(control_->branch_base());
-    const int up = s.layout().node_unknown(p_);
-    const int um = s.layout().node_unknown(m_);
-    if (up >= 0) s.add_entry(up, ub, std::complex<double>(gain_));
-    if (um >= 0) s.add_entry(um, ub, std::complex<double>(-gain_));
-  }
+  void stamp_ac(ComplexStamper& s, const Solution&, double) const override { stamp_any(s); }
 
   DeviceDesc describe() const override {
     return {"cccs", {p_, m_}, {{"gain", gain_}}, {{"control", control_->name()}}};
   }
 
  private:
+  template <typename T>
+  void stamp_any(Stamper<T>& s) const {
+    const int ub = s.layout().branch_unknown(control_->branch_base());
+    s.add_entry(s.layout().node_unknown(p_), ub, gain_);
+    s.add_entry(s.layout().node_unknown(m_), ub, -gain_);
+  }
+
   NodeId p_, m_;
   const Device* control_;
   double gain_;
@@ -210,25 +207,24 @@ class Ccvs : public Device {
   int num_branches() const override { return 1; }
 
   void stamp(RealStamper& s, const Solution&, const StampParams&) const override {
-    const int b = branch_base();
-    s.add_branch_incidence(p_, m_, b);
-    const int ub = s.layout().branch_unknown(b);
-    s.add_entry(ub, s.layout().branch_unknown(control_->branch_base()), -r_);
+    stamp_any(s);
   }
 
-  void stamp_ac(ComplexStamper& s, const Solution&, double) const override {
-    const int b = branch_base();
-    s.add_branch_incidence(p_, m_, b);
-    const int ub = s.layout().branch_unknown(b);
-    s.add_entry(ub, s.layout().branch_unknown(control_->branch_base()),
-                std::complex<double>(-r_));
-  }
+  void stamp_ac(ComplexStamper& s, const Solution&, double) const override { stamp_any(s); }
 
   DeviceDesc describe() const override {
     return {"ccvs", {p_, m_}, {{"r", r_}}, {{"control", control_->name()}}};
   }
 
  private:
+  template <typename T>
+  void stamp_any(Stamper<T>& s) const {
+    const int b = branch_base();
+    s.add_branch_incidence(p_, m_, b);
+    s.add_entry(s.layout().branch_unknown(b), s.layout().branch_unknown(control_->branch_base()),
+                -r_);
+  }
+
   NodeId p_, m_;
   const Device* control_;
   double r_;

@@ -153,6 +153,26 @@ MosEval model_core(const MosParams& p, double vg, double vd, double vs, double v
   return e;
 }
 
+// Channel Jacobian rows for drain (+ids) and source (-ids): the Newton
+// matrix and the AC admittance matrix take the same conductances.
+template <typename T>
+void stamp_channel(Stamper<T>& s, const MosEval& e, NodeId d, NodeId g, NodeId src, NodeId b) {
+  const auto& lay = s.layout();
+  const int ud = lay.node_unknown(d);
+  const int us = lay.node_unknown(src);
+  const int ug = lay.node_unknown(g);
+  const int ub = lay.node_unknown(b);
+  auto stamp_row = [&](int row, double sign) {
+    if (row < 0) return;
+    if (ug >= 0) s.add_entry(row, ug, sign * e.dg);
+    if (ud >= 0) s.add_entry(row, ud, sign * e.dd);
+    if (us >= 0) s.add_entry(row, us, sign * e.ds);
+    if (ub >= 0) s.add_entry(row, ub, sign * e.db);
+  };
+  stamp_row(ud, +1.0);
+  stamp_row(us, -1.0);
+}
+
 }  // namespace
 
 Mosfet::Mosfet(std::string name, NodeId d, NodeId g, NodeId s, NodeId b, MosParams params)
@@ -172,26 +192,10 @@ Mosfet::Mosfet(std::string name, NodeId d, NodeId g, NodeId s, NodeId b, MosPara
 void Mosfet::stamp(RealStamper& s, const Solution& x, const StampParams& sp) const {
   const double vg = x.v(g_), vd = x.v(d_), vs = x.v(s_), vb = x.v(b_);
   const MosEval e = model_core(p_, vg, vd, vs, vb);
-
-  const auto& lay = s.layout();
-  const int ud = lay.node_unknown(d_);
-  const int us = lay.node_unknown(s_);
-  const int ug = lay.node_unknown(g_);
-  const int ub = lay.node_unknown(b_);
-
-  // Jacobian rows for drain (+ids) and source (-ids).
-  auto stamp_row = [&](int row, double sign) {
-    if (row < 0) return;
-    if (ug >= 0) s.add_entry(row, ug, sign * e.dg);
-    if (ud >= 0) s.add_entry(row, ud, sign * e.dd);
-    if (us >= 0) s.add_entry(row, us, sign * e.ds);
-    if (ub >= 0) s.add_entry(row, ub, sign * e.db);
-  };
-  stamp_row(ud, +1.0);
-  stamp_row(us, -1.0);
+  stamp_channel(s, e, d_, g_, s_, b_);
 
   const double ieq = e.ids - (e.dg * vg + e.dd * vd + e.ds * vs + e.db * vb);
-  s.add_device_current(d_, s_, ieq);
+  s.add_current(d_, s_, ieq);
 
   if (sp.mode == AnalysisMode::kTransient) {
     cgs_->stamp(s, x, sp);
@@ -202,22 +206,7 @@ void Mosfet::stamp(RealStamper& s, const Solution& x, const StampParams& sp) con
 }
 
 void Mosfet::stamp_ac(ComplexStamper& s, const Solution& op, double omega) const {
-  const MosEval e = model_core(p_, op.v(g_), op.v(d_), op.v(s_), op.v(b_));
-  const auto& lay = s.layout();
-  const int ud = lay.node_unknown(d_);
-  const int us = lay.node_unknown(s_);
-  const int ug = lay.node_unknown(g_);
-  const int ub = lay.node_unknown(b_);
-  auto stamp_row = [&](int row, double sign) {
-    if (row < 0) return;
-    if (ug >= 0) s.add_entry(row, ug, sign * e.dg);
-    if (ud >= 0) s.add_entry(row, ud, sign * e.dd);
-    if (us >= 0) s.add_entry(row, us, sign * e.ds);
-    if (ub >= 0) s.add_entry(row, ub, sign * e.db);
-  };
-  stamp_row(ud, +1.0);
-  stamp_row(us, -1.0);
-
+  stamp_channel(s, model_core(p_, op.v(g_), op.v(d_), op.v(s_), op.v(b_)), d_, g_, s_, b_);
   cgs_->stamp_ac(s, op, omega);
   cgd_->stamp_ac(s, op, omega);
   cdb_->stamp_ac(s, op, omega);

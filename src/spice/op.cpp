@@ -14,16 +14,21 @@ namespace rfmix::spice {
 
 namespace {
 
+// Newton convergence: every unknown moved by at most abstol + reltol * |x|.
+constexpr double kRelTol = 1e-4;
+constexpr double kAbsTolV = 1e-7;   // node voltages [V]
+constexpr double kAbsTolI = 1e-10;  // branch currents [A]
+
 bool step_converged(const MnaLayout& layout, const mathx::VectorD& x_old,
-                    const mathx::VectorD& x_new, const NewtonOptions& opts) {
+                    const mathx::VectorD& x_new) {
   const int nv = layout.num_nodes - 1;
   for (int i = 0; i < layout.size(); ++i) {
     const double dx = std::abs(x_new[static_cast<std::size_t>(i)] -
                                x_old[static_cast<std::size_t>(i)]);
     const double mag = std::max(std::abs(x_new[static_cast<std::size_t>(i)]),
                                 std::abs(x_old[static_cast<std::size_t>(i)]));
-    const double abstol = i < nv ? opts.abstol_v : opts.abstol_i;
-    if (dx > abstol + opts.reltol * mag) return false;
+    const double abstol = i < nv ? kAbsTolV : kAbsTolI;
+    if (dx > abstol + kRelTol * mag) return false;
   }
   return true;
 }
@@ -83,7 +88,7 @@ NewtonResult solve_newton(const Circuit& ckt, const Solution& initial,
       x_next[i] = x_old[i] + alpha * (x_new[i] - x_old[i]);
 
     const bool full_step = alpha == 1.0;
-    const bool converged = full_step && step_converged(layout, x_old, x_new, opts);
+    const bool converged = full_step && step_converged(layout, x_old, x_new);
     result.solution = Solution(layout, std::move(x_next));
     result.iterations = iter + 1;
     if (converged) {
@@ -96,7 +101,7 @@ NewtonResult solve_newton(const Circuit& ckt, const Solution& initial,
   return result;
 }
 
-Solution dc_operating_point(Circuit& ckt, const OpOptions& opts, SolverSession* session) {
+Solution dc_operating_point(Circuit& ckt, const NewtonOptions& opts, SolverSession* session) {
   RFMIX_OBS_SCOPED_TIMER("spice.op");
   RFMIX_OBS_TRACE_SCOPE("spice.op");
   RFMIX_OBS_COUNT("spice.op.calls");
@@ -110,16 +115,16 @@ Solution dc_operating_point(Circuit& ckt, const OpOptions& opts, SolverSession* 
   params.mode = AnalysisMode::kDc;
 
   // Plain Newton from zero.
-  NewtonResult r = solve_newton(ckt, Solution::zeros(layout), params, opts.newton, session);
+  NewtonResult r = solve_newton(ckt, Solution::zeros(layout), params, opts, session);
   if (r.converged) return r.solution;
 
   // gmin stepping: start heavily damped, relax gmin geometrically, warm-
   // starting each stage from the previous solution.
-  if (opts.allow_gmin_stepping) {
-    NewtonOptions n = opts.newton;
+  {
+    NewtonOptions n = opts;
     Solution x = Solution::zeros(layout);
     bool ok = true;
-    for (double gmin = 1e-2; gmin >= opts.newton.gmin; gmin /= 10.0) {
+    for (double gmin = 1e-2; gmin >= opts.gmin; gmin /= 10.0) {
       RFMIX_OBS_COUNT("spice.op.gmin_steps");
       n.gmin = gmin;
       NewtonResult stage = solve_newton(ckt, x, params, n, session);
@@ -130,21 +135,21 @@ Solution dc_operating_point(Circuit& ckt, const OpOptions& opts, SolverSession* 
       x = stage.solution;
     }
     if (ok) {
-      n.gmin = opts.newton.gmin;
+      n.gmin = opts.gmin;
       NewtonResult final = solve_newton(ckt, x, params, n, session);
       if (final.converged) return final.solution;
     }
   }
 
   // Source stepping: ramp all independent sources from 0 to full value.
-  if (opts.allow_source_stepping) {
+  {
     Solution x = Solution::zeros(layout);
     bool ok = true;
     for (double scale : {0.1, 0.25, 0.5, 0.75, 0.9, 1.0}) {
       RFMIX_OBS_COUNT("spice.op.source_steps");
       StampParams sp = params;
       sp.source_scale = scale;
-      NewtonResult stage = solve_newton(ckt, x, sp, opts.newton, session);
+      NewtonResult stage = solve_newton(ckt, x, sp, opts, session);
       if (!stage.converged) {
         ok = false;
         break;

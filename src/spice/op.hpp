@@ -12,17 +12,8 @@ class SolverSession;
 
 struct NewtonOptions {
   int max_iterations = 200;
-  double reltol = 1e-4;
-  double abstol_v = 1e-7;   // volts
-  double abstol_i = 1e-10;  // amps (branch unknowns)
   double gmin = 1e-12;
   double max_step_v = 0.5;  // per-iteration Newton step clamp [V]
-};
-
-struct OpOptions {
-  NewtonOptions newton;
-  bool allow_gmin_stepping = true;
-  bool allow_source_stepping = true;
 };
 
 struct NewtonResult {
@@ -39,9 +30,9 @@ NewtonResult solve_newton(const Circuit& ckt, const Solution& initial,
                           const StampParams& params, const NewtonOptions& opts,
                           SolverSession* session = nullptr);
 
-/// Full DC operating point with homotopy fallbacks. Throws
-/// ConvergenceError if every strategy fails.
-Solution dc_operating_point(Circuit& ckt, const OpOptions& opts = {},
+/// Full DC operating point: plain Newton, then gmin stepping, then source
+/// stepping. Throws ConvergenceError if every strategy fails.
+Solution dc_operating_point(Circuit& ckt, const NewtonOptions& opts = {},
                             SolverSession* session = nullptr);
 
 /// Total power delivered by sources / dissipated in devices at `op` [W].

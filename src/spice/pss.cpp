@@ -21,9 +21,7 @@ PssResult periodic_steady_state(Circuit& ckt, double period_s, const PssOptions&
   // One session across the DC start and every shooting period.
   SolverSession session;
 
-  OpOptions op_opts;
-  op_opts.newton = opts.newton;
-  Solution x = dc_operating_point(ckt, op_opts, &session);
+  Solution x = dc_operating_point(ckt, opts.newton, &session);
   for (const auto& dev : ckt.devices()) dev->tran_begin(x);
 
   const MnaLayout layout = ckt.layout();

@@ -12,6 +12,11 @@ namespace rfmix::spice {
 
 namespace {
 
+// Adaptive stepping: target local truncation error [V], and the smallest
+// step as a fraction of the nominal dt.
+constexpr double kLteTol = 1e-4;
+constexpr double kDtMinFactor = 1e-4;
+
 NewtonResult solve_timepoint(const Circuit& ckt, const Solution& guess, double time,
                              double dt, const TranOptions& opts, SolverSession& session) {
   StampParams sp;
@@ -53,9 +58,7 @@ TranResult transient(Circuit& ckt, double t_stop, double dt, const std::vector<P
     ckt.finalize();
     x0 = *opts.initial_state;
   } else {
-    OpOptions op_opts;
-    op_opts.newton = opts.newton;
-    x0 = dc_operating_point(ckt, op_opts, &session);
+    x0 = dc_operating_point(ckt, opts.newton, &session);
   }
 
   for (const auto& dev : ckt.devices()) dev->tran_begin(x0);
@@ -111,7 +114,7 @@ TranResult transient(Circuit& ckt, double t_stop, double dt, const std::vector<P
   // most recent derivative estimates (standard trapezoidal LTE ~ dt^3 x''' /12
   // approximated by comparing with the BE prediction).
   double h = dt;
-  const double h_min = dt * opts.dt_min_factor;
+  const double h_min = dt * kDtMinFactor;
   Solution x_prev = x0;
   while (t < t_stop - 1e-18) {
     h = std::min(h, t_stop - t);
@@ -134,7 +137,7 @@ TranResult transient(Circuit& ckt, double t_stop, double dt, const std::vector<P
                           x_prev.raw()[static_cast<std::size_t>(i)];
       err = std::max(err, std::abs(nr.solution.raw()[static_cast<std::size_t>(i)] - pred));
     }
-    if (err > opts.lte_tol && h > h_min * 2.0) {
+    if (err > kLteTol && h > h_min * 2.0) {
       RFMIX_OBS_COUNT("spice.tran.steps_rejected");
       h *= 0.5;
       continue;
@@ -145,7 +148,7 @@ TranResult transient(Circuit& ckt, double t_stop, double dt, const std::vector<P
     t = t_new;
     accept_step(ckt, x, t_new, h, opts);
     record(t, x);
-    if (err < opts.lte_tol * 0.1) h *= 1.5;
+    if (err < kLteTol * 0.1) h *= 1.5;
   }
   result.final_state = x;
   return result;

@@ -20,9 +20,9 @@ namespace rfmix::spice {
 struct TranOptions {
   NewtonOptions newton;
   Integrator integrator = Integrator::kTrapezoidal;
+  /// Adaptive: the step halves while the LTE estimate exceeds 1e-4 V (down
+  /// to 1e-4 * dt) and grows 1.5x while it stays under a tenth of that.
   bool adaptive = false;
-  double lte_tol = 1e-4;       // adaptive: target local truncation error [V]
-  double dt_min_factor = 1e-4; // adaptive: smallest dt as fraction of nominal
   /// Skip the DC operating point and start from a provided state.
   const Solution* initial_state = nullptr;
 };

@@ -32,7 +32,10 @@ namespace rfmix::svc {
 
 /// Bump to invalidate all previously persisted cache entries when the
 /// canonical format or any solver semantics change incompatibly.
-inline constexpr int kCanonicalEpoch = 2;  // 2: device records were truncated by one byte in epoch 1
+/// 2: device records were truncated by one byte in epoch 1.
+/// 3: CSC conversion merges every duplicate stamp, which moves the last bits
+///    of some solutions (rx_array operating points by ~1e-14 relative).
+inline constexpr int kCanonicalEpoch = 3;
 
 /// Builds the canonical byte string record by record.
 class CanonicalWriter {

@@ -373,16 +373,16 @@ LineReactor::Framed::Line LineReactor::Framed::next_line(std::string* line,
                                                           std::size_t max_line_bytes) {
   while (rpos < rbuf.size()) {
     const std::size_t nl = rbuf.find('\n', rpos);
-    if (nl == std::string::npos) {
-      if (rbuf.size() - rpos > max_line_bytes) {
-        rpos = rbuf.size();
-        return Line::kOversized;
-      }
-      // EOF with an unterminated final line: getline parity with the
-      // stdin transport — it is the last request.
-      if (!read_closed) break;
-    }
     const std::size_t end = nl == std::string::npos ? rbuf.size() : nl;
+    // Terminated or not: whether a line is served must not depend on where
+    // the reads split it.
+    if (end - rpos > max_line_bytes) {
+      rpos = rbuf.size();
+      return Line::kOversized;
+    }
+    // EOF with an unterminated final line: getline parity with the stdin
+    // transport — it is the last request.
+    if (nl == std::string::npos && !read_closed) break;
     line->assign(rbuf, rpos, end - rpos);
     rpos = nl == std::string::npos ? end : nl + 1;
     if (!line->empty() && line->back() == '\r') line->pop_back();

@@ -8,8 +8,8 @@
 //    late answer must never reach a different client on a recycled fd;
 //  * line framing: lines span reads and reads carry many lines; CRLF is
 //    tolerated, blank lines are skipped, an unterminated final line is
-//    served at EOF, and a line over max_line_bytes is answered with
-//    parse_error before the connection hangs up;
+//    served at EOF, and a line over max_line_bytes (terminated or not) is
+//    answered with parse_error before the connection hangs up;
 //  * writes through the fault:: sites, flushed eagerly when queued (EAGAIN
 //    leaves the tail for POLLOUT), so a mid-batch crash destroys at most
 //    the response being built;
@@ -82,8 +82,9 @@ class LineReactor {
 
     std::size_t unsent() const { return wbuf.size() - wpos; }
     /// Frame the next non-blank line into `*line` (CR stripped; the
-    /// unterminated tail once read_closed). kOversized consumes an
-    /// unterminated run longer than `max_line_bytes`.
+    /// unterminated tail once read_closed). kOversized consumes the rest of
+    /// the buffer once a line, or an unterminated run, is longer than
+    /// `max_line_bytes` (the '\n' not counted).
     Line next_line(std::string* line, std::size_t max_line_bytes);
   };
 

@@ -165,6 +165,10 @@ ParsedRequest parse_request(const JsonValue& doc);
 std::string forward_request_line(std::string_view line, const ParsedRequest& req,
                                  std::string_view id_json);
 
+/// The most forward_request_line adds to a line for a 64-bit ticket:
+/// `"id":`, 20 digits and `,` when the client sent no id.
+inline constexpr std::size_t kMaxForwardGrowth = 26;
+
 /// Parse a mixer-config JSON object (field name -> number, "mode" ->
 /// "active"/"passive") onto `config`. Unknown fields and type mismatches
 /// throw RequestError(kBadParams) — a silently dropped field would make

@@ -39,7 +39,7 @@ Clock::duration ms_duration(double ms) {
 
 RouterLoop::RouterLoop(Supervisor& sup, ResultCache& cache, Options opts)
     : LineReactor("svc.router", opts.max_inflight, opts.max_output_bytes,
-                  opts.max_line_bytes),
+                  std::max(opts.max_line_bytes, kMaxForwardGrowth) - kMaxForwardGrowth),
       sup_(sup),
       cache_(cache),
       opts_(opts) {

@@ -65,7 +65,9 @@ class RouterLoop : public LineReactor {
   struct Options {
     std::size_t max_inflight = 256;          // per-client running requests
     std::size_t max_output_bytes = 4 << 20;  // per-client unsent responses
-    std::size_t max_line_bytes = 8 << 20;    // one request line; above: close
+    // One request line at a worker; the router admits kMaxForwardGrowth
+    // bytes less, so the line it forwards fits.
+    std::size_t max_line_bytes = 8 << 20;
     int max_replays = 4;                     // per ticket, before giving up
     double heartbeat_interval_ms = 500.0;
     double heartbeat_timeout_ms = 2000.0;  // ping unanswered -> kill worker

@@ -86,8 +86,10 @@ TEST(TripletCscMapTest, SignedZeroDuplicateMergeMatchesConstructor) {
   CscMatrix<double> filled;
   map.fill(t, filled);
   const CscMatrix<double> fresh(t);
+  EXPECT_EQ(fresh.nnz(), 3u);
   EXPECT_TRUE(same_bits(filled.values(), fresh.values()));
   EXPECT_TRUE(std::signbit(filled.values()[0]));
+  EXPECT_TRUE(std::signbit(filled.values()[1]));
 }
 
 TEST(TripletCscMapTest, MatchesRejectsPatternChange) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+
 #include "mathx/lu.hpp"
 #include "mathx/rng.hpp"
 
@@ -18,6 +21,42 @@ TEST(Triplet, DuplicatesMergeInCsc) {
   const MatrixD d = csc.to_dense();
   EXPECT_DOUBLE_EQ(d(0, 0), 3.0);
   EXPECT_DOUBLE_EQ(d(1, 1), 4.0);
+}
+
+TEST(Triplet, DuplicatesMergeBehindAFullerColumn) {
+  // Column 1's duplicate sits behind three column-0 entries: it must still
+  // become one entry holding the sum, not two entries of which to_dense()
+  // keeps the last.
+  TripletMatrix<double> t(3, 3);
+  t.add(0, 0, 1.0);
+  t.add(1, 0, 1.0);
+  t.add(2, 0, 1.0);
+  t.add(1, 1, 2.0);
+  t.add(1, 1, 3.0);
+  t.add(2, 2, 1.0);
+  const CscMatrix<double> csc(t);
+  EXPECT_EQ(csc.nnz(), 5u);
+  EXPECT_DOUBLE_EQ(csc.to_dense()(1, 1), 5.0);
+}
+
+TEST(Triplet, CscHoldsOneEntryPerDistinctPosition) {
+  Rng rng(11);
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::size_t n = 3 + rng.uniform_index(30);
+    TripletMatrix<double> t(n, n);
+    std::set<std::pair<std::size_t, std::size_t>> distinct;
+    for (std::size_t k = 0, m = rng.uniform_index(8 * n); k < m; ++k) {
+      const std::size_t r = rng.uniform_index(n), c = rng.uniform_index(n / 2 + 1);
+      t.add(r, c, static_cast<double>(rng.uniform_index(9)) - 4.0);  // exact sums
+      distinct.emplace(r, c);
+    }
+    const CscMatrix<double> csc(t);
+    EXPECT_EQ(csc.nnz(), distinct.size()) << "trial " << trial;
+    const MatrixD want = t.to_dense();
+    const MatrixD got = csc.to_dense();
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j) EXPECT_EQ(got(i, j), want(i, j)) << i << "," << j;
+  }
 }
 
 TEST(Triplet, KeepsStructuralZeros) {

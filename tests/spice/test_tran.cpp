@@ -150,7 +150,6 @@ TEST(Tran, AdaptiveTracksRcStep) {
   RcStep fix(r, c, vf);
   TranOptions opts;
   opts.adaptive = true;
-  opts.lte_tol = 1e-4;
   const TranResult res =
       transient(fix.ckt, 5.0 * tau, tau / 10.0, {{fix.out, kGround, "out"}}, opts);
   ASSERT_GT(res.time_s.size(), 10u);

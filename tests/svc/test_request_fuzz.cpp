@@ -44,15 +44,20 @@ namespace {
 /// A dense AC sweep of an RC ladder that keeps a worker busy for a while;
 /// `tag` makes the content (and so the cache key) unique.
 std::string slow_request(int id, int tag) {
+  // Built by appending to named strings: GCC 12 misreports a literal plus a
+  // temporary string under -Wrestrict once it inlines the helper.
   std::string netlist = "V1 n0 0 DC 0 AC 1\\n";
   for (int i = 0; i < 14; ++i) {
-    const std::string a = "n" + std::to_string(i), b = "n" + std::to_string(i + 1);
-    netlist += "R" + std::to_string(i) + " " + a + " " + b + " " +
-               std::to_string(1000 + tag) + "\\n";
-    netlist += "C" + std::to_string(i) + " " + b + " 0 1e-9\\n";
+    const std::string k = std::to_string(i), next = std::to_string(i + 1);
+    netlist.append("R").append(k).append(" n").append(k).append(" n").append(next);
+    netlist.append(" ").append(std::to_string(1000 + tag)).append("\\n");
+    netlist.append("C").append(k).append(" n").append(next).append(" 0 1e-9\\n");
   }
-  return R"({"v":2,"id":)" + std::to_string(id) + R"(,"kind":"ac","params":{"netlist":")" +
-         netlist + R"(","ac":{"f_start_hz":1e3,"f_stop_hz":1e9,"points":1200,"probe":"n14"}}})";
+  std::string line = R"({"v":2,"id":)";
+  line.append(std::to_string(id)).append(R"(,"kind":"ac","params":{"netlist":")");
+  line.append(netlist).append(
+      R"(","ac":{"f_start_hz":1e3,"f_stop_hz":1e9,"points":1200,"probe":"n14"}}})");
+  return line;
 }
 
 /// Serial oracle: every corpus line through a fresh session, in order.
@@ -155,6 +160,7 @@ class RequestFuzzTest : public ::testing::Test {
   void seeded_random_splits();
   void two_clients_interleaved();
   void oversized_line();
+  void terminated_line_one_byte_over();
 
   std::unique_ptr<runtime::ScopedPool> pool_;
   std::unique_ptr<ResultCache> cache_;
@@ -301,6 +307,19 @@ void RequestFuzzTest::two_clients_interleaved() {
   for (std::size_t i = 0; i < expected_b.size(); ++i) EXPECT_EQ(got_b[i], expected_b[i]);
 }
 
+/// The size-limit parse_error, then EOF: the server hangs up instead of
+/// waiting for more bytes.
+void expect_size_limit_error_then_eof(Client& c) {
+  const auto lines = c.read_lines(1);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("\"code\":\"parse_error\""), std::string::npos) << lines[0];
+  EXPECT_NE(lines[0].find("exceeds size limit"), std::string::npos) << lines[0];
+  char byte;
+  pollfd p{c.fd, POLLIN, 0};
+  ASSERT_GT(::poll(&p, 1, 30000), 0);
+  EXPECT_EQ(::recv(c.fd, &byte, 1, 0), 0);
+}
+
 void RequestFuzzTest::oversized_line() {
   ServerLoop::Options opts;
   opts.max_line_bytes = 4096;
@@ -309,15 +328,21 @@ void RequestFuzzTest::oversized_line() {
   ASSERT_TRUE(c.connect_to(path_));
   // 8 KiB with no newline: unresynchronizable garbage.
   ASSERT_TRUE(c.send_all(std::string(8192, 'a')));
-  const auto lines = c.read_lines(1);
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_NE(lines[0].find("\"code\":\"parse_error\""), std::string::npos) << lines[0];
-  EXPECT_NE(lines[0].find("exceeds size limit"), std::string::npos) << lines[0];
-  // The server must hang up (EOF), not wait for more bytes.
-  char byte;
-  pollfd p{c.fd, POLLIN, 0};
-  ASSERT_GT(::poll(&p, 1, 30000), 0);
-  EXPECT_EQ(::recv(c.fd, &byte, 1, 0), 0);
+  expect_size_limit_error_then_eof(c);
+}
+
+void RequestFuzzTest::terminated_line_one_byte_over() {
+  // A valid ping padded with spaces to one byte over the cap, newline in
+  // the same write: the cap holds however the reads split the line.
+  ServerLoop::Options opts;
+  opts.max_line_bytes = 4096;
+  start(opts);
+  Client c;
+  ASSERT_TRUE(c.connect_to(path_));
+  std::string line = R"({"v":2,"id":1,"kind":"ping"})";
+  line.append(opts.max_line_bytes + 1 - line.size(), ' ');
+  ASSERT_TRUE(c.send_all(line + "\n"));
+  expect_size_limit_error_then_eof(c);
 }
 
 TEST_F(RequestFuzzTest, WholeLineFeedMatchesOracle) { whole_line_feed(); }
@@ -331,6 +356,9 @@ TEST_F(RequestFuzzTest, TwoClientsInterleavedTornFeeds) { two_clients_interleave
 TEST_F(RequestFuzzTest, OversizedLineAnswersStructuredErrorAndCloses) {
   oversized_line();
 }
+TEST_F(RequestFuzzTest, TerminatedLineOneByteOverTheCapIsRefused) {
+  terminated_line_one_byte_over();
+}
 
 TEST_F(RouterFuzzTest, WholeLineFeedMatchesOracle) { whole_line_feed(); }
 TEST_F(RouterFuzzTest, ByteAtATimeFeedIsByteIdenticalToWholeLines) {
@@ -342,6 +370,33 @@ TEST_F(RouterFuzzTest, SeededRandomSplitsAreByteIdenticalToWholeLines) {
 TEST_F(RouterFuzzTest, TwoClientsInterleavedTornFeeds) { two_clients_interleaved(); }
 TEST_F(RouterFuzzTest, OversizedLineAnswersStructuredErrorAndCloses) {
   oversized_line();
+}
+TEST_F(RouterFuzzTest, TerminatedLineOneByteOverTheCapIsRefused) {
+  terminated_line_one_byte_over();
+}
+
+TEST_F(RouterFuzzTest, LineWithNoRoomForTheTicketIsRefusedAtTheRouter) {
+  // Router and worker share the default cap. A no-id line 10 bytes under
+  // it would pass the cap only until the router inserts "id":<ticket>, so
+  // the router must refuse it itself rather than hand the worker a line
+  // the worker refuses.
+  start();
+  const std::size_t cap = ServerLoop::Options{}.max_line_bytes;
+  std::string line =
+      R"({"v":2,"kind":"op","params":{"netlist":"V1 in 0 DC 1\nR1 in 0 1000\n.end"}})";
+  line.append(cap - 10 - line.size(), ' ');
+  {
+    Client c;
+    ASSERT_TRUE(c.connect_to(path_));
+    ASSERT_TRUE(c.send_all(line + "\n"));
+    expect_size_limit_error_then_eof(c);
+  }
+  Client c;
+  ASSERT_TRUE(c.connect_to(path_));
+  ASSERT_TRUE(c.send_all("{\"v\":2,\"id\":2,\"kind\":\"stats\"}\n"));
+  const auto lines = c.read_lines(1);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("\"worker_restarts\":0,"), std::string::npos) << lines[0];
 }
 
 TEST_F(RouterFuzzTest, EofWithUnterminatedFinalLineStillAnswers) {
