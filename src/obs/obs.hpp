@@ -17,7 +17,7 @@
 //  * Timers accumulate into thread-local slabs (one cell per timer per
 //    thread, no sharing on the hot path); reads aggregate live slabs plus
 //    totals retired by exited threads. This is what keeps ScopedTimer cheap
-//    on pool workers under work stealing.
+//    on pool workers.
 //
 // Compile-time gate: configure with -DRFMIX_OBS=OFF and RFMIX_OBS_ENABLED
 // becomes 0 — the RFMIX_OBS_* macros expand to nothing and the classes

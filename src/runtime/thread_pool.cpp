@@ -1,6 +1,7 @@
 #include "runtime/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 
@@ -10,10 +11,6 @@ namespace rfmix::runtime {
 
 namespace {
 
-// Worker identity for the nested-submission fast path.
-thread_local const ThreadPool* tl_pool = nullptr;
-thread_local int tl_worker_id = -1;
-
 // Innermost ScopedPool override; guarded by being set only from the thread
 // that owns the ScopedPool and read before any work is fanned out.
 std::atomic<ThreadPool*> g_override{nullptr};
@@ -22,113 +19,70 @@ std::atomic<ThreadPool*> g_override{nullptr};
 
 ThreadPool::ThreadPool(int threads) {
   const int workers = std::max(threads, 1) - 1;
-  queues_.reserve(static_cast<std::size_t>(workers));
-  for (int i = 0; i < workers; ++i) queues_.push_back(std::make_unique<WorkerQueue>());
   workers_.reserve(static_cast<std::size_t>(workers));
-  for (int i = 0; i < workers; ++i) workers_.emplace_back([this, i] { worker_main(i); });
+  for (int i = 0; i < workers; ++i) workers_.emplace_back([this] { worker_main(); });
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lk(sleep_mu_);
-    stop_.store(true, std::memory_order_release);
+    std::lock_guard<std::mutex> lk(mu_);
+    stop_ = true;
   }
-  sleep_cv_.notify_all();
+  cv_.notify_all();
   for (auto& t : workers_) t.join();
 }
 
 void ThreadPool::submit(std::function<void()> job) {
-  if (queues_.empty()) {  // serial fallback: no workers to hand off to
+  if (workers_.empty()) {  // serial fallback: no workers to hand off to
     RFMIX_OBS_COUNT("runtime.pool.tasks_inline");
     job();
     return;
   }
-  std::size_t target;
-  if (tl_pool == this && tl_worker_id >= 0) {
-    target = static_cast<std::size_t>(tl_worker_id);
-  } else {
-    target = next_queue_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
-  }
   {
-    std::lock_guard<std::mutex> lk(queues_[target]->mu);
-    queues_[target]->jobs.push_back(std::move(job));
+    std::lock_guard<std::mutex> lk(mu_);
+    jobs_.push_back(std::move(job));
   }
-  {
-    // Publish under sleep_mu_ so a worker between its predicate check and
-    // the wait cannot miss the notification.
-    std::lock_guard<std::mutex> lk(sleep_mu_);
-    pending_.fetch_add(1, std::memory_order_relaxed);
-  }
-  sleep_cv_.notify_one();
+  cv_.notify_one();
 }
 
-bool ThreadPool::try_run_one(int id) {
-  std::function<void()> job;
-  {
-    WorkerQueue& own = *queues_[static_cast<std::size_t>(id)];
-    std::lock_guard<std::mutex> lk(own.mu);
-    if (!own.jobs.empty()) {
-      job = std::move(own.jobs.back());
-      own.jobs.pop_back();
-    }
-  }
-  if (!job) {
-    const std::size_t n = queues_.size();
-    for (std::size_t off = 1; off < n && !job; ++off) {
-      WorkerQueue& victim = *queues_[(static_cast<std::size_t>(id) + off) % n];
-      std::lock_guard<std::mutex> lk(victim.mu);
-      if (!victim.jobs.empty()) {
-        job = std::move(victim.jobs.front());
-        victim.jobs.pop_front();
-      }
-    }
-    if (job) RFMIX_OBS_COUNT("runtime.pool.tasks_stolen");
-  }
-  if (!job) return false;
-  pending_.fetch_sub(1, std::memory_order_relaxed);
+void ThreadPool::run_front(std::unique_lock<std::mutex>& lk) {
+  std::function<void()> job = std::move(jobs_.front());
+  jobs_.pop_front();
+  lk.unlock();
   RFMIX_OBS_COUNT("runtime.pool.tasks_executed");
   job();
-  return true;
+  job = nullptr;  // release what the job captured before retaking the lock
+  lk.lock();
 }
 
-void ThreadPool::worker_main(int id) {
-  tl_pool = this;
-  tl_worker_id = id;
-  while (!stop_.load(std::memory_order_acquire)) {
-    if (try_run_one(id)) continue;
-    std::unique_lock<std::mutex> lk(sleep_mu_);
-    sleep_cv_.wait(lk, [this] {
-      return stop_.load(std::memory_order_acquire) ||
-             pending_.load(std::memory_order_relaxed) > 0;
-    });
-  }
-  // Drain whatever was queued before shutdown so no job is dropped.
-  while (try_run_one(id)) {
+void ThreadPool::worker_main() {
+  std::unique_lock<std::mutex> lk(mu_);
+  for (;;) {
+    cv_.wait(lk, [this] { return stop_ || !jobs_.empty(); });
+    // Shutdown drains the queue first, so no submitted job is dropped.
+    if (jobs_.empty()) return;
+    run_front(lk);
   }
 }
 
 void ThreadPool::assist_until(const std::function<bool()>& done) {
   using namespace std::chrono_literals;
-  if (queues_.empty()) {
+  if (workers_.empty()) {
     // Serial fallback: jobs ran inline at submit, so `done` is normally
     // already true; yield-wait covers conditions completed off-pool.
     while (!done()) std::this_thread::sleep_for(50us);
     return;
   }
-  // A worker starts from its own deque (LIFO); an outside thread scans from
-  // queue 0 and effectively steals.
-  const int id = (tl_pool == this && tl_worker_id >= 0) ? tl_worker_id : 0;
+  std::unique_lock<std::mutex> lk(mu_, std::defer_lock);
   while (!done()) {
-    if (try_run_one(id)) continue;
-    std::unique_lock<std::mutex> lk(sleep_mu_);
-    if (done()) return;
-    // Park on the same signal the workers use; a submit wakes us to help,
-    // and the bounded wait re-checks `done` for completions signalled
-    // through other channels (futures, completion queues).
-    sleep_cv_.wait_for(lk, 200us, [this] {
-      return pending_.load(std::memory_order_relaxed) > 0 ||
-             stop_.load(std::memory_order_acquire);
-    });
+    lk.lock();
+    // Park on the workers' signal: a submit wakes us to help, and the
+    // bounded wait re-checks `done` for completions signalled through other
+    // channels. A wake that finds a job always runs it, so a notification
+    // this thread consumed is never lost to the workers.
+    cv_.wait_for(lk, 200us, [this] { return !jobs_.empty(); });
+    if (!jobs_.empty()) run_front(lk);
+    lk.unlock();
   }
 }
 

@@ -1,4 +1,4 @@
-// Work-stealing thread pool shared by every parallel analysis in the repo.
+// Thread pool shared by every parallel analysis in the repo.
 //
 // One pool, sized once from RFMIX_THREADS (or hardware concurrency), runs
 // the Monte-Carlo trials, DC/AC/noise sweep points and LPTV solves that are
@@ -14,11 +14,9 @@
 // determinism contract.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -30,6 +28,7 @@ class ThreadPool {
   /// `threads` is the total concurrency (callers + workers); the pool
   /// spawns `threads - 1` worker threads. Values below 1 are clamped to 1.
   explicit ThreadPool(int threads);
+  /// Runs every job still queued, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -40,18 +39,17 @@ class ThreadPool {
   /// Total concurrency: workers plus the submitting thread.
   int concurrency() const { return worker_count() + 1; }
 
-  /// Enqueue a job. From a worker thread the job lands on that worker's own
-  /// deque (LIFO pop keeps nested submissions live); from outside, deques
-  /// are fed round-robin and idle workers steal FIFO from each other. With
-  /// no workers the job runs inline before submit returns.
+  /// Append a job to the pool's one FIFO queue; jobs start in submission
+  /// order, whichever thread submits them. With no workers the job runs
+  /// inline before submit returns.
   void submit(std::function<void()> job);
 
   /// The process-wide pool, sized from RFMIX_THREADS or, when unset,
   /// std::thread::hardware_concurrency(). Built on first use.
   static ThreadPool& global();
 
-  /// The pool parallel_for uses by default: the innermost ScopedPool
-  /// override if one is active, else global().
+  /// The pool parallel_for runs on: the innermost ScopedPool override if
+  /// one is active, else global().
   static ThreadPool& current();
 
   /// Concurrency global() would be built with: a numeric RFMIX_THREADS
@@ -59,7 +57,7 @@ class ThreadPool {
   static int configured_threads();
 
   /// Run queued jobs on the calling thread until `done()` returns true.
-  /// While the queues are empty the caller parks on the pool's wake signal
+  /// While the queue is empty the caller parks on the pool's wake signal
   /// (bounded waits, so an externally-completed `done` is noticed within
   /// ~200us) instead of spinning. This is how blocking waiters — rfmixd's
   /// blocking request path (ServerSession::handle_line), a job waiting on
@@ -68,24 +66,16 @@ class ThreadPool {
   void assist_until(const std::function<bool()>& done);
 
  private:
-  struct WorkerQueue {
-    std::mutex mu;
-    std::deque<std::function<void()>> jobs;
-  };
+  void worker_main();
+  /// Pop the oldest job and run it with `lk` released; `lk` is held again
+  /// on return.
+  void run_front(std::unique_lock<std::mutex>& lk);
 
-  friend class ScopedPool;
-
-  void worker_main(int id);
-  /// Pop (own deque, back) or steal (other deques, front) and run one job.
-  bool try_run_one(int id);
-
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::vector<std::thread> workers_;
-  std::mutex sleep_mu_;
-  std::condition_variable sleep_cv_;
-  std::atomic<int> pending_{0};
-  std::atomic<bool> stop_{false};
-  std::atomic<unsigned> next_queue_{0};
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<std::function<void()>> jobs_;  // guarded by mu_
+  bool stop_ = false;                       // guarded by mu_
+  std::vector<std::thread> workers_;        // last: the threads use the rest
 };
 
 /// RAII override of ThreadPool::current() — lets tests and tools pin the

@@ -91,7 +91,7 @@ bool LineReactor::claim_socket_path(const std::string& path, std::string* err) {
     return false;
   }
   // Only ever remove a *stale* socket: refuse to clobber a regular file
-  // (or anything else) at the path, and refuse to steal a socket another
+  // (or anything else) at the path, and refuse to take over a socket another
   // live server is still accepting on.
   struct stat st {};
   if (::lstat(path.c_str(), &st) != 0) return true;

@@ -178,10 +178,7 @@ void register_gen_op(OpRegistry& r) {
       // template's first probe node", and the canonical record must name
       // the node it resolves to.
       if (g.ac.probe.empty()) g.ac.probe = gen::probe_nodes(g.spec).front();
-      if (g.ac.points < 2 || g.ac.points > 4096)
-        throw std::invalid_argument("gen ac points must be in [2, 4096]");
-      if (!(g.ac.f_start_hz > 0.0) || !(g.ac.f_stop_hz > g.ac.f_start_hz))
-        throw std::invalid_argument("gen ac requires 0 < f_start_hz < f_stop_hz");
+      check_ac_grid(g.ac, "gen ac");
     }
     if (g.analysis == "npath_zin") {
       if (g.points < 2 || g.points > 4096)

@@ -46,10 +46,6 @@ std::string execute_op(const Request& req) {
 }
 
 std::string execute_ac(const Request& req) {
-  if (req.ac.probe.empty())
-    throw std::invalid_argument("ac request requires a probe node");
-  if (req.ac.points < 2)
-    throw std::invalid_argument("ac request requires at least 2 points");
   spice::Circuit ckt = spice::parse_netlist(req.netlist);
   const spice::NodeId probe = ckt.find_node(req.ac.probe);
   const spice::NodeId ref =
@@ -98,6 +94,13 @@ void append_ac_probe(std::string& out, std::string_view probe_name,
   append_number_array(out, "imag", im);
 }
 
+void check_ac_grid(const AcSpec& ac, const std::string& what) {
+  if (ac.points < 2 || ac.points > 4096)
+    throw std::invalid_argument(what + " points must be in [2, 4096]");
+  if (!(ac.f_start_hz > 0.0) || !(ac.f_stop_hz > ac.f_start_hz))
+    throw std::invalid_argument(what + " requires 0 < f_start_hz < f_stop_hz");
+}
+
 Schema make_ac_object_schema(AcSpec& (*get)(Request&)) {
   Schema s("ac");
   s.number("f_start_hz", [get](double v, Request& r) { get(r).f_start_hz = v; });
@@ -142,6 +145,12 @@ void register_netlist_ops(OpRegistry& r) {
     });
     ac.params.required("ac request requires an 'ac' object");
   }
+  // Cross-field checks before keying: a bad probe or grid is bad_params,
+  // never a sweep of unbounded size.
+  ac.finish = [](Request& q) {
+    if (q.ac.probe.empty()) throw std::invalid_argument("ac request requires a probe node");
+    check_ac_grid(q.ac, "ac");
+  };
   ac.canonical = [](CanonicalWriter& w, const Request& req) {
     const spice::Circuit ckt = spice::parse_netlist(req.netlist);
     append_canonical_circuit(w, ckt);

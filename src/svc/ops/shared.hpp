@@ -17,6 +17,11 @@ namespace rfmix::svc {
 /// selects out of the request being built.
 Schema make_ac_object_schema(AcSpec& (*get)(Request&));
 
+/// The grid bounds every AC sweep shares: points in [2, 4096] and
+/// 0 < f_start_hz < f_stop_hz. Throws std::invalid_argument naming the grid
+/// as `what` ("ac", "gen ac").
+void check_ac_grid(const AcSpec& ac, const std::string& what);
+
 /// The sweep frequencies of a request's grid: log- or linearly spaced,
 /// endpoints included.
 std::vector<double> freq_grid(double f_start_hz, double f_stop_hz, int points,

@@ -47,7 +47,7 @@ Supervisor::~Supervisor() {
 
 bool Supervisor::spawn(Worker& w, std::string* err) {
   // A dead worker leaves its socket file behind; rfmixd itself refuses to
-  // steal a *live* socket, so pre-unlinking here is safe and spares the
+  // take over a *live* socket, so pre-unlinking here is safe and spares the
   // child the connect-probe on its own corpse.
   ::unlink(w.socket_path.c_str());
 

@@ -1,5 +1,5 @@
 // Telemetry registry semantics: counter/timer identity and aggregation,
-// thread-local timer slabs under the work-stealing pool, snapshot ordering,
+// thread-local timer slabs across pool workers, snapshot ordering,
 // and RunReport serialization. Every test also compiles (and the
 // API-surface ones still run) with RFMIX_OBS=OFF, where the registry
 // collapses to shared no-ops.
@@ -134,15 +134,10 @@ TEST(Telemetry, TimerAggregatesAcrossPoolWorkers) {
   const std::uint64_t calls_before = t.calls();
   constexpr std::size_t kTasks = 256;
   runtime::ScopedPool pool(4);
-  runtime::ParallelOptions opts;
-  opts.grain = 1;
-  runtime::parallel_for(
-      0, kTasks,
-      [&](std::size_t) {
-        ScopedTimer scope(t);
-        std::atomic_signal_fence(std::memory_order_seq_cst);  // keep the scope
-      },
-      opts);
+  runtime::parallel_for(0, kTasks, [&](std::size_t) {
+    ScopedTimer scope(t);
+    std::atomic_signal_fence(std::memory_order_seq_cst);  // keep the scope
+  });
   EXPECT_EQ(t.calls(), calls_before + kTasks);
 }
 

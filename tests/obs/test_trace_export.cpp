@@ -215,15 +215,10 @@ TEST_F(TraceTest, ClearDropsEvents) {
 TEST_F(TraceTest, SameThreadEventsNestOrAreDisjoint) {
   trace::enable();
   runtime::ScopedPool pool(4);
-  runtime::ParallelOptions opts;
-  opts.grain = 1;
-  runtime::parallel_for(
-      0, 64,
-      [](std::size_t) {
-        RFMIX_OBS_TRACE_SCOPE("trace.test.task");
-        { RFMIX_OBS_TRACE_SCOPE("trace.test.subtask"); }
-      },
-      opts);
+  runtime::parallel_for(0, 64, [](std::size_t) {
+    RFMIX_OBS_TRACE_SCOPE("trace.test.task");
+    { RFMIX_OBS_TRACE_SCOPE("trace.test.subtask"); }
+  });
   trace::disable();
   const std::vector<TraceEvent> ev = trace::events();
   ASSERT_EQ(ev.size(), 128u);

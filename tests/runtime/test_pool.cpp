@@ -9,7 +9,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <memory>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -18,6 +21,39 @@
 
 namespace rfmix::runtime {
 namespace {
+
+// Holds pool workers inside jobs until release(), so a test can queue work
+// behind busy workers and know that none of it has started.
+class WorkerGate {
+ public:
+  /// Submit `n` blocking jobs and return once all `n` run, one per worker.
+  void hold(ThreadPool& pool, int n) {
+    for (int i = 0; i < n; ++i) {
+      pool.submit([this] {
+        std::unique_lock<std::mutex> lk(mu_);
+        ++held_;
+        cv_.notify_all();
+        cv_.wait(lk, [this] { return open_; });
+      });
+    }
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [&] { return held_ == n; });
+  }
+
+  void release() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int held_ = 0;
+  bool open_ = false;
+};
 
 TEST(ThreadPool, SpawnsOneFewerWorkerThanRequested) {
   ThreadPool pool(4);
@@ -72,16 +108,6 @@ TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
-TEST(ParallelFor, RespectsGrainWithoutChangingCoverage) {
-  ScopedPool scoped(4);
-  constexpr std::size_t kN = 103;  // deliberately not a multiple of the grain
-  std::vector<std::atomic<int>> hits(kN);
-  ParallelOptions opts;
-  opts.grain = 16;
-  parallel_for(0, kN, [&](std::size_t i) { ++hits[i]; }, opts);
-  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-}
-
 TEST(ParallelFor, PropagatesFirstException) {
   ScopedPool scoped(4);
   std::atomic<int> started{0};
@@ -122,23 +148,13 @@ TEST(ParallelFor, NestedParallelForCompletes) {
 
 TEST(ParallelFor, OversubscriptionManySmallLoops) {
   // Far more tasks than lanes, repeatedly, to shake out lost-wakeup and
-  // double-claim bugs in the steal path.
+  // double-claim bugs in the queue and the claim counter.
   ScopedPool scoped(8);
   for (int round = 0; round < 50; ++round) {
     std::atomic<long> sum{0};
     parallel_for(0, 256, [&](std::size_t i) { sum += static_cast<long>(i); });
     EXPECT_EQ(sum.load(), 256L * 255L / 2L);
   }
-}
-
-TEST(ParallelFor, ExplicitPoolOptionWins) {
-  ScopedPool ambient(8);
-  ThreadPool private_pool(2);
-  ParallelOptions opts;
-  opts.pool = &private_pool;
-  std::atomic<int> calls{0};
-  parallel_for(0, 10, [&](std::size_t) { ++calls; }, opts);
-  EXPECT_EQ(calls.load(), 10);
 }
 
 TEST(ParallelMap, PreservesIndexOrder) {
@@ -178,6 +194,49 @@ TEST(ThreadPool, AssistUntilSerialFallback) {
   pool.submit([&] { ++ran; });
   EXPECT_EQ(ran, 1);
   pool.assist_until([&] { return ran == 1; });  // must not hang
+}
+
+TEST(ThreadPool, OneWorkerStartsJobsInSubmissionOrder) {
+  // Locals the jobs touch are declared before the pool, so the pool (and
+  // its worker) is gone before they are.
+  WorkerGate gate;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<int> started;
+  constexpr int kJobs = 16;
+  ThreadPool pool(2);  // one worker; the test thread never assists
+  gate.hold(pool, 1);
+  for (int i = 0; i < kJobs; ++i) {
+    pool.submit([&, i] {
+      std::lock_guard<std::mutex> lk(mu);
+      started.push_back(i);
+      cv.notify_all();
+    });
+  }
+  gate.release();
+  std::vector<int> expected(kJobs);
+  std::iota(expected.begin(), expected.end(), 0);
+  std::unique_lock<std::mutex> lk(mu);
+  cv.wait(lk, [&] { return started.size() == expected.size(); });
+  EXPECT_EQ(started, expected);
+}
+
+TEST(ThreadPool, DestructorRunsEveryQueuedJob) {
+  WorkerGate gate;
+  std::atomic<int> ran{0};
+  constexpr int kJobs = 100;
+  auto pool = std::make_unique<ThreadPool>(3);  // two workers, both held busy
+  gate.hold(*pool, 2);
+  for (int i = 0; i < kJobs; ++i) pool->submit([&] { ++ran; });
+  EXPECT_EQ(ran.load(), 0);
+  // Start the shutdown while both workers are still held (the sleep lets
+  // the destructor raise its stop flag first), then release them: the
+  // workers must still run the whole queue before they exit.
+  std::thread destroyer([&] { pool.reset(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  gate.release();
+  destroyer.join();
+  EXPECT_EQ(ran.load(), kJobs);
 }
 
 TEST(ThreadPool, ConfiguredThreadsHonorsEnv) {

@@ -10,7 +10,6 @@
 #ifndef _WIN32
 
 #include <gtest/gtest.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
@@ -26,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "line_client.hpp"
 #include "runtime/thread_pool.hpp"
 #include "svc/json_parse.hpp"
 #include "svc/server.hpp"
@@ -33,61 +33,8 @@
 namespace rfmix::svc {
 namespace {
 
-/// A blocking NDJSON test client over a Unix socket.
-struct Client {
-  int fd = -1;
-
-  ~Client() {
-    if (fd >= 0) ::close(fd);
-  }
-
-  bool connect_to(const std::string& path) {
-    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) return false;
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-    return ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
-  }
-
-  bool send_all(const std::string& data) {
-    std::size_t off = 0;
-    while (off < data.size()) {
-      const ssize_t n = ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      off += static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-
-  void shutdown_write() { ::shutdown(fd, SHUT_WR); }
-
-  /// Read until `n` complete lines arrived (or EOF / timeout). Returns the
-  /// lines without their trailing newline.
-  std::vector<std::string> read_lines(std::size_t n, int timeout_ms = 60000) {
-    std::string buf;
-    std::vector<std::string> lines;
-    while (lines.size() < n) {
-      pollfd p{fd, POLLIN, 0};
-      const int rc = ::poll(&p, 1, timeout_ms);
-      if (rc <= 0) break;  // timeout
-      char chunk[65536];
-      const ssize_t got = ::recv(fd, chunk, sizeof chunk, 0);
-      if (got <= 0) break;  // EOF or error
-      buf.append(chunk, static_cast<std::size_t>(got));
-      std::size_t pos = 0, nl;
-      while ((nl = buf.find('\n', pos)) != std::string::npos) {
-        lines.push_back(buf.substr(pos, nl - pos));
-        pos = nl + 1;
-      }
-      buf.erase(0, pos);
-    }
-    return lines;
-  }
-};
+// Read timeout for every reply this suite waits on.
+constexpr int kReadTimeoutMs = 60000;
 
 class EventLoopTest : public ::testing::Test {
  protected:
@@ -143,10 +90,10 @@ std::string slow_request(const std::string& id_json, int tag, double timeout_ms 
 
 TEST_F(EventLoopTest, SingleClientRoundTrip) {
   start();
-  Client c;
+  LineClient c;
   ASSERT_TRUE(c.connect_to(path_));
   ASSERT_TRUE(c.send_all("{\"v\":2,\"id\":1,\"kind\":\"ping\"}\n"));
-  const auto lines = c.read_lines(1);
+  const auto lines = c.read_lines(1, kReadTimeoutMs);
   ASSERT_EQ(lines.size(), 1u);
   EXPECT_EQ(lines[0], R"({"v":2,"id":1,"ok":true,"result":{"pong":true}})");
 }
@@ -210,12 +157,12 @@ TEST_F(EventLoopTest, EightClientsMixedPrioritiesMatchSerialByteForByte) {
   std::vector<std::thread> workers;
   for (int c = 0; c < kClients; ++c) {
     workers.emplace_back([&, c] {
-      Client client;
+      LineClient client;
       if (!client.connect_to(path_)) return;
       std::string all;
       for (const std::string& line : reqs[c]) all += line + "\n";
       if (!client.send_all(all)) return;
-      got[c] = client.read_lines(kRequests);
+      got[c] = client.read_lines(kRequests, kReadTimeoutMs);
     });
   }
   for (auto& w : workers) w.join();
@@ -244,14 +191,14 @@ TEST_F(EventLoopTest, EightClientsMixedPrioritiesMatchSerialByteForByte) {
 
 TEST_F(EventLoopTest, PipelinedBurstInOneWriteAndTornWrites) {
   start();
-  Client c;
+  LineClient c;
   ASSERT_TRUE(c.connect_to(path_));
   // Many requests in a single write...
   std::string burst;
   for (int i = 0; i < 20; ++i)
     burst += R"({"v":2,"id":)" + std::to_string(i) + R"(,"kind":"ping"})" + "\n";
   ASSERT_TRUE(c.send_all(burst));
-  auto lines = c.read_lines(20);
+  auto lines = c.read_lines(20, kReadTimeoutMs);
   ASSERT_EQ(lines.size(), 20u);
 
   // ...and one request torn into single-byte writes.
@@ -260,18 +207,18 @@ TEST_F(EventLoopTest, PipelinedBurstInOneWriteAndTornWrites) {
     ASSERT_TRUE(c.send_all(std::string(1, ch)));
     if (ch == ':') std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  lines = c.read_lines(1);
+  lines = c.read_lines(1, kReadTimeoutMs);
   ASSERT_EQ(lines.size(), 1u);
   EXPECT_EQ(lines[0], R"({"v":2,"id":"torn","ok":true,"result":{"pong":true}})");
 }
 
 TEST_F(EventLoopTest, MalformedLinesNeverKillTheConnection) {
   start();
-  Client c;
+  LineClient c;
   ASSERT_TRUE(c.connect_to(path_));
   ASSERT_TRUE(c.send_all("{nope\n42\n[\n{\"v\":9,\"kind\":\"ping\"}\n"
                          "{\"v\":2,\"id\":\"alive\",\"kind\":\"ping\"}\n"));
-  const auto lines = c.read_lines(5);
+  const auto lines = c.read_lines(5, kReadTimeoutMs);
   ASSERT_EQ(lines.size(), 5u);
   for (int i = 0; i < 4; ++i) {
     const JsonValue doc = json_parse(lines[static_cast<std::size_t>(i)]);
@@ -284,10 +231,10 @@ TEST_F(EventLoopTest, OversizedLineAnswersThenCloses) {
   ServerLoop::Options opts;
   opts.max_line_bytes = 4096;
   start(opts);
-  Client c;
+  LineClient c;
   ASSERT_TRUE(c.connect_to(path_));
   ASSERT_TRUE(c.send_all(std::string(8192, 'x')));  // no newline, over the cap
-  const auto lines = c.read_lines(1);
+  const auto lines = c.read_lines(1, kReadTimeoutMs);
   ASSERT_EQ(lines.size(), 1u);
   const JsonValue doc = json_parse(lines[0]);
   EXPECT_FALSE(doc.find("ok")->as_bool());
@@ -301,14 +248,14 @@ TEST_F(EventLoopTest, BackpressureDefersButAnswersEverything) {
   ServerLoop::Options opts;
   opts.max_inflight = 2;  // force POLLIN pauses under the flood
   start(opts, /*threads=*/3);
-  Client c;
+  LineClient c;
   ASSERT_TRUE(c.connect_to(path_));
   std::string flood;
   constexpr int kJobs = 12;
   for (int i = 0; i < kJobs; ++i)
     flood += slow_request(std::to_string(i), /*tag=*/i, 0.0, /*points=*/60) + "\n";
   ASSERT_TRUE(c.send_all(flood));
-  const auto lines = c.read_lines(kJobs);
+  const auto lines = c.read_lines(kJobs, kReadTimeoutMs);
   ASSERT_EQ(lines.size(), static_cast<std::size_t>(kJobs));
   std::vector<bool> seen(kJobs, false);
   for (const std::string& line : lines) {
@@ -321,7 +268,7 @@ TEST_F(EventLoopTest, BackpressureDefersButAnswersEverything) {
 
 TEST_F(EventLoopTest, CancelRemovesAQueuedRequest) {
   start(ServerLoop::Options{}, /*threads=*/2);  // one worker: jobs queue up
-  Client c;
+  LineClient c;
   ASSERT_TRUE(c.connect_to(path_));
   // A long job saturates the single worker; the target queues behind it;
   // the cancel arrives in the same read burst, so it is processed while
@@ -330,7 +277,7 @@ TEST_F(EventLoopTest, CancelRemovesAQueuedRequest) {
   burst += slow_request("\"target\"", 2) + "\n";
   burst += R"({"v":2,"id":"cxl","kind":"cancel","params":{"target":"target"}})" "\n";
   ASSERT_TRUE(c.send_all(burst));
-  const auto lines = c.read_lines(3);
+  const auto lines = c.read_lines(3, kReadTimeoutMs);
   ASSERT_EQ(lines.size(), 3u);
   std::map<std::string, JsonValue> by_id;
   for (const std::string& line : lines) {
@@ -353,12 +300,12 @@ TEST_F(EventLoopTest, CancelRemovesAQueuedRequest) {
 
 TEST_F(EventLoopTest, DeadlineExpiryAnswersTimeout) {
   start(ServerLoop::Options{}, /*threads=*/2);
-  Client c;
+  LineClient c;
   ASSERT_TRUE(c.connect_to(path_));
   std::string burst = slow_request("\"blocker\"", 3) + "\n";
   burst += slow_request("\"late\"", 4, /*timeout_ms=*/1.0) + "\n";
   ASSERT_TRUE(c.send_all(burst));
-  const auto lines = c.read_lines(2);
+  const auto lines = c.read_lines(2, kReadTimeoutMs);
   ASSERT_EQ(lines.size(), 2u);
   std::map<std::string, JsonValue> by_id;
   for (const std::string& line : lines) {
@@ -373,7 +320,7 @@ TEST_F(EventLoopTest, DeadlineExpiryAnswersTimeout) {
 
 TEST_F(EventLoopTest, ShutdownDrainsInFlightWork) {
   start(ServerLoop::Options{}, /*threads=*/3);
-  Client c;
+  LineClient c;
   ASSERT_TRUE(c.connect_to(path_));
   std::string burst;
   for (int i = 0; i < 4; ++i) burst += slow_request(std::to_string(i), 10 + i) + "\n";
@@ -381,7 +328,7 @@ TEST_F(EventLoopTest, ShutdownDrainsInFlightWork) {
   // Give the loop a beat to dispatch, then ask for shutdown mid-flight.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   loop_->request_shutdown();
-  const auto lines = c.read_lines(4);
+  const auto lines = c.read_lines(4, kReadTimeoutMs);
   thread_.join();
   // Every dispatched job completed and was flushed before run() returned.
   ASSERT_EQ(lines.size(), 4u) << "shutdown dropped in-flight responses";
@@ -390,17 +337,17 @@ TEST_F(EventLoopTest, ShutdownDrainsInFlightWork) {
     EXPECT_TRUE(doc.find("ok")->as_bool()) << line;
   }
   // And the listener is gone: new connections fail.
-  Client late;
+  LineClient late;
   EXPECT_FALSE(late.connect_to(path_));
 }
 
 TEST_F(EventLoopTest, EofWithUnterminatedFinalLineStillAnswers) {
   start();
-  Client c;
+  LineClient c;
   ASSERT_TRUE(c.connect_to(path_));
   ASSERT_TRUE(c.send_all(R"({"v":2,"id":"last","kind":"ping"})"));  // no newline
   c.shutdown_write();
-  const auto lines = c.read_lines(1);
+  const auto lines = c.read_lines(1, kReadTimeoutMs);
   ASSERT_EQ(lines.size(), 1u);
   EXPECT_EQ(lines[0], R"({"v":2,"id":"last","ok":true,"result":{"pong":true}})");
 }
@@ -412,7 +359,7 @@ TEST_F(EventLoopTest, PeerDisconnectMidResponseIsConnectionCleanupNotDeath) {
   // clients are unaffected.
   start();
   {
-    Client doomed;
+    LineClient doomed;
     ASSERT_TRUE(doomed.connect_to(path_));
     std::string burst;
     for (int i = 0; i < 4; ++i) burst += slow_request(std::to_string(i), 70 + i) + "\n";
@@ -422,18 +369,18 @@ TEST_F(EventLoopTest, PeerDisconnectMidResponseIsConnectionCleanupNotDeath) {
   }
   // The loop keeps serving: a fresh client gets normal service while the
   // orphaned completions are written into the void and cleaned up.
-  Client c;
+  LineClient c;
   ASSERT_TRUE(c.connect_to(path_));
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(c.send_all("{\"v\":2,\"id\":7,\"kind\":\"ping\"}\n"));
-    const auto lines = c.read_lines(1);
+    const auto lines = c.read_lines(1, kReadTimeoutMs);
     ASSERT_EQ(lines.size(), 1u);
     EXPECT_EQ(lines[0], R"({"v":2,"id":7,"ok":true,"result":{"pong":true}})");
   }
 }
 
 // ---------------------------------------------------------------------------
-// Stale-socket policy: never remove a non-socket, never steal a live
+// Stale-socket policy: never remove a non-socket, never take over a live
 // server's socket, replace a dead one.
 // ---------------------------------------------------------------------------
 
@@ -451,10 +398,10 @@ class ListenPolicyTest : public ::testing::Test {
   /// Serve `loop` on a thread long enough for one ping round trip.
   void expect_pong(ServerLoop& loop) {
     std::thread thread([&loop] { loop.run(); });
-    Client c;
+    LineClient c;
     ASSERT_TRUE(c.connect_to(path_));
     ASSERT_TRUE(c.send_all("{\"v\":2,\"id\":1,\"kind\":\"ping\"}\n"));
-    const auto lines = c.read_lines(1);
+    const auto lines = c.read_lines(1, kReadTimeoutMs);
     loop.request_shutdown();
     thread.join();
     ASSERT_EQ(lines.size(), 1u);

@@ -86,6 +86,31 @@ TEST_F(ProtocolGoldenTest, BadParamsV2) {
             R"json("message":"missing required field 'netlist'"}})json");
 }
 
+TEST_F(ProtocolGoldenTest, AcProbeAndGridChecksAreBadParams) {
+  // The ac op checks its probe and grid before the netlist is keyed, with
+  // the bounds gen and npath_zin use: [2, 4096] points, 0 < start < stop.
+  const auto ac = [](const std::string& fields) {
+    return R"json({"v":2,"id":8,"kind":"ac","params":{)json"
+           R"json("netlist":"V1 in 0 DC 0 AC 1\nR1 in out 1k\n","ac":{)json" +
+           fields + "}}}";
+  };
+  EXPECT_EQ(reply(ac(R"json("points":100000000,"probe":"out")json")),
+            R"json({"v":2,"id":8,"ok":false,"error":{"code":"bad_params",)json"
+            R"json("message":"ac points must be in [2, 4096]"}})json");
+  EXPECT_EQ(reply(ac(R"json("points":1,"probe":"out")json")),
+            R"json({"v":2,"id":8,"ok":false,"error":{"code":"bad_params",)json"
+            R"json("message":"ac points must be in [2, 4096]"}})json");
+  EXPECT_EQ(reply(ac(R"json("f_start_hz":0,"probe":"out")json")),
+            R"json({"v":2,"id":8,"ok":false,"error":{"code":"bad_params",)json"
+            R"json("message":"ac requires 0 < f_start_hz < f_stop_hz"}})json");
+  EXPECT_EQ(reply(ac(R"json("f_start_hz":1e6,"f_stop_hz":1e6,"probe":"out")json")),
+            R"json({"v":2,"id":8,"ok":false,"error":{"code":"bad_params",)json"
+            R"json("message":"ac requires 0 < f_start_hz < f_stop_hz"}})json");
+  EXPECT_EQ(reply(ac(R"json("points":16)json")),
+            R"json({"v":2,"id":8,"ok":false,"error":{"code":"bad_params",)json"
+            R"json("message":"ac request requires a probe node"}})json");
+}
+
 TEST_F(ProtocolGoldenTest, MixerConfigTypeErrorOutranksUnknownName) {
   // The config value's type is checked before its name is looked up.
   EXPECT_EQ(reply(R"json({"v":2,"id":6,"kind":"mixer_metric","params":{"metric":"gain_db",)json"

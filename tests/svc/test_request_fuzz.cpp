@@ -20,16 +20,15 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
-#include <sys/un.h>
 #include <unistd.h>
 
-#include <cstring>
 #include <memory>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "line_client.hpp"
 #include "runtime/thread_pool.hpp"
 #include "request_corpus.hpp"
 #include "svc/event_loop.hpp"
@@ -70,51 +69,8 @@ std::vector<std::string> oracle_responses(const std::vector<std::string>& lines)
   return out;
 }
 
-struct Client {
-  int fd = -1;
-  ~Client() {
-    if (fd >= 0) ::close(fd);
-  }
-  bool connect_to(const std::string& path) {
-    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) return false;
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-    return ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
-  }
-  bool send_all(const std::string& data) {
-    std::size_t off = 0;
-    while (off < data.size()) {
-      const ssize_t n = ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      off += static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-  std::vector<std::string> read_lines(std::size_t n, int timeout_ms = 60000) {
-    std::string buf;
-    std::vector<std::string> lines;
-    while (lines.size() < n) {
-      pollfd p{fd, POLLIN, 0};
-      if (::poll(&p, 1, timeout_ms) <= 0) break;
-      char chunk[65536];
-      const ssize_t got = ::recv(fd, chunk, sizeof chunk, 0);
-      if (got <= 0) break;
-      buf.append(chunk, static_cast<std::size_t>(got));
-      std::size_t pos = 0, nl;
-      while ((nl = buf.find('\n', pos)) != std::string::npos) {
-        lines.push_back(buf.substr(pos, nl - pos));
-        pos = nl + 1;
-      }
-      buf.erase(0, pos);
-    }
-    return lines;
-  }
-};
+// Read timeout for every reply this suite waits on.
+constexpr int kReadTimeoutMs = 60000;
 
 class RequestFuzzTest : public ::testing::Test {
  protected:
@@ -210,12 +166,12 @@ void RequestFuzzTest::whole_line_feed() {
   const auto lines = request_corpus();
   const auto expected = oracle_responses(lines);
   start();
-  Client c;
+  LineClient c;
   ASSERT_TRUE(c.connect_to(path_));
   std::string stream;
   for (const auto& line : lines) stream += line + "\n";
   ASSERT_TRUE(c.send_all(stream));
-  const auto got = c.read_lines(lines.size());
+  const auto got = c.read_lines(lines.size(), kReadTimeoutMs);
   ASSERT_EQ(got.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) EXPECT_EQ(got[i], expected[i]) << i;
 }
@@ -224,12 +180,12 @@ void RequestFuzzTest::byte_at_a_time_feed() {
   const auto lines = request_corpus();
   const auto expected = oracle_responses(lines);
   start();
-  Client c;
+  LineClient c;
   ASSERT_TRUE(c.connect_to(path_));
   std::string stream;
   for (const auto& line : lines) stream += line + "\n";
   for (const char ch : stream) ASSERT_TRUE(c.send_all(std::string(1, ch)));
-  const auto got = c.read_lines(lines.size());
+  const auto got = c.read_lines(lines.size(), kReadTimeoutMs);
   ASSERT_EQ(got.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) EXPECT_EQ(got[i], expected[i]) << i;
 }
@@ -244,7 +200,7 @@ void RequestFuzzTest::seeded_random_splits() {
     start();
     std::mt19937 rng(seed);
     std::uniform_int_distribution<std::size_t> chunk(1, 23);
-    Client c;
+    LineClient c;
     ASSERT_TRUE(c.connect_to(path_));
     std::size_t off = 0;
     while (off < stream.size()) {
@@ -252,7 +208,7 @@ void RequestFuzzTest::seeded_random_splits() {
       ASSERT_TRUE(c.send_all(stream.substr(off, n)));
       off += n;
     }
-    const auto got = c.read_lines(lines.size());
+    const auto got = c.read_lines(lines.size(), kReadTimeoutMs);
     ASSERT_EQ(got.size(), expected.size()) << "seed " << seed;
     for (std::size_t i = 0; i < expected.size(); ++i)
       EXPECT_EQ(got[i], expected[i]) << "seed " << seed << " line " << i;
@@ -278,7 +234,7 @@ void RequestFuzzTest::two_clients_interleaved() {
   const auto expected_b = oracle_responses(half_b);
 
   start();
-  Client a, b;
+  LineClient a, b;
   ASSERT_TRUE(a.connect_to(path_));
   ASSERT_TRUE(b.connect_to(path_));
   std::string stream_a, stream_b;
@@ -299,8 +255,8 @@ void RequestFuzzTest::two_clients_interleaved() {
       off_b += n;
     }
   }
-  const auto got_a = a.read_lines(half_a.size());
-  const auto got_b = b.read_lines(half_b.size());
+  const auto got_a = a.read_lines(half_a.size(), kReadTimeoutMs);
+  const auto got_b = b.read_lines(half_b.size(), kReadTimeoutMs);
   ASSERT_EQ(got_a.size(), expected_a.size());
   ASSERT_EQ(got_b.size(), expected_b.size());
   for (std::size_t i = 0; i < expected_a.size(); ++i) EXPECT_EQ(got_a[i], expected_a[i]);
@@ -309,8 +265,8 @@ void RequestFuzzTest::two_clients_interleaved() {
 
 /// The size-limit parse_error, then EOF: the server hangs up instead of
 /// waiting for more bytes.
-void expect_size_limit_error_then_eof(Client& c) {
-  const auto lines = c.read_lines(1);
+void expect_size_limit_error_then_eof(LineClient& c) {
+  const auto lines = c.read_lines(1, kReadTimeoutMs);
   ASSERT_EQ(lines.size(), 1u);
   EXPECT_NE(lines[0].find("\"code\":\"parse_error\""), std::string::npos) << lines[0];
   EXPECT_NE(lines[0].find("exceeds size limit"), std::string::npos) << lines[0];
@@ -324,7 +280,7 @@ void RequestFuzzTest::oversized_line() {
   ServerLoop::Options opts;
   opts.max_line_bytes = 4096;
   start(opts);
-  Client c;
+  LineClient c;
   ASSERT_TRUE(c.connect_to(path_));
   // 8 KiB with no newline: unresynchronizable garbage.
   ASSERT_TRUE(c.send_all(std::string(8192, 'a')));
@@ -337,7 +293,7 @@ void RequestFuzzTest::terminated_line_one_byte_over() {
   ServerLoop::Options opts;
   opts.max_line_bytes = 4096;
   start(opts);
-  Client c;
+  LineClient c;
   ASSERT_TRUE(c.connect_to(path_));
   std::string line = R"({"v":2,"id":1,"kind":"ping"})";
   line.append(opts.max_line_bytes + 1 - line.size(), ' ');
@@ -386,26 +342,26 @@ TEST_F(RouterFuzzTest, LineWithNoRoomForTheTicketIsRefusedAtTheRouter) {
       R"({"v":2,"kind":"op","params":{"netlist":"V1 in 0 DC 1\nR1 in 0 1000\n.end"}})";
   line.append(cap - 10 - line.size(), ' ');
   {
-    Client c;
+    LineClient c;
     ASSERT_TRUE(c.connect_to(path_));
     ASSERT_TRUE(c.send_all(line + "\n"));
     expect_size_limit_error_then_eof(c);
   }
-  Client c;
+  LineClient c;
   ASSERT_TRUE(c.connect_to(path_));
   ASSERT_TRUE(c.send_all("{\"v\":2,\"id\":2,\"kind\":\"stats\"}\n"));
-  const auto lines = c.read_lines(1);
+  const auto lines = c.read_lines(1, kReadTimeoutMs);
   ASSERT_EQ(lines.size(), 1u);
   EXPECT_NE(lines[0].find("\"worker_restarts\":0,"), std::string::npos) << lines[0];
 }
 
 TEST_F(RouterFuzzTest, EofWithUnterminatedFinalLineStillAnswers) {
   start();
-  Client c;
+  LineClient c;
   ASSERT_TRUE(c.connect_to(path_));
   ASSERT_TRUE(c.send_all(R"({"v":2,"id":"last","kind":"ping"})"));  // no newline
-  ::shutdown(c.fd, SHUT_WR);
-  const auto lines = c.read_lines(1);
+  c.shutdown_write();
+  const auto lines = c.read_lines(1, kReadTimeoutMs);
   ASSERT_EQ(lines.size(), 1u);
   EXPECT_EQ(lines[0], R"({"v":2,"id":"last","ok":true,"result":{"pong":true}})");
 }
@@ -415,17 +371,17 @@ TEST_F(RouterFuzzTest, PeerDisconnectMidResponseIsConnectionCleanupNotDeath) {
   // connection; later clients get normal service.
   start();
   {
-    Client doomed;
+    LineClient doomed;
     ASSERT_TRUE(doomed.connect_to(path_));
     std::string burst;
     for (int i = 0; i < 4; ++i) burst += slow_request(i, 70 + i) + "\n";
     ASSERT_TRUE(doomed.send_all(burst));
   }
-  Client c;
+  LineClient c;
   ASSERT_TRUE(c.connect_to(path_));
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(c.send_all("{\"v\":2,\"id\":7,\"kind\":\"ping\"}\n"));
-    const auto lines = c.read_lines(1);
+    const auto lines = c.read_lines(1, kReadTimeoutMs);
     ASSERT_EQ(lines.size(), 1u);
     EXPECT_EQ(lines[0], R"({"v":2,"id":7,"ok":true,"result":{"pong":true}})");
   }

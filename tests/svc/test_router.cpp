@@ -18,22 +18,19 @@
 #ifndef _WIN32
 
 #include <gtest/gtest.h>
-#include <poll.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <sys/stat.h>
-#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "line_client.hpp"
 #include "runtime/thread_pool.hpp"
 #include "svc/fault.hpp"
 #include "svc/json_parse.hpp"
@@ -43,58 +40,8 @@
 namespace rfmix::svc {
 namespace {
 
-/// A blocking NDJSON test client over a Unix socket (same shape as the
-/// event-loop tests').
-struct Client {
-  int fd = -1;
-
-  ~Client() {
-    if (fd >= 0) ::close(fd);
-  }
-
-  bool connect_to(const std::string& path) {
-    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) return false;
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-    return ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
-  }
-
-  bool send_all(const std::string& data) {
-    std::size_t off = 0;
-    while (off < data.size()) {
-      const ssize_t n = ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      off += static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-
-  std::vector<std::string> read_lines(std::size_t n, int timeout_ms = 120000) {
-    std::string buf;
-    std::vector<std::string> lines;
-    while (lines.size() < n) {
-      pollfd p{fd, POLLIN, 0};
-      const int rc = ::poll(&p, 1, timeout_ms);
-      if (rc <= 0) break;
-      char chunk[65536];
-      const ssize_t got = ::recv(fd, chunk, sizeof chunk, 0);
-      if (got <= 0) break;
-      buf.append(chunk, static_cast<std::size_t>(got));
-      std::size_t pos = 0, nl;
-      while ((nl = buf.find('\n', pos)) != std::string::npos) {
-        lines.push_back(buf.substr(pos, nl - pos));
-        pos = nl + 1;
-      }
-      buf.erase(0, pos);
-    }
-    return lines;
-  }
-};
+// Read timeout for every reply this suite waits on.
+constexpr int kReadTimeoutMs = 120000;
 
 class RouterTest : public ::testing::Test {
  protected:
@@ -173,7 +120,7 @@ std::string quick_request(const std::string& id_json, int tag) {
 
 TEST_F(RouterTest, ControlRequestsAndVersionRejection) {
   start(2);
-  Client c;
+  LineClient c;
   ASSERT_TRUE(c.connect_to(path_));
   ASSERT_TRUE(c.send_all("{\"v\":2,\"id\":1,\"kind\":\"ping\"}\n"
                          "{\"v\":2,\"id\":2,\"kind\":\"ping\"}\n"
@@ -182,7 +129,7 @@ TEST_F(RouterTest, ControlRequestsAndVersionRejection) {
                          "{}\n"
                          "{\"v\":2,\"id\":3,\"kind\":\"stats\"}\n"
                          "{nope\n"));
-  const auto lines = c.read_lines(7);
+  const auto lines = c.read_lines(7, kReadTimeoutMs);
   ASSERT_EQ(lines.size(), 7u);
   EXPECT_EQ(lines[0], R"({"v":2,"id":1,"ok":true,"result":{"pong":true}})");
   EXPECT_EQ(lines[1], R"({"v":2,"id":2,"ok":true,"result":{"pong":true}})");
@@ -212,7 +159,7 @@ TEST_F(RouterTest, RoutedAnalysisMatchesDirectSessionByteForByte) {
   ResultCache oracle_cache(1024);
   ServerSession oracle(oracle_cache, pool.pool());
 
-  Client c;
+  LineClient c;
   ASSERT_TRUE(c.connect_to(path_));
   std::string batch;
   std::vector<std::string> reqs;
@@ -221,7 +168,7 @@ TEST_F(RouterTest, RoutedAnalysisMatchesDirectSessionByteForByte) {
     batch += reqs.back() + "\n";
   }
   ASSERT_TRUE(c.send_all(batch));
-  const auto lines = c.read_lines(8);
+  const auto lines = c.read_lines(8, kReadTimeoutMs);
   ASSERT_EQ(lines.size(), 8u);
   std::map<std::string, std::string> by_id;
   for (const auto& line : lines) {
@@ -234,14 +181,14 @@ TEST_F(RouterTest, RoutedAnalysisMatchesDirectSessionByteForByte) {
 
 TEST_F(RouterTest, RepeatedKeyAnswersFromRouterCacheTier) {
   start(2);
-  Client c;
+  LineClient c;
   ASSERT_TRUE(c.connect_to(path_));
   ASSERT_TRUE(c.send_all(quick_request("1", 7) + "\n"));
-  auto first = c.read_lines(1);
+  auto first = c.read_lines(1, kReadTimeoutMs);
   ASSERT_EQ(first.size(), 1u);
   EXPECT_NE(first[0].find("\"cached\":false"), std::string::npos);
   ASSERT_TRUE(c.send_all(quick_request("2", 7) + "\n"));
-  auto second = c.read_lines(1);
+  auto second = c.read_lines(1, kReadTimeoutMs);
   ASSERT_EQ(second.size(), 1u);
   EXPECT_NE(second[0].find("\"cached\":true"), std::string::npos);
   // Same key and payload bytes, different provenance flag.
@@ -263,7 +210,7 @@ TEST_F(RouterTest, KillWorkerMidFlightAnswersEverythingByteIdentical) {
   ServerSession oracle(oracle_cache, pool.pool());
 
   constexpr int kN = 36;
-  Client c;
+  LineClient c;
   ASSERT_TRUE(c.connect_to(path_));
   std::string batch;
   std::vector<std::string> reqs;
@@ -280,7 +227,7 @@ TEST_F(RouterTest, KillWorkerMidFlightAnswersEverythingByteIdentical) {
   ASSERT_GT(victim, 0);
   ASSERT_EQ(::kill(victim, SIGKILL), 0);
 
-  const auto lines = c.read_lines(kN);
+  const auto lines = c.read_lines(kN, kReadTimeoutMs);
   ASSERT_EQ(lines.size(), static_cast<std::size_t>(kN));
   std::map<std::string, std::string> by_id;
   for (const auto& line : lines) {
@@ -298,11 +245,11 @@ TEST_F(RouterTest, AllWorkersDownDegradesCachedHitsAndStructuredUnavailable) {
   sopts.restart = false;  // deaths are permanent: a stable "all down" state
   start(2, sopts);
 
-  Client c;
+  LineClient c;
   ASSERT_TRUE(c.connect_to(path_));
   // Populate the router's cache tier with one key.
   ASSERT_TRUE(c.send_all(quick_request("1", 1) + "\n"));
-  const auto warm = c.read_lines(1);
+  const auto warm = c.read_lines(1, kReadTimeoutMs);
   ASSERT_EQ(warm.size(), 1u);
   ASSERT_NE(warm[0].find("\"ok\":true"), std::string::npos);
 
@@ -355,12 +302,12 @@ TEST_F(RouterTest, CrashAfterFaultIsSurvivedByReplayAndRestart) {
   start(2, sopts, ropts);
 
   constexpr int kN = 24;
-  Client c;
+  LineClient c;
   ASSERT_TRUE(c.connect_to(path_));
   std::string batch;
   for (int i = 0; i < kN; ++i) batch += quick_request(std::to_string(i), i) + "\n";
   ASSERT_TRUE(c.send_all(batch));
-  const auto lines = c.read_lines(kN);
+  const auto lines = c.read_lines(kN, kReadTimeoutMs);
   ASSERT_EQ(lines.size(), static_cast<std::size_t>(kN));
   for (const auto& line : lines) {
     const JsonValue v = json_parse(line);
@@ -389,12 +336,12 @@ TEST_F(RouterTest, TornWriteWorkerStillDeliversByteCorrectResponses) {
   ResultCache oracle_cache(1024);
   ServerSession oracle(oracle_cache, pool.pool());
 
-  Client c;
+  LineClient c;
   ASSERT_TRUE(c.connect_to(path_));
   for (int i = 0; i < 3; ++i) {
     const std::string req = quick_request(std::to_string(i), i);
     ASSERT_TRUE(c.send_all(req + "\n"));
-    const auto lines = c.read_lines(1);
+    const auto lines = c.read_lines(1, kReadTimeoutMs);
     ASSERT_EQ(lines.size(), 1u);
     EXPECT_EQ(lines[0], oracle.handle_line(req).line);
   }
@@ -413,7 +360,7 @@ TEST_F(RouterTest, HungWorkersAreKilledByHeartbeatAndRequestsDegrade) {
   ropts.max_replays = 2;
   start(2, sopts, ropts);
 
-  Client c;
+  LineClient c;
   ASSERT_TRUE(c.connect_to(path_));
   const auto t0 = std::chrono::steady_clock::now();
   ASSERT_TRUE(c.send_all(quick_request("1", 1) + "\n"));
@@ -437,13 +384,13 @@ TEST_F(RouterTest, CancelRemovesInflightTicket) {
   Supervisor::Options sopts;
   sopts.worker_env = {"RFMIX_FAULT=stall_ms:30000"};
   start(1, sopts);
-  Client c;
+  LineClient c;
   ASSERT_TRUE(c.connect_to(path_));
   ASSERT_TRUE(c.send_all(slow_request("\"job\"", 1, 4000) + "\n"));
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   ASSERT_TRUE(c.send_all(
       R"({"v":2,"id":9,"kind":"cancel","params":{"target":"job"}})" "\n"));
-  const auto lines = c.read_lines(2);
+  const auto lines = c.read_lines(2, kReadTimeoutMs);
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_NE(lines[0].find("\"code\":\"cancelled\""), std::string::npos) << lines[0];
   EXPECT_NE(lines[1].find("\"cancelled\":true"), std::string::npos) << lines[1];

@@ -80,12 +80,13 @@ TEST_F(ServerTest, OpRoundTripV2ParamsEnvelope) {
 TEST_F(ServerTest, AcRoundTrip) {
   const std::string line =
       R"({"v":2,"id":2,"kind":"ac","params":{"netlist":"V1 in 0 DC 0 AC 1\nR1 in out 1k\nC1 out 0 1u\n",)"
-      R"("ac":{"f_start_hz":159.154943,"f_stop_hz":159.154943,"points":2,"log_scale":false,"probe":"out"}}})";
+      R"("ac":{"f_start_hz":159.154943,"f_stop_hz":1591.54943,"points":2,"log_scale":false,"probe":"out"}}})";
   const JsonValue r = handle(line);
   ASSERT_TRUE(r.find("ok")->as_bool());
   const JsonValue* res = r.find("result");
   ASSERT_EQ(res->find("freqs_hz")->as_array().size(), 2u);
-  // At f = 1/(2*pi*R*C) the RC divider sits at -3 dB with -45 degrees.
+  // At the first point, f = 1/(2*pi*R*C), the RC divider sits at -3 dB
+  // with -45 degrees.
   const double re = res->find("real")->as_array()[0].as_number();
   const double im = res->find("imag")->as_array()[0].as_number();
   EXPECT_NEAR(re, 0.5, 1e-6);
@@ -152,11 +153,11 @@ TEST_F(ServerTest, AnalysisErrorsCarryCodes) {
   EXPECT_FALSE(r.find("ok")->as_bool());
   EXPECT_EQ(code(r), "bad_params");
   EXPECT_NE(message(r).find("tca_gn"), std::string::npos);
-  // AC without a probe.
+  // AC without a probe: refused with the params, before keying.
   r = handle(
       R"({"v":2,"id":13,"kind":"ac","params":{"netlist":"V1 a 0 DC 1\nR1 a 0 1k\n","ac":{}}})");
   EXPECT_FALSE(r.find("ok")->as_bool());
-  EXPECT_EQ(code(r), "exec_failed");
+  EXPECT_EQ(code(r), "bad_params");
   // Bad mode string.
   r = handle(
       R"({"v":2,"id":14,"kind":"mixer_metric","params":{"metric":"gain_db","config":{"mode":"both"}}})");
