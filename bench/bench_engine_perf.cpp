@@ -3,6 +3,8 @@
 // transient stepping and LPTV conversion-matrix assembly/solve.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
 #include "core/circuits.hpp"
 #include "core/lptv_model.hpp"
 #include "mathx/fft.hpp"
@@ -13,6 +15,7 @@
 #include "runtime/thread_pool.hpp"
 #include "spice/devices_passive.hpp"
 #include "spice/devices_sources.hpp"
+#include "spice/mna.hpp"
 #include "spice/montecarlo.hpp"
 #include "spice/mosfet.hpp"
 #include "spice/op.hpp"
@@ -136,6 +139,94 @@ void BM_SparseLuRefactor(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SparseLuRefactor)->Arg(128)->Arg(512)->Arg(1024);
+
+// A warmed SolverSession Newton iteration on the active mixer's transient
+// Jacobian (the per-iteration work of the paper_mixer transient), at a
+// fixed operating point so every iteration repeats the same values.
+struct MixerTransientJacobian {
+  std::unique_ptr<core::TransistorMixer> mixer;
+  spice::Solution op;
+  spice::StampParams sp;
+  std::size_t n = 0;
+
+  MixerTransientJacobian() {
+    core::MixerConfig cfg;
+    cfg.mode = core::MixerMode::kActive;
+    cfg.rf_series_r = 50.0;
+    mixer = core::build_transistor_mixer(cfg);
+    op = spice::dc_operating_point(mixer->circuit);
+    sp.mode = spice::AnalysisMode::kTransient;
+    sp.dt = 1.0 / (cfg.f_lo_hz * 20.0);
+    sp.integrator = spice::Integrator::kTrapezoidal;
+    n = static_cast<std::size_t>(mixer->circuit.layout().size());
+  }
+};
+
+void BM_SessionNewtonIteration(benchmark::State& state) {
+  const MixerTransientJacobian j;
+  spice::SolverSession session;
+  mathx::VectorD x;
+  for (auto _ : state) {
+    mathx::TripletMatrix<double>& g = session.restamp(j.n);
+    spice::assemble_real(j.mixer->circuit, j.op, j.sp, 1e-12, g, session.rhs());
+    session.factor().solve(session.rhs(), x);
+    benchmark::DoNotOptimize(x.data());
+  }
+}
+BENCHMARK(BM_SessionNewtonIteration);
+
+// The same iteration timed by stage, on the mathx objects a SolverSession
+// holds, in the order its restamp() and factor() run them: restamp
+// (assemble_real into the recorded triplets), fill (triplet -> CSC through
+// the stamp map), refactor (the symbolic's structural replay, repair mode)
+// and solve. Counters give each stage's mean time per iteration [us].
+void BM_SessionNewtonStages(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  const MixerTransientJacobian j;
+  mathx::TripletMatrix<double> g(j.n, j.n);
+  mathx::VectorD b(j.n, 0.0), x;
+  spice::assemble_real(j.mixer->circuit, j.op, j.sp, 1e-12, g, b);
+  (void)g.finish_restamp();
+  mathx::TripletCscMap<double> map;
+  map.build(g);
+  mathx::CscMatrix<double> csc;
+  map.fill(g, csc);
+  mathx::SparseLuSymbolic<double> sym;
+  mathx::SparseLu<double> lu(csc, sym);
+  double restamp_s = 0.0, fill_s = 0.0, refactor_s = 0.0, solve_s = 0.0;
+  auto seconds = [](Clock::time_point a, Clock::time_point b) {
+    return std::chrono::duration<double>(b - a).count();
+  };
+  for (auto _ : state) {
+    const auto t0 = Clock::now();
+    g.restamp();
+    b.assign(j.n, 0.0);
+    spice::assemble_real(j.mixer->circuit, j.op, j.sp, 1e-12, g, b);
+    const bool same = g.finish_restamp();
+    const auto t1 = Clock::now();
+    map.fill(g, csc);
+    const auto t2 = Clock::now();
+    const bool replayed = lu.refactor_from(sym, csc, 0.0, &sym);
+    const auto t3 = Clock::now();
+    lu.solve(b, x);
+    const auto t4 = Clock::now();
+    if (!same || !replayed) {
+      state.SkipWithError("the stamp pattern or the pivots changed");
+      break;
+    }
+    restamp_s += seconds(t0, t1);
+    fill_s += seconds(t1, t2);
+    refactor_s += seconds(t2, t3);
+    solve_s += seconds(t3, t4);
+    benchmark::DoNotOptimize(x.data());
+  }
+  using benchmark::Counter;
+  state.counters["restamp_us"] = Counter(restamp_s * 1e6, Counter::kAvgIterations);
+  state.counters["fill_us"] = Counter(fill_s * 1e6, Counter::kAvgIterations);
+  state.counters["refactor_us"] = Counter(refactor_s * 1e6, Counter::kAvgIterations);
+  state.counters["solve_us"] = Counter(solve_s * 1e6, Counter::kAvgIterations);
+}
+BENCHMARK(BM_SessionNewtonStages);
 
 // Solver scaling probe: an N-stage RC-coupled common-source ladder
 // (2N+4 unknowns) under a sine drive. Unlike the mixer, whose Jacobian

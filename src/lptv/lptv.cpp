@@ -188,8 +188,7 @@ struct ConversionAnalysis::Factored::System {
   const mathx::SparseLu<Complex>& adjoint() const {
     std::call_once(once_adj, [&] {
       mathx::TripletMatrix<Complex> at(a.cols(), a.rows());
-      for (std::size_t k = 0; k < a.entry_count(); ++k)
-        at.add(a.col_indices()[k], a.row_indices()[k], a.values()[k]);
+      for (const auto& e : a.entries()) at.add(e.col, e.row, e.value);
       adj = an->lu_adj_.factor(at);
     });
     return adj;

@@ -11,17 +11,19 @@
 // Bit-exactness contract (docs/solver.md): a successful refactor_from()
 // produces factors that are byte-identical to what the analyzing
 // constructor would compute on the same matrix. The refactor replays the
-// same elimination arithmetic in the same order and verifies per column
-// that partial pivoting would choose the pinned pivot; a disagreement
-// (pivot drift, pattern mismatch, singular pivot) aborts the refactor so
-// the caller can fall back to a full re-analysis — or, in the opt-in
-// drift-repair mode, switches to a fresh analysis mid-factorization,
-// reusing the columns already eliminated instead of restarting.
+// symbolic's structural plan while no exact zero changes the structure, then
+// the analysis's own elimination, and verifies per column that partial
+// pivoting would choose the pinned pivot; a disagreement (pivot drift,
+// pattern mismatch, singular pivot) aborts the refactor so the caller can
+// fall back to a full re-analysis — or, in the opt-in drift-repair mode,
+// switches to a fresh analysis mid-factorization, reusing the columns
+// already eliminated instead of restarting.
 #pragma once
 
 #include <complex>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "mathx/matrix.hpp"
@@ -33,48 +35,101 @@ namespace rfmix::mathx {
 template <typename T>
 class TripletMatrix {
  public:
+  /// One stamp. Row, column and value sit together, so a stamp appends one
+  /// record and a restamp reads and writes one.
+  struct Entry {
+    std::size_t row;
+    std::size_t col;
+    T value;
+  };
+
   TripletMatrix(std::size_t rows, std::size_t cols) : rows_(rows), cols_(cols) {}
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
-  std::size_t entry_count() const { return rows_idx_.size(); }
+  std::size_t entry_count() const { return entries_.size(); }
+  const std::vector<Entry>& entries() const { return entries_; }
 
   /// Exact-zero values are kept as structural entries: a slot stamped T{}
   /// (e.g. a device whose conductance is zero at this Newton iterate) stays
   /// in the sparsity pattern, so the pattern cannot change between
   /// factorizations when the value later becomes nonzero.
-  void add(std::size_t r, std::size_t c, T v) {
+  ///
+  /// After restamp(), an add() that repeats the recorded (row, col) at its
+  /// position only overwrites that value. The first one that does not
+  /// truncates the sequence there and records from then on, as after clear().
+  // Flattened: GCC 12 at -O3 stopped inlining push_back into the copy of
+  // add() that sparse.cpp instantiates once the LU code there grew, and
+  // every recorded stamp paid an out-of-line call (ROADMAP item 2).
+  [[gnu::flatten]] void add(std::size_t r, std::size_t c, T v) {
+    if (restamping_) {
+      if (cursor_ < entries_.size()) {
+        Entry& e = entries_[cursor_];
+        if (e.row == r && e.col == c) {
+          e.value = v;
+          ++cursor_;
+          return;
+        }
+      }
+      // The restamp broke the recorded sequence here.
+      if (cursor_ != entries_.size()) truncate(cursor_);
+      restamping_ = false;
+      reshaped_ = true;
+    }
     if (r >= rows_ || c >= cols_) throw std::out_of_range("TripletMatrix::add out of range");
-    rows_idx_.push_back(r);
-    cols_idx_.push_back(c);
-    values_.push_back(v);
+    entries_.push_back({r, c, v});
   }
 
-  /// Drop all entries but keep the allocated capacity, so a Newton loop can
-  /// restamp into the same buffers every iteration.
+  /// Drop all entries but keep the allocated capacity.
   void clear() {
-    rows_idx_.clear();
-    cols_idx_.clear();
-    values_.clear();
+    entries_.clear();
+    restamping_ = false;
+    reshaped_ = true;
   }
 
-  const std::vector<std::size_t>& row_indices() const { return rows_idx_; }
-  const std::vector<std::size_t>& col_indices() const { return cols_idx_; }
-  const std::vector<T>& values() const { return values_; }
+  /// Start restamping the recorded entry sequence in place: a Newton loop
+  /// that stamps the same (row, col) sequence every iteration then writes
+  /// only values, with no bounds check and no push. End with
+  /// finish_restamp().
+  void restamp() {
+    restamping_ = true;
+    cursor_ = 0;
+  }
+
+  /// End a restamp: drop the entries that were not re-added, and report
+  /// whether the (row, col) sequence is exactly the one of the previous
+  /// finish_restamp() (so a TripletCscMap built for that one still applies).
+  /// A restamp cut short by an exception counts as a change at the next call.
+  bool finish_restamp() {
+    if (restamping_ && cursor_ != entries_.size()) {
+      truncate(cursor_);
+      reshaped_ = true;
+    }
+    const bool same = !reshaped_;
+    reshaped_ = false;
+    // Stay restamping at the end, so a later add() counts as a change.
+    restamping_ = true;
+    cursor_ = entries_.size();
+    return same;
+  }
 
   Matrix<T> to_dense() const {
     Matrix<T> m(rows_, cols_);
-    for (std::size_t k = 0; k < values_.size(); ++k)
-      m(rows_idx_[k], cols_idx_[k]) += values_[k];
+    for (const Entry& e : entries_) m(e.row, e.col) += e.value;
     return m;
   }
 
  private:
+  void truncate(std::size_t count);
+
   std::size_t rows_;
   std::size_t cols_;
-  std::vector<std::size_t> rows_idx_;
-  std::vector<std::size_t> cols_idx_;
-  std::vector<T> values_;
+  std::vector<Entry> entries_;
+  // Between restamp() and the first add() that breaks the recorded
+  // sequence, add() overwrites the value at cursor_; otherwise it appends.
+  bool restamping_ = false;
+  std::size_t cursor_ = 0;
+  bool reshaped_ = true;  // the sequence changed since the last finish_restamp()
 };
 
 /// Compressed sparse column matrix (pattern immutable once built; values may
@@ -143,10 +198,7 @@ class TripletCscMap {
   bool empty() const { return cols_ == 0 && rows_ == 0; }
 
   /// True if `t` has exactly the recorded (row, col) entry sequence.
-  bool matches(const TripletMatrix<T>& t) const {
-    return t.rows() == rows_ && t.cols() == cols_ && t.row_indices() == trip_rows_ &&
-           t.col_indices() == trip_cols_;
-  }
+  bool matches(const TripletMatrix<T>& t) const;
 
   /// Record the mapping for this triplet's entry sequence.
   void build(const TripletMatrix<T>& t);
@@ -172,9 +224,10 @@ class SparseLu;
 
 /// Output of the analyze phase: the pinned pivot sequence plus the
 /// structural elimination pattern (which earlier columns can update each
-/// column, closed over structure alone, not the values seen at analysis
-/// time). Immutable once built, so sweep engines can share one symbolic
-/// across threads while each point refactors privately.
+/// column, and which rows each column's L holds, closed over structure
+/// alone, not the values seen at analysis time). Immutable once built, so
+/// sweep engines can share one symbolic across threads while each point
+/// refactors privately.
 template <typename T>
 class SparseLuSymbolic {
  public:
@@ -183,9 +236,9 @@ class SparseLuSymbolic {
   bool empty() const { return n_ == 0; }
   std::size_t size() const { return n_; }
 
-  /// Structural factor sizes, used to pre-reserve numeric buffers.
-  std::size_t l_capacity() const { return l_capacity_; }
-  std::size_t u_capacity() const { return u_capacity_; }
+  /// Structural factor sizes, used to size the numeric buffers.
+  std::size_t l_capacity() const { return l_row_.size(); }
+  std::size_t u_capacity() const { return upd_step_.size() + n_; }
 
   /// True if `a` has exactly the pattern this symbolic was analyzed on.
   bool pattern_matches(const CscMatrix<T>& a) const {
@@ -198,13 +251,17 @@ class SparseLuSymbolic {
   std::size_t n_ = 0;
   std::vector<std::size_t> perm_;      // elimination step -> pinned pivot row
   std::vector<std::size_t> perm_inv_;  // original row -> elimination step
-  // Per-column structural update lists (CSR-style): columns k < j whose L
-  // column can structurally reach column j, in ascending k. This is exactly
-  // the structural nonzero set of U(k, j).
-  std::vector<std::size_t> upd_ptr_;   // size n+1
-  std::vector<std::size_t> upd_step_;  // flattened lists
-  std::size_t l_capacity_ = 0;
-  std::size_t u_capacity_ = 0;
+  // The structural plan that refactor_from() replays (CSR-style per
+  // column). Updates: the steps k < j whose L column can structurally reach
+  // column j, in ascending k, which is exactly the structural nonzero set of
+  // U(k, j). L rows: the rows column j's L can hold, in the order a
+  // full-structure elimination first touches them, and the pinned pivot's
+  // rank among those candidates (its position in the pivot scan).
+  std::vector<std::size_t> upd_ptr_;     // size n+1
+  std::vector<std::uint32_t> upd_step_;  // flattened update lists
+  std::vector<std::size_t> l_ptr_;       // size n+1
+  std::vector<std::uint32_t> l_row_;     // flattened L rows
+  std::vector<std::uint32_t> piv_rank_;  // size n
   // Pattern fingerprint of the analyzed matrix.
   std::vector<std::size_t> pat_col_ptr_;
   std::vector<std::size_t> pat_row_idx_;
@@ -216,11 +273,11 @@ class SparseLuSymbolic {
 ///  * the constructors run the full analyze path (pattern discovery +
 ///    value-based partial pivoting); the three-argument form additionally
 ///    exports the symbolic structure for later reuse;
-///  * refactor_from() replays the elimination with a previously analyzed
-///    symbolic, taking each column's updates from its recorded list
-///    instead of discovering them, reusing this object's buffers, and
-///    reports failure instead of producing factors that deviate from the
-///    analyze path.
+///  * refactor_from() replays a previously analyzed symbolic's structural
+///    plan into this object's buffers, hands over to the analysis's own
+///    elimination where an exact zero breaks that structure, and reports
+///    failure instead of producing factors that deviate from the analyze
+///    path.
 template <typename T>
 class SparseLu {
  public:
@@ -243,8 +300,9 @@ class SparseLu {
   ///
   /// With `repair` non-null, pivot drift no longer aborts: up to the drift
   /// column the replayed elimination state is identical to a fresh analysis
-  /// (the symbolic update lists yield exactly the updates the analyze-mode
-  /// reach would, and the pivot scan is the same code), so the factorization
+  /// (the structural plan and the analyze-mode reach apply exactly the
+  /// updates the analysis would, and the pivot scan visits the candidates
+  /// in the analysis's order), so the factorization
   /// adopts the freshly scanned pivot, continues in analyze mode, and
   /// rewrites *repair with the new pivot sequence — producing factors
   /// byte-identical to SparseLu(a, pivot_tol) without restarting from
@@ -261,21 +319,30 @@ class SparseLu {
 
   std::vector<T> solve(const std::vector<T>& b) const;
 
+  /// solve() into `x` (resized to size()), allocating nothing once `x` has
+  /// the capacity. `x` must not be `b`.
+  void solve(const std::vector<T>& b, std::vector<T>& x) const;
+
   /// Solve A^T x = b (adjoint / noise analyses).
   std::vector<T> solve_transposed(const std::vector<T>& b) const;
 
  private:
   // Shared elimination core: factor `a`, choosing pivots by partial
-  // pivoting. When `sym` is non-null, verify each chosen pivot against the
-  // pinned sequence and restrict the per-column update scan to the symbolic
-  // update lists; on drift, returns false — unless `sym_out` is also
-  // non-null, in which case the elimination degrades to analyze mode at the
-  // drift column and continues (drift repair). When `sym_out` is non-null,
-  // record the symbolic structure of this factorization (in replay mode,
-  // only if a drift actually occurred). `drifted`, when non-null, reports
-  // whether the repair path ran.
+  // pivoting. When `sym` is non-null, replay its structural plan as far as
+  // it holds, then continue with the analyze-mode reach, verifying each
+  // chosen pivot against the pinned sequence; on drift, returns false —
+  // unless `sym_out` is also non-null, in which case the elimination stops
+  // verifying at the drift column and continues (drift repair). When
+  // `sym_out` is non-null, record the symbolic structure of this
+  // factorization (in replay mode, only if a drift actually occurred).
+  // `drifted`, when non-null, reports whether the repair path ran.
   bool factorize(const CscMatrix<T>& a, double pivot_tol, const SparseLuSymbolic<T>* sym,
                  SparseLuSymbolic<T>* sym_out, bool* drifted = nullptr);
+
+  // Replay `sym`'s structural plan from column 0; returns the first column
+  // it cannot replay exactly (n when it replayed them all).
+  std::size_t replay_plan(const CscMatrix<T>& a, const SparseLuSymbolic<T>& sym,
+                          double pivot_tol);
 
   std::size_t n_ = 0;
   // L is unit-diagonal; stored without the diagonal. U includes diagonal.
@@ -285,12 +352,13 @@ class SparseLu {
   std::vector<T> u_values_;
   std::vector<std::size_t> perm_;      // row permutation: pivot row of each step
   std::vector<std::size_t> perm_inv_;  // original row -> pivoted position
-  // Scratch reused across refactor_from calls.
+  // Scratch reused across factorizations.
   std::vector<T> work_;
   std::vector<char> occupied_;
   std::vector<std::size_t> pattern_;
   std::vector<char> pivoted_;
   std::vector<std::uint64_t> pending_;  // bitset of elimination steps to apply
+  std::vector<std::pair<std::size_t, T>> ucol_;  // (elim step, value) of one U column
 };
 
 extern template class TripletMatrix<double>;

@@ -35,11 +35,32 @@ bool step_converged(const MnaLayout& layout, const mathx::VectorD& x_old,
 
 }  // namespace
 
+void check_layout(const char* what, const Solution& x, const MnaLayout& layout) {
+  const MnaLayout& got = x.layout();
+  if (got.num_nodes == layout.num_nodes && got.num_branches == layout.num_branches) return;
+  std::string msg = what;
+  msg += ": initial solution has ";
+  msg += std::to_string(got.size());
+  msg += " unknowns (";
+  msg += std::to_string(got.num_nodes);
+  msg += " nodes, ";
+  msg += std::to_string(got.num_branches);
+  msg += " branches), the circuit has ";
+  msg += std::to_string(layout.size());
+  msg += " (";
+  msg += std::to_string(layout.num_nodes);
+  msg += " nodes, ";
+  msg += std::to_string(layout.num_branches);
+  msg += " branches)";
+  throw std::invalid_argument(msg);
+}
+
 NewtonResult solve_newton(const Circuit& ckt, const Solution& initial,
                           const StampParams& params, const NewtonOptions& opts,
                           SolverSession* session) {
   const MnaLayout layout = ckt.layout();
   const std::size_t n = static_cast<std::size_t>(layout.size());
+  check_layout("solve_newton", initial, layout);
 
   std::unique_ptr<SolverSession> local;
   if (session == nullptr) {
@@ -51,18 +72,19 @@ NewtonResult solve_newton(const Circuit& ckt, const Solution& initial,
 
   RFMIX_OBS_COUNT("spice.newton.solves");
 
-  mathx::TripletMatrix<double> g(n, n);
-  mathx::VectorD b;
+  // Every vector below is the session's and keeps its size across
+  // iterations and calls, so a warm iteration allocates nothing.
+  mathx::VectorD& x_new = session->solve_buffer();
+  mathx::VectorD& x_next = session->next_iterate();
+  x_next.resize(n);
   for (int iter = 0; iter < opts.max_iterations; ++iter) {
     RFMIX_OBS_COUNT("spice.newton.iterations");
     RFMIX_OBS_COUNT_N("spice.dev.evaluated", session->mosfet_count(ckt));
-    g.clear();
-    b.assign(n, 0.0);
-    assemble_real(ckt, result.solution, params, opts.gmin, g, b);
+    mathx::TripletMatrix<double>& g = session->restamp(n);
+    assemble_real(ckt, result.solution, params, opts.gmin, g, session->rhs());
 
-    mathx::VectorD x_new;
     try {
-      x_new = session->factor(g).solve(b);
+      session->factor().solve(session->rhs(), x_new);
     } catch (const mathx::SingularMatrixError&) {
       // Singular Jacobian mid-iteration: bail out; the caller's homotopy
       // (larger gmin) usually repairs this.
@@ -83,13 +105,12 @@ NewtonResult solve_newton(const Circuit& ckt, const Solution& initial,
     double alpha = 1.0;
     if (max_dv > opts.max_step_v) alpha = opts.max_step_v / max_dv;
 
-    mathx::VectorD x_next(n);
     for (std::size_t i = 0; i < n; ++i)
       x_next[i] = x_old[i] + alpha * (x_new[i] - x_old[i]);
 
     const bool full_step = alpha == 1.0;
     const bool converged = full_step && step_converged(layout, x_old, x_new);
-    result.solution = Solution(layout, std::move(x_next));
+    result.solution.raw().swap(x_next);
     result.iterations = iter + 1;
     if (converged) {
       result.converged = true;

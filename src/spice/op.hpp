@@ -22,8 +22,12 @@ struct NewtonResult {
   int iterations = 0;
 };
 
-/// One Newton solve at fixed StampParams, starting from `initial`. Pass a
-/// SolverSession to reuse the stamp mapping / symbolic LU caches across
+/// Throw std::invalid_argument, naming both sizes, unless `x` has `layout`.
+void check_layout(const char* what, const Solution& x, const MnaLayout& layout);
+
+/// One Newton solve at fixed StampParams, starting from `initial`, which
+/// must have the circuit's layout (std::invalid_argument otherwise). Pass a
+/// SolverSession to reuse its buffers, stamp mapping and symbolic LU across
 /// calls (timesteps, sweep points); with no session each call opens a
 /// private one.
 NewtonResult solve_newton(const Circuit& ckt, const Solution& initial,

@@ -15,16 +15,25 @@ void count_sweep_lu(mathx::SweepStep step) {
   }
 }
 
-const mathx::SparseLu<double>& SolverSession::factor(const mathx::TripletMatrix<double>& g) {
+mathx::TripletMatrix<double>& SolverSession::restamp(std::size_t n) {
+  if (g_.rows() != n) g_ = mathx::TripletMatrix<double>(n, n);
+  g_.restamp();
+  rhs_.assign(n, 0.0);
+  return g_;
+}
+
+const mathx::SparseLu<double>& SolverSession::factor() {
   // Counted before the attempt: a singular pivot still did the work.
   RFMIX_OBS_COUNT("spice.lu.factorizations");
-  if (!have_map_ || !map_.matches(g)) {
+  // The map was built for the sequence of the previous factor(), so it
+  // still applies exactly when the restamp repeated that sequence.
+  if (!g_.finish_restamp() || !have_map_) {
     if (have_map_) RFMIX_OBS_COUNT("spice.lu.pattern_rebuild");
-    map_.build(g);
+    map_.build(g_);
     have_map_ = true;
     have_sym_ = false;  // the symbolic is tied to the old pattern
   }
-  map_.fill(g, csc_);
+  map_.fill(g_, csc_);
   if (have_sym_) {
     // Repair mode: on pivot drift the factorization continues as a fresh
     // analysis from the drift column (rewriting sym_ in place) instead of

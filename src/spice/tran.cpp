@@ -55,7 +55,7 @@ TranResult transient(Circuit& ckt, double t_stop, double dt, const std::vector<P
 
   Solution x0;
   if (opts.initial_state != nullptr) {
-    ckt.finalize();
+    check_layout("transient", *opts.initial_state, ckt.finalize());
     x0 = *opts.initial_state;
   } else {
     x0 = dc_operating_point(ckt, opts.newton, &session);

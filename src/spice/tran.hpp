@@ -23,7 +23,8 @@ struct TranOptions {
   /// Adaptive: the step halves while the LTE estimate exceeds 1e-4 V (down
   /// to 1e-4 * dt) and grows 1.5x while it stays under a tenth of that.
   bool adaptive = false;
-  /// Skip the DC operating point and start from a provided state.
+  /// Skip the DC operating point and start from a provided state, which
+  /// must have the circuit's layout (std::invalid_argument otherwise).
   const Solution* initial_state = nullptr;
 };
 

@@ -56,7 +56,7 @@ template <typename T, typename Diag, typename Off>
 TripletMatrix<T> revalue(const TripletMatrix<T>& t, Diag&& diag, Off&& off) {
   TripletMatrix<T> out(t.rows(), t.cols());
   for (std::size_t k = 0; k < t.entry_count(); ++k) {
-    const std::size_t r = t.row_indices()[k], c = t.col_indices()[k];
+    const std::size_t r = t.entries()[k].row, c = t.entries()[k].col;
     out.add(r, c, r == c ? draw<T>(diag) : draw<T>(off));
   }
   return out;

@@ -24,6 +24,7 @@
 #include "runtime/thread_pool.hpp"
 #include "spice/ac.hpp"
 #include "spice/dcsweep.hpp"
+#include "spice/devices_diode.hpp"
 #include "spice/devices_passive.hpp"
 #include "spice/devices_sources.hpp"
 #include "spice/mna.hpp"
@@ -255,6 +256,13 @@ void append_orbit_jacobians(Circuit& ckt, double period_s,
   }
 }
 
+// Restamp `g`'s entry sequence into the session's own triplets.
+void restamp_from(SolverSession& session, const mathx::TripletMatrix<double>& g) {
+  mathx::TripletMatrix<double>& t = session.restamp(g.rows());
+  for (std::size_t k = 0; k < g.entry_count(); ++k)
+    t.add(g.entries()[k].row, g.entries()[k].col, g.entries()[k].value);
+}
+
 TEST(SolverParity, SessionFactorsMatchColdAnalysis) {
   std::vector<mathx::TripletMatrix<double>> gs;
   std::vector<mathx::VectorD> bs;
@@ -273,7 +281,8 @@ TEST(SolverParity, SessionFactorsMatchColdAnalysis) {
   SolverSession session;
   for (std::size_t i = 0; i < gs.size(); ++i) {
     const mathx::SparseLu<double> cold{mathx::CscMatrix<double>(gs[i])};
-    EXPECT_TRUE(same_bits(session.factor(gs[i]).solve(bs[i]), cold.solve(bs[i])))
+    restamp_from(session, gs[i]);
+    EXPECT_TRUE(same_bits(session.factor().solve(bs[i]), cold.solve(bs[i])))
         << "Jacobian " << i;
   }
 #if RFMIX_OBS_ENABLED
@@ -281,6 +290,84 @@ TEST(SolverParity, SessionFactorsMatchColdAnalysis) {
   EXPECT_GT(obs::counter_value("spice.lu.fallback"), fallback0);
   EXPECT_GT(obs::counter_value("spice.lu.pattern_rebuild"), rebuild0);
 #endif
+}
+
+// A linear two-node stamp whose (row, col) sequence can be switched
+// between Newton solves: shorter, longer, or one entry moved.
+class SwitchableStamp : public Device {
+ public:
+  enum class Shape { kBase, kShorter, kLonger, kMoved };
+
+  SwitchableStamp(NodeId a, NodeId b) : Device("Xswitch"), a_(a), b_(b) {}
+
+  void set_shape(Shape shape) { shape_ = shape; }
+
+  void stamp(RealStamper& s, const Solution&, const StampParams&) const override {
+    const int ua = s.layout().node_unknown(a_);
+    const int ub = s.layout().node_unknown(b_);
+    s.add_entry(ua, ua, 2e-3);
+    s.add_entry(ua, ub, -1e-3);
+    if (shape_ == Shape::kMoved)
+      s.add_entry(ub, ub, -1e-3);
+    else
+      s.add_entry(ub, ua, -1e-3);
+    if (shape_ != Shape::kShorter) s.add_entry(ub, ub, 3e-3);
+    if (shape_ == Shape::kLonger) s.add_entry(ua, ua, 5e-4);
+  }
+
+  void stamp_ac(ComplexStamper&, const Solution&, double) const override {}
+
+ private:
+  NodeId a_, b_;
+  Shape shape_ = Shape::kBase;
+};
+
+// A session restamps its triplets in place; when a device's stamp sequence
+// changes between solves, the session must rebuild its stamp map exactly
+// once and still match a fresh session to the bit. The switched stamps sit
+// mid-sequence, or last (no stamp after them, gmin off), where a shorter
+// sequence only shows as entries left over at the end.
+TEST(SolverParity, RestampRebuildsOnceWhenTheStampSequenceChanges) {
+  using Shape = SwitchableStamp::Shape;
+  for (const bool last : {false, true}) {
+    for (const Shape shape : {Shape::kShorter, Shape::kLonger, Shape::kMoved}) {
+      const std::string where =
+          "shape " + std::to_string(static_cast<int>(shape)) + (last ? ", last" : ", mid");
+      Circuit c;
+      const NodeId in = c.node("in");
+      const NodeId a = c.node("a");
+      const NodeId b = c.node("b");
+      c.add<VoltageSource>("V1", in, kGround, Waveform::dc(0.9));
+      c.add<Resistor>("R1", in, a, 1e3);
+      c.add<Diode>("D1", a, kGround);
+      if (last) c.add<Resistor>("R2", b, kGround, 2e3);
+      SwitchableStamp& sw = c.add<SwitchableStamp>(a, b);
+      if (!last) c.add<Resistor>("R2", b, kGround, 2e3);
+      const MnaLayout layout = c.finalize();
+      const StampParams params;
+      NewtonOptions opts;
+      if (last) opts.gmin = 0.0;  // gmin stamps would follow the switched ones
+
+      SolverSession warm;
+      const NewtonResult start = solve_newton(c, Solution::zeros(layout), params, opts, &warm);
+      ASSERT_TRUE(start.converged) << where;
+      (void)solve_newton(c, start.solution, params, opts, &warm);  // restamps in place
+      sw.set_shape(shape);
+#if RFMIX_OBS_ENABLED
+      const std::uint64_t rebuild0 = obs::counter_value("spice.lu.pattern_rebuild");
+#endif
+      const NewtonResult got = solve_newton(c, start.solution, params, opts, &warm);
+#if RFMIX_OBS_ENABLED
+      EXPECT_EQ(obs::counter_value("spice.lu.pattern_rebuild") - rebuild0, 1u) << where;
+#endif
+      SolverSession fresh;
+      const NewtonResult want = solve_newton(c, start.solution, params, opts, &fresh);
+      ASSERT_TRUE(want.converged) << where;
+      EXPECT_GT(want.iterations, 1) << where;
+      EXPECT_EQ(got.iterations, want.iterations) << where;
+      EXPECT_TRUE(same_bits(got.solution.raw(), want.solution.raw())) << where;
+    }
+  }
 }
 
 std::array<std::atomic<int>, 4> g_sweep_steps;

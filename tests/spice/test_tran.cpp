@@ -1,12 +1,15 @@
 // Transient analysis tests: RC charging vs closed form, sine steady state,
 // LC ring energy behaviour, trapezoidal-vs-BE accuracy ordering, adaptive
-// stepping, and restart from a saved state.
+// stepping, restart from a saved state, and the refusal of a state of
+// another layout.
 #include "spice/tran.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "core/circuits.hpp"
 #include "mathx/units.hpp"
 #include "spice/circuit.hpp"
 #include "spice/devices_passive.hpp"
@@ -142,6 +145,40 @@ TEST(Tran, RestartFromSavedStateIsSeamless) {
   const TranResult second =
       transient(two.ckt, 1.0 * tau, tau / 100.0, {{two.out, kGround, "out"}}, opts);
   EXPECT_NEAR(second.waveform(0).back(), full.waveform(0).back(), 0.02 * vf);
+}
+
+// An initial state must have the circuit's layout: the Newton loop's
+// buffers hold exactly its unknowns. On the active mixer, a 200-node state
+// used to run silently and a 3-node one to fail deep in a device stamp.
+TEST(Tran, InitialStateOfAnotherLayoutThrowsNamingBothSizes) {
+  core::MixerConfig cfg;
+  cfg.mode = core::MixerMode::kActive;
+  auto mixer = core::build_transistor_mixer(cfg);
+  Circuit& ckt = mixer->circuit;
+  const MnaLayout layout = ckt.finalize();
+  const std::string circuit_size = "has " + std::to_string(layout.size()) + " (";
+  const double dt = 1.0 / (cfg.f_lo_hz * 16);
+  for (const int nodes : {200, 3}) {
+    const Solution wrong = Solution::zeros(MnaLayout{nodes, 0});
+    const std::string state_size = "has " + std::to_string(nodes - 1) + " unknowns";
+    TranOptions opts;
+    opts.initial_state = &wrong;
+    try {
+      (void)transient(ckt, 100 * dt, dt, {{mixer->if_p, mixer->if_m, "if"}}, opts);
+      ADD_FAILURE() << nodes << "-node state accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(state_size), std::string::npos) << what;
+      EXPECT_NE(what.find(circuit_size), std::string::npos) << what;
+    }
+    EXPECT_THROW((void)solve_newton(ckt, wrong, StampParams{}, NewtonOptions{}),
+                 std::invalid_argument);
+  }
+  // Same size, other split between node voltages and branch currents.
+  const Solution split =
+      Solution::zeros(MnaLayout{layout.num_nodes + 1, layout.num_branches - 1});
+  EXPECT_THROW((void)solve_newton(ckt, split, StampParams{}, NewtonOptions{}),
+               std::invalid_argument);
 }
 
 TEST(Tran, AdaptiveTracksRcStep) {
