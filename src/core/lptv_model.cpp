@@ -239,21 +239,25 @@ double lptv_conversion_gain_db(const MixerConfig& cfg, double f_if_hz) {
   return mathx::db_from_voltage_ratio(std::abs(h));
 }
 
+MixerConfig lo_retuned_for_rf(const MixerConfig& cfg, double f_rf_hz, double f_if_hz) {
+  if (f_rf_hz <= f_if_hz)
+    throw std::invalid_argument("lo_retuned_for_rf: f_rf must exceed f_if");
+  MixerConfig tuned = cfg;
+  tuned.f_lo_hz = f_rf_hz - f_if_hz;  // low-side LO tracking the RF
+  return tuned;
+}
+
 double lptv_conversion_gain_at_rf_db(const MixerConfig& cfg, double f_rf_hz,
                                      double f_if_hz) {
-  if (f_rf_hz <= f_if_hz)
-    throw std::invalid_argument("lptv_conversion_gain_at_rf_db: f_rf must exceed f_if");
-  MixerConfig tuned = cfg;
-  tuned.f_lo_hz = f_rf_hz - f_if_hz;  // low-side LO tracking the RF sweep
-  return lptv_conversion_gain_db(tuned, f_if_hz);
+  return lptv_conversion_gain_db(lo_retuned_for_rf(cfg, f_rf_hz, f_if_hz), f_if_hz);
 }
 
 LptvNfPoint lptv_nf_dsb(const MixerConfig& cfg, double f_if_hz) {
   const auto model = build_lptv_mixer(cfg);
   lptv::ConversionAnalysis an(model->circuit, conversion_options(cfg));
 
-  // Factor the block system once; both sideband injections reuse the forward
-  // LU and the noise solve reuses the adjoint LU (2 factorizations, not 6).
+  // Factor the block system once: both sideband injections and the noise
+  // solve (transposed) share its LU.
   const lptv::ConversionAnalysis::Factored sys = an.factor(f_if_hz);
   const lptv::Complex h_up = sys.solve_current_injection(0, model->in, +1)
                                  .vd(0, model->out_p, model->out_m);

@@ -37,6 +37,10 @@ std::unique_ptr<LptvMixerModel> build_lptv_mixer(const MixerConfig& config);
 /// read at f_if (sideband 0), referenced to the source EMF.
 double lptv_conversion_gain_db(const MixerConfig& config, double f_if_hz = 5e6);
 
+/// `config` with its LO retuned low-side so that f_rf = f_lo + f_if (the
+/// Fig. 8 convention). Throws std::invalid_argument unless f_rf > f_if.
+MixerConfig lo_retuned_for_rf(const MixerConfig& config, double f_rf_hz, double f_if_hz);
+
 /// Conversion gain vs RF frequency at fixed IF (Fig. 8 series): the LO is
 /// retuned so that f_rf = f_lo + f_if for each point.
 double lptv_conversion_gain_at_rf_db(const MixerConfig& config, double f_rf_hz,

@@ -27,13 +27,16 @@ MixerMetric metric_from_name(std::string_view name) {
 }
 
 double evaluate_metric(const MetricQuery& query) {
+  // Both LPTV metrics read the same (possibly retuned) configuration.
+  auto lptv_config = [&] {
+    if (query.f_rf_hz <= 0.0) return query.config;
+    return lo_retuned_for_rf(query.config, query.f_rf_hz, query.f_if_hz);
+  };
   switch (query.metric) {
     case MixerMetric::kGainDb:
-      if (query.f_rf_hz > 0.0)
-        return lptv_conversion_gain_at_rf_db(query.config, query.f_rf_hz, query.f_if_hz);
-      return lptv_conversion_gain_db(query.config, query.f_if_hz);
+      return lptv_conversion_gain_db(lptv_config(), query.f_if_hz);
     case MixerMetric::kNfDsbDb:
-      return lptv_nf_dsb(query.config, query.f_if_hz).nf_dsb_db;
+      return lptv_nf_dsb(lptv_config(), query.f_if_hz).nf_dsb_db;
     case MixerMetric::kIip3Dbm: {
       const BehavioralMixer mixer(query.config);
       const std::vector<double> pins = {-40.0, -35.0, -30.0, -25.0, -20.0};

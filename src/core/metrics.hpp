@@ -32,8 +32,9 @@ struct MetricQuery {
   MixerMetric metric = MixerMetric::kGainDb;
   MixerConfig config;
   double f_if_hz = 5e6;
-  /// When > 0 the LO is retuned so f_rf = f_lo + f_if (Fig. 8 convention);
-  /// when 0 the config's own f_lo_hz anchors the RF. Ignored for IIP3.
+  /// When > 0 the LO is retuned so f_rf = f_lo + f_if (Fig. 8 convention;
+  /// f_rf must exceed f_if); when 0 the config's own f_lo_hz anchors the
+  /// RF. Applies to gain and NF; ignored for IIP3.
   double f_rf_hz = 0.0;
 };
 

@@ -12,6 +12,9 @@ namespace rfmix::core {
 
 namespace {
 
+constexpr int kPacSamplesPerPeriod = 64;
+constexpr int kPacHarmonics = 6;
+
 /// Assemble the real small-signal Jacobian of the circuit at state `x`
 /// (DC-mode stamps: conductances and nonlinear-device derivatives; no
 /// capacitor companions — the reactive part is handled separately).
@@ -43,20 +46,14 @@ mathx::MatrixD capacitance_matrix(const spice::Circuit& ckt, const spice::Soluti
   return c;
 }
 
-/// A transistor mixer's PSS orbit lowered into the LPTV engine, with the
-/// RF and IF ports as LPTV nodes. Every PAC/PNOISE call starts here.
-struct LoweredOrbit {
-  std::unique_ptr<TransistorMixer> mixer;
-  spice::PssResult pss;
-  lptv::LptvCircuit circuit;
-  int rf_p = 0, rf_m = 0, if_p = 0, if_m = 0;
+/// LPTV node of a mixer circuit node.
+int orbit_port(const LoweredOrbit& o, spice::NodeId id) {
+  return lptv::orbit_node(o.mixer->circuit.layout().node_unknown(id));
+}
 
-  int node(spice::NodeId id) const {
-    return lptv::orbit_node(mixer->circuit.layout().node_unknown(id));
-  }
-};
+}  // namespace
 
-LoweredOrbit lower_mixer_orbit(const MixerConfig& config, const PacOptions& opts) {
+LoweredOrbit lower_mixer_orbit(const MixerConfig& config) {
   MixerConfig cfg = config;
   if (cfg.rf_series_r <= 0.0) cfg.rf_series_r = 50.0;  // enable gate injection
   LoweredOrbit o;
@@ -65,7 +62,7 @@ LoweredOrbit lower_mixer_orbit(const MixerConfig& config, const PacOptions& opts
 
   // PSS under LO only (RF sources stay at their DC bias).
   spice::PssOptions pss_opts;
-  pss_opts.samples_per_period = opts.samples_per_period;
+  pss_opts.samples_per_period = kPacSamplesPerPeriod;
   o.pss = spice::periodic_steady_state(ckt, 1.0 / cfg.f_lo_hz, pss_opts);
 
   // Sampled Jacobians over the orbit + the constant C matrix.
@@ -74,12 +71,14 @@ LoweredOrbit lower_mixer_orbit(const MixerConfig& config, const PacOptions& opts
   for (const auto& x : o.pss.samples) g_samples.push_back(jacobian_at(ckt, x));
   o.circuit =
       lptv::lower_sampled_orbit(g_samples, capacitance_matrix(ckt, o.pss.samples.front()));
-  o.rf_p = o.node(o.mixer->rf_p);
-  o.rf_m = o.node(o.mixer->rf_m);
-  o.if_p = o.node(o.mixer->if_p);
-  o.if_m = o.node(o.mixer->if_m);
+  o.rf_p = orbit_port(o, o.mixer->rf_p);
+  o.rf_m = orbit_port(o, o.mixer->rf_m);
+  o.if_p = orbit_port(o, o.mixer->if_p);
+  o.if_m = orbit_port(o, o.mixer->if_m);
   return o;
 }
+
+namespace {
 
 /// Sample every device noise source along the orbit into one
 /// cyclostationary source per label (same label = same physical source),
@@ -97,8 +96,9 @@ void add_orbit_noise(LoweredOrbit& o, double f_if_hz) {
       dev->append_noise(sources, o.pss.samples[s]);
     for (const auto& src : sources) {
       auto it = by_label
-                    .try_emplace(src.label, Accum{o.node(src.p), o.node(src.m),
-                                                  lptv::PeriodicWave(m_samp, 0.0)})
+                    .try_emplace(src.label,
+                                 Accum{orbit_port(o, src.p), orbit_port(o, src.m),
+                                       lptv::PeriodicWave(m_samp, 0.0)})
                     .first;
       it->second.wave[s] = src.psd(f_if_hz);
     }
@@ -109,10 +109,9 @@ void add_orbit_noise(LoweredOrbit& o, double f_if_hz) {
 
 }  // namespace
 
-PacResult pac_conversion_gain(const MixerConfig& config, double f_if_hz,
-                              const PacOptions& opts) {
-  const LoweredOrbit o = lower_mixer_orbit(config, opts);
-  const lptv::ConversionAnalysis an(o.circuit, {config.f_lo_hz, opts.harmonics});
+PacResult pac_conversion_gain(const MixerConfig& config, double f_if_hz) {
+  const LoweredOrbit o = lower_mixer_orbit(config);
+  const lptv::ConversionAnalysis an(o.circuit, {config.f_lo_hz, kPacHarmonics});
   const auto pac = an.factor(f_if_hz);
 
   PacResult result;
@@ -136,11 +135,10 @@ PacResult pac_conversion_gain(const MixerConfig& config, double f_if_hz,
   return result;
 }
 
-PnoiseResult pac_nf_dsb(const MixerConfig& config, double f_if_hz,
-                        const PacOptions& opts) {
-  LoweredOrbit o = lower_mixer_orbit(config, opts);
+PnoiseResult pac_nf_dsb(const MixerConfig& config, double f_if_hz) {
+  LoweredOrbit o = lower_mixer_orbit(config);
   add_orbit_noise(o, f_if_hz);
-  const lptv::ConversionAnalysis an(o.circuit, {config.f_lo_hz, opts.harmonics});
+  const lptv::ConversionAnalysis an(o.circuit, {config.f_lo_hz, kPacHarmonics});
   const auto pac = an.factor(f_if_hz);
   const auto noise = pac.output_noise(o.if_p, o.if_m);
 

@@ -16,10 +16,29 @@
 // two-tone measurements validates both.
 #pragma once
 
+#include <memory>
+
 #include "core/circuits.hpp"
 #include "core/mixer_config.hpp"
+#include "lptv/lptv.hpp"
+#include "spice/pss.hpp"
 
 namespace rfmix::core {
+
+/// A freshly built transistor mixer's PSS orbit (64 samples per LO
+/// period), lowered into the LPTV engine, with its RF and IF ports as LPTV
+/// nodes. PAC and PNOISE start here and analyze it at K = 6 harmonics; a
+/// truncation study can analyze `circuit` at any K up to 15 (4K+2 <= 64).
+struct LoweredOrbit {
+  std::unique_ptr<TransistorMixer> mixer;
+  spice::PssResult pss;
+  lptv::LptvCircuit circuit;
+  int rf_p = 0, rf_m = 0, if_p = 0, if_m = 0;
+};
+
+/// Build the mixer in `config.mode` (with a 50-ohm RF series resistance
+/// unless one is set), find its PSS under the LO and lower the orbit.
+LoweredOrbit lower_mixer_orbit(const MixerConfig& config);
 
 struct PacResult {
   bool pss_converged = false;
@@ -31,15 +50,9 @@ struct PacResult {
   double image_gain_db = 0.0;
 };
 
-struct PacOptions {
-  int samples_per_period = 64;
-  int harmonics = 6;
-};
-
 /// Run PSS + PAC on a freshly built transistor-level mixer in
 /// `config.mode`.
-PacResult pac_conversion_gain(const MixerConfig& config, double f_if_hz = 5e6,
-                              const PacOptions& opts = {});
+PacResult pac_conversion_gain(const MixerConfig& config, double f_if_hz = 5e6);
 
 struct PnoiseResult {
   bool pss_converged = false;
@@ -52,7 +65,6 @@ struct PnoiseResult {
 /// each point of the PSS orbit (cyclostationary intensities) and folded
 /// through the conversion matrix with full inter-sideband correlation. The
 /// DSB noise figure is referenced to the RF port's 50-ohm source.
-PnoiseResult pac_nf_dsb(const MixerConfig& config, double f_if_hz = 5e6,
-                        const PacOptions& opts = {});
+PnoiseResult pac_nf_dsb(const MixerConfig& config, double f_if_hz = 5e6);
 
 }  // namespace rfmix::core

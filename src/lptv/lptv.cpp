@@ -1,9 +1,8 @@
 #include "lptv/lptv.hpp"
 
 #include <cmath>
-#include <memory>
-#include <mutex>
 #include <stdexcept>
+#include <string>
 
 #include "mathx/fft.hpp"
 #include "mathx/units.hpp"
@@ -54,16 +53,13 @@ void LptvCircuit::check_wave(const PeriodicWave& w) const {
     throw std::invalid_argument("periodic waveform must have num_samples() entries");
 }
 
-void LptvCircuit::add_conductance(int a, int b, double g) {
-  note_node(a);
-  note_node(b);
-  static_g_.push_back({a, b, g});
-}
-
-void LptvCircuit::add_capacitance(int a, int b, double c) {
-  note_node(a);
-  note_node(b);
-  static_c_.push_back({a, b, c});
+void LptvCircuit::note_node(int n) {
+  if (n < 0) {
+    std::string msg = "LPTV node ";
+    msg += std::to_string(n);
+    throw std::invalid_argument(msg + " is negative (node ids are >= 0; 0 is ground)");
+  }
+  max_node_ = std::max(max_node_, n);
 }
 
 void LptvCircuit::add_vccs(int p, int m, int cp, int cm, double gm) {
@@ -80,13 +76,6 @@ void LptvCircuit::add_transcapacitance(int p, int m, int cp, int cm, double c) {
   note_node(cp);
   note_node(cm);
   static_cm_.push_back({p, m, cp, cm, c});
-}
-
-void LptvCircuit::add_periodic_conductance(int a, int b, PeriodicWave g) {
-  check_wave(g);
-  note_node(a);
-  note_node(b);
-  periodic_g_.push_back({a, b, std::move(g)});
 }
 
 void LptvCircuit::add_periodic_vccs(int p, int m, int cp, int cm, PeriodicWave gm) {
@@ -141,20 +130,27 @@ LptvCircuit lower_sampled_orbit(const std::vector<mathx::MatrixD>& g_samples,
   return ckt;
 }
 
-Complex PacSolution::v(int k, int node) const {
-  if (node == 0) return {};
-  const int n_unknowns = num_nodes - 1;
-  const int block = k + harmonics;
-  return x[static_cast<std::size_t>(block * n_unknowns + (node - 1))];
-}
-
 // ---------------------------------------------------------------------------
 
 namespace {
 
+/// The solve side's one range check: `node` must be one of the circuit's
+/// `num_nodes` nodes and sideband k one of the 2K+1 retained.
+void check_node_and_sideband(int node, int k, int num_nodes, int harmonics) {
+  const bool node_ok = node >= 0 && node < num_nodes;
+  if (node_ok && k >= -harmonics && k <= harmonics) return;
+  std::string msg = node_ok ? "sideband " : "LPTV node ";
+  msg += std::to_string(node_ok ? k : node);
+  msg += " outside [";
+  msg += std::to_string(node_ok ? -harmonics : 0);
+  msg += ", ";
+  msg += std::to_string(node_ok ? harmonics : num_nodes - 1);
+  throw std::invalid_argument(msg + "]");
+}
+
 /// SweepLu's counter hook for the conversion engine: lptv.lu.*. One
 /// lptv.lu.factorizations per factor, whatever its path, so a gain point
-/// counts 1 and a gain + noise point 2.
+/// and a gain + noise point each count 1.
 void count_lptv_lu(mathx::SweepStep step) {
   switch (step) {
     case mathx::SweepStep::kFactor: RFMIX_OBS_COUNT("lptv.lu.factorizations"); break;
@@ -166,37 +162,16 @@ void count_lptv_lu(mathx::SweepStep step) {
 
 }  // namespace
 
-/// Assembled block system at one base frequency. The forward and adjoint
-/// factorizations are built lazily (and thread-safely) on first use: a
-/// gain-only point never pays for the adjoint factor, and a noise-only
-/// point never pays for the forward one.
-struct ConversionAnalysis::Factored::System {
-  const ConversionAnalysis* an;
-  mathx::TripletMatrix<Complex> a;
-  mutable std::once_flag once_fwd, once_adj;
-  mutable mathx::SparseLu<Complex> fwd, adj;
-
-  System(const ConversionAnalysis* an_in, mathx::TripletMatrix<Complex> a_in)
-      : an(an_in), a(std::move(a_in)) {}
-
-  const mathx::SparseLu<Complex>& forward() const {
-    std::call_once(once_fwd, [&] { fwd = an->lu_fwd_.factor(a); });
-    return fwd;
-  }
-  // A^T, stamped entry by entry in A's arrival order, so its duplicate
-  // slots sum in the same order as A's.
-  const mathx::SparseLu<Complex>& adjoint() const {
-    std::call_once(once_adj, [&] {
-      mathx::TripletMatrix<Complex> at(a.cols(), a.rows());
-      for (const auto& e : a.entries()) at.add(e.col, e.row, e.value);
-      adj = an->lu_adj_.factor(at);
-    });
-    return adj;
-  }
-};
+Complex PacSolution::v(int k, int node) const {
+  check_node_and_sideband(node, k, num_nodes, harmonics);
+  if (node == 0) return {};
+  const int n_unknowns = num_nodes - 1;
+  const int block = k + harmonics;
+  return x[static_cast<std::size_t>(block * n_unknowns + (node - 1))];
+}
 
 ConversionAnalysis::ConversionAnalysis(const LptvCircuit& ckt, ConversionOptions opts)
-    : ckt_(ckt), opts_(opts), lu_fwd_(&count_lptv_lu), lu_adj_(&count_lptv_lu) {
+    : ckt_(ckt), opts_(opts), lu_(&count_lptv_lu) {
   if (opts_.harmonics < 1) throw std::invalid_argument("harmonics must be >= 1");
   if (ckt_.num_samples() < 4 * opts_.harmonics + 2)
     throw std::invalid_argument(
@@ -227,33 +202,22 @@ mathx::TripletMatrix<Complex> ConversionAnalysis::block_system(double f_base) co
   const std::size_t dim = static_cast<std::size_t>(block_count_ * n);
   mathx::TripletMatrix<Complex> a(dim, dim);
 
-  auto unknown = [&](int k, int node) -> int {
-    if (node == 0) return -1;
-    return (k + k_hi) * n + (node - 1);
-  };
   auto add = [&](int row, int col, Complex v) {
     if (row < 0 || col < 0 || v == Complex{}) return;
     a.add(static_cast<std::size_t>(row), static_cast<std::size_t>(col), v);
   };
-  auto stamp_g_block = [&](int na, int nb, int krow, int kcol, Complex g) {
-    add(unknown(krow, na), unknown(kcol, na), g);
-    add(unknown(krow, nb), unknown(kcol, nb), g);
-    add(unknown(krow, na), unknown(kcol, nb), -g);
-    add(unknown(krow, nb), unknown(kcol, na), -g);
-  };
+  // Diagonal entries first, so a two-terminal element (cp = p, cm = m)
+  // stamps (a,a), (b,b), (a,b), (b,a).
   auto stamp_gm_block = [&](int p, int m, int cp, int cm, int krow, int kcol, Complex gm) {
     add(unknown(krow, p), unknown(kcol, cp), gm);
+    add(unknown(krow, m), unknown(kcol, cm), gm);
     add(unknown(krow, p), unknown(kcol, cm), -gm);
     add(unknown(krow, m), unknown(kcol, cp), -gm);
-    add(unknown(krow, m), unknown(kcol, cm), gm);
   };
 
   // Static elements: block-diagonal.
   for (int k = -k_hi; k <= k_hi; ++k) {
-    const double f_k = f_base + k * opts_.f_lo;
-    const Complex jw(0.0, kTwoPi * f_k);
-    for (const auto& e : ckt_.static_g()) stamp_g_block(e.a, e.b, k, k, e.g);
-    for (const auto& e : ckt_.static_c()) stamp_g_block(e.a, e.b, k, k, jw * e.c);
+    const Complex jw(0.0, kTwoPi * (f_base + k * opts_.f_lo));
     for (const auto& e : ckt_.static_gm())
       stamp_gm_block(e.p, e.m, e.cp, e.cm, k, k, e.gm);
     for (const auto& e : ckt_.static_cm())
@@ -262,41 +226,33 @@ mathx::TripletMatrix<Complex> ConversionAnalysis::block_system(double f_base) co
     for (int node = 1; node <= n; ++node) add(unknown(k, node), unknown(k, node), 1e-12);
   }
 
-  // Periodic elements: G_{k-l} couples sideband l into equation k.
-  for (const auto& e : ckt_.periodic_g()) {
-    const auto cf = fourier_coeffs(e.g);
-    const int m_max = 2 * k_hi;
-    for (int k = -k_hi; k <= k_hi; ++k)
-      for (int l = -k_hi; l <= k_hi; ++l) {
-        const int m = k - l;
-        if (m < -m_max || m > m_max) continue;
-        stamp_g_block(e.a, e.b, k, l, cf[static_cast<std::size_t>(m + m_max)]);
-      }
-  }
+  // Periodic elements: G_{k-l} couples sideband l into equation k; cf
+  // holds every k - l in [-2K, 2K], at index k - l + 2K.
   for (const auto& e : ckt_.periodic_gm()) {
     const auto cf = fourier_coeffs(e.gm);
-    const int m_max = 2 * k_hi;
     for (int k = -k_hi; k <= k_hi; ++k)
-      for (int l = -k_hi; l <= k_hi; ++l) {
-        const int m = k - l;
-        if (m < -m_max || m > m_max) continue;
-        stamp_gm_block(e.p, e.m, e.cp, e.cm, k, l, cf[static_cast<std::size_t>(m + m_max)]);
-      }
+      for (int l = -k_hi; l <= k_hi; ++l)
+        stamp_gm_block(e.p, e.m, e.cp, e.cm, k, l,
+                       cf[static_cast<std::size_t>(k - l + 2 * k_hi)]);
   }
 
   return a;
 }
 
+std::vector<Complex> ConversionAnalysis::unit_injection(int p, int m, int k) const {
+  check_node_and_sideband(p, k, ckt_.num_nodes(), opts_.harmonics);
+  check_node_and_sideband(m, k, ckt_.num_nodes(), opts_.harmonics);
+  std::vector<Complex> b(static_cast<std::size_t>(block_count_ * n_unknowns_), Complex{});
+  if (p != 0) b[static_cast<std::size_t>(unknown(k, p))] -= 1.0;
+  if (m != 0) b[static_cast<std::size_t>(unknown(k, m))] += 1.0;
+  return b;
+}
+
 ConversionAnalysis::Factored::Factored(const ConversionAnalysis* an, double f_base)
-    : an_(an), f_base_(f_base), sys_(std::make_shared<System>(an, an->block_system(f_base))) {}
-
-ConversionAnalysis::Factored::~Factored() = default;
-ConversionAnalysis::Factored::Factored(Factored&&) noexcept = default;
-ConversionAnalysis::Factored& ConversionAnalysis::Factored::operator=(
-    Factored&&) noexcept = default;
-
-ConversionAnalysis::Factored ConversionAnalysis::factor(double f_base) const {
-  return Factored(this, f_base);
+    : an_(an), f_base_(f_base) {
+  RFMIX_OBS_SCOPED_TIMER("lptv.conversion.factor");
+  RFMIX_OBS_TRACE_SCOPE("lptv.conversion.factor");
+  lu_ = an->lu_.factor(an->block_system(f_base));
 }
 
 PacSolution ConversionAnalysis::Factored::solve_current_injection(int p, int m,
@@ -305,39 +261,13 @@ PacSolution ConversionAnalysis::Factored::solve_current_injection(int p, int m,
   RFMIX_OBS_TRACE_SCOPE("lptv.conversion.solve");
   RFMIX_OBS_COUNT("lptv.conversion.solves");
   const ConversionAnalysis& self = *an_;
-  if (std::abs(k_in) > self.opts_.harmonics)
-    throw std::invalid_argument("k_in outside retained harmonics");
-  const int n = self.n_unknowns_;
-  std::vector<Complex> b(static_cast<std::size_t>(self.block_count_ * n), Complex{});
-  auto unknown = [&](int k, int node) -> int {
-    if (node == 0) return -1;
-    return (k + self.opts_.harmonics) * n + (node - 1);
-  };
-  // Unit current from p to m through the source: leaves p, enters m.
-  const int up = unknown(k_in, p);
-  const int um = unknown(k_in, m);
-  if (up >= 0) b[static_cast<std::size_t>(up)] -= 1.0;
-  if (um >= 0) b[static_cast<std::size_t>(um)] += 1.0;
-
   PacSolution sol;
   sol.harmonics = self.opts_.harmonics;
   sol.f_base = f_base_;
   sol.f_lo = self.opts_.f_lo;
   sol.num_nodes = self.ckt_.num_nodes();
-  sol.x = sys_->forward().solve(b);
+  sol.x = lu_.solve(self.unit_injection(p, m, k_in));
   return sol;
-}
-
-PacSolution ConversionAnalysis::solve_current_injection(double f_base, int p, int m,
-                                                        int k_in) const {
-  return factor(f_base).solve_current_injection(p, m, k_in);
-}
-
-Complex ConversionAnalysis::conversion_transimpedance(double f_base, int in_p, int in_m,
-                                                      int k_in, int out_p, int out_m,
-                                                      int k_out) const {
-  const PacSolution sol = solve_current_injection(f_base, in_p, in_m, k_in);
-  return sol.vd(k_out, out_p, out_m);
 }
 
 LptvNoiseResult ConversionAnalysis::Factored::output_noise(int out_p, int out_m) const {
@@ -346,30 +276,19 @@ LptvNoiseResult ConversionAnalysis::Factored::output_noise(int out_p, int out_m)
   RFMIX_OBS_COUNT("lptv.conversion.noise_solves");
   const ConversionAnalysis& self = *an_;
   const double f_base = f_base_;
-  const int n = self.n_unknowns_;
   const int k_hi = self.opts_.harmonics;
-  auto unknown = [&](int k, int node) -> int {
-    if (node == 0) return -1;
-    return (k + k_hi) * n + (node - 1);
-  };
 
-  // Adjoint solve: A^T y = e_out with e_out selecting the differential
-  // output at sideband 0.
-  std::vector<Complex> e(static_cast<std::size_t>(self.block_count_ * n), Complex{});
-  const int up = unknown(0, out_p);
-  const int um = unknown(0, out_m);
-  if (up >= 0) e[static_cast<std::size_t>(up)] += 1.0;
-  if (um >= 0) e[static_cast<std::size_t>(um)] -= 1.0;
-  const std::vector<Complex> y = sys_->adjoint().solve(e);
+  // Adjoint solve with the forward LU: A^T y = e_out, where e_out selects
+  // the differential output at sideband 0 (+1 at out_p, -1 at out_m: the
+  // right-hand side of a unit current from out_m to out_p).
+  const std::vector<Complex> y = lu_.solve_transposed(self.unit_injection(out_m, out_p, 0));
 
   // Transfer from a unit current injected (p -> m) at sideband k to the
   // output: T_k = y[m,k] - y[p,k] (rhs convention: -1 at p, +1 at m).
   auto transfer = [&](int k, int p, int m) -> Complex {
     Complex t{};
-    const int ip = unknown(k, p);
-    const int im = unknown(k, m);
-    if (ip >= 0) t -= y[static_cast<std::size_t>(ip)];
-    if (im >= 0) t += y[static_cast<std::size_t>(im)];
+    if (p != 0) t -= y[static_cast<std::size_t>(self.unknown(k, p))];
+    if (m != 0) t += y[static_cast<std::size_t>(self.unknown(k, m))];
     return t;
   };
 
@@ -392,17 +311,13 @@ LptvNoiseResult ConversionAnalysis::Factored::output_noise(int out_p, int out_m)
   // where S_m are the Fourier coefficients of the periodic intensity.
   for (const auto& src : self.ckt_.cyclo_noise()) {
     const auto cf = self.fourier_coeffs(src.s);
-    const int m_max = 2 * k_hi;
     Complex acc{};
     for (int k = -k_hi; k <= k_hi; ++k) {
       const Complex tk = transfer(k, src.p, src.m);
       if (tk == Complex{}) continue;
-      for (int l = -k_hi; l <= k_hi; ++l) {
-        const int m = k - l;
-        if (m < -m_max || m > m_max) continue;
-        const Complex tl = transfer(l, src.p, src.m);
-        acc += tk * std::conj(tl) * cf[static_cast<std::size_t>(m + m_max)];
-      }
+      for (int l = -k_hi; l <= k_hi; ++l)
+        acc += tk * std::conj(transfer(l, src.p, src.m)) *
+               cf[static_cast<std::size_t>(k - l + 2 * k_hi)];
     }
     // The bilinear form is Hermitian; the imaginary part is numerical noise.
     const double psd_out = std::max(acc.real(), 0.0);
@@ -411,11 +326,6 @@ LptvNoiseResult ConversionAnalysis::Factored::output_noise(int out_p, int out_m)
   }
 
   return result;
-}
-
-LptvNoiseResult ConversionAnalysis::output_noise(double f_base, int out_p,
-                                                 int out_m) const {
-  return factor(f_base).output_noise(out_p, out_m);
 }
 
 }  // namespace rfmix::lptv

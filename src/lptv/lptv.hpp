@@ -8,12 +8,13 @@
 //
 //    sum_m  G_m X_{k-m}  +  j 2 pi (f + k f_lo) C X_k  =  B_k .
 //
-// Truncating to |k| <= K gives a block linear system of size (2K+1)*N.
-// Solving it yields every sideband transfer function at once: conversion
-// gain (input sideband +-1 -> output sideband 0 for a down-converter) and,
-// via one adjoint solve, the noise folded from every sideband of every
-// source into the output — including cyclostationary switch noise with its
-// inter-sideband correlations.
+// Truncating to |k| <= K gives a block linear system of size (2K+1)*N,
+// factored once per base frequency. Solving it yields every sideband
+// transfer function at once: conversion gain (input sideband +-1 -> output
+// sideband 0 for a down-converter) and, via one transposed solve with the
+// same LU, the noise folded from every sideband of every source into the
+// output — including cyclostationary switch noise with its inter-sideband
+// correlations.
 //
 // Circuits come from two front ends: named elements (LptvCircuit's add_*
 // calls, for hand-built models) and a sampled periodic orbit lowered by
@@ -22,8 +23,8 @@
 
 #include <complex>
 #include <functional>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mathx/matrix.hpp"
@@ -59,21 +60,24 @@ class LptvCircuit {
   int num_nodes() const { return max_node_ + 1; }
 
   // -- static (time-invariant) elements --------------------------------
-  void add_conductance(int a, int b, double g);
-  void add_resistor(int a, int b, double ohms) { add_conductance(a, b, 1.0 / ohms); }
-  void add_capacitance(int a, int b, double c);
   /// Current gm*(v(cp)-v(cm)) flows from p to m.
   void add_vccs(int p, int m, int cp, int cm, double gm);
   /// Reactive twin of add_vccs: current c*d/dt(v(cp)-v(cm)) flows from p
   /// to m (an off-diagonal entry of a capacitance matrix).
   void add_transcapacitance(int p, int m, int cp, int cm, double c);
+  /// Two-terminal elements are VCCSs controlled by their own terminals.
+  void add_conductance(int a, int b, double g) { add_vccs(a, b, a, b, g); }
+  void add_resistor(int a, int b, double ohms) { add_vccs(a, b, a, b, 1.0 / ohms); }
+  void add_capacitance(int a, int b, double c) { add_transcapacitance(a, b, a, b, c); }
 
   // -- periodic elements ------------------------------------------------
-  /// Conductance g(theta) between a and b (e.g. a MOS switch channel).
-  void add_periodic_conductance(int a, int b, PeriodicWave g);
   /// Transconductance gm(theta): current gm(theta)*(v(cp)-v(cm)) from p to m
   /// (e.g. a commutated Gm stage).
   void add_periodic_vccs(int p, int m, int cp, int cm, PeriodicWave gm);
+  /// Conductance g(theta) between a and b (e.g. a MOS switch channel).
+  void add_periodic_conductance(int a, int b, PeriodicWave g) {
+    add_periodic_vccs(a, b, a, b, std::move(g));
+  }
 
   // -- noise sources ----------------------------------------------------
   /// Stationary current noise between p and m with one-sided PSD psd(f)
@@ -87,38 +91,30 @@ class LptvCircuit {
   void add_cyclo_noise_current(int p, int m, PeriodicWave s_theta, std::string label);
 
   // introspection used by the analysis ---------------------------------
-  struct StaticG { int a, b; double g; };
-  struct StaticC { int a, b; double c; };
   struct StaticGm { int p, m, cp, cm; double gm; };
   struct StaticCm { int p, m, cp, cm; double c; };
-  struct PeriodicG { int a, b; PeriodicWave g; };
   struct PeriodicGm { int p, m, cp, cm; PeriodicWave gm; };
   struct StationaryNoise { int p, m; std::function<double(double)> psd; std::string label; };
   struct CycloNoise { int p, m; PeriodicWave s; std::string label; };
 
-  const std::vector<StaticG>& static_g() const { return static_g_; }
-  const std::vector<StaticC>& static_c() const { return static_c_; }
   const std::vector<StaticGm>& static_gm() const { return static_gm_; }
   const std::vector<StaticCm>& static_cm() const { return static_cm_; }
-  const std::vector<PeriodicG>& periodic_g() const { return periodic_g_; }
   const std::vector<PeriodicGm>& periodic_gm() const { return periodic_gm_; }
   const std::vector<StationaryNoise>& stationary_noise() const { return stationary_noise_; }
   const std::vector<CycloNoise>& cyclo_noise() const { return cyclo_noise_; }
 
   /// Track node ids referenced by devices so num_nodes() is correct even if
-  /// callers pass raw ints instead of add_node() results.
-  void note_node(int n) { max_node_ = std::max(max_node_, n); }
+  /// callers pass raw ints instead of add_node() results. Throws
+  /// std::invalid_argument for a negative id.
+  void note_node(int n);
 
  private:
   void check_wave(const PeriodicWave& w) const;
 
   int num_samples_;
   int max_node_ = 0;
-  std::vector<StaticG> static_g_;
-  std::vector<StaticC> static_c_;
   std::vector<StaticGm> static_gm_;
   std::vector<StaticCm> static_cm_;
-  std::vector<PeriodicG> periodic_g_;
   std::vector<PeriodicGm> periodic_gm_;
   std::vector<StationaryNoise> stationary_noise_;
   std::vector<CycloNoise> cyclo_noise_;
@@ -153,6 +149,7 @@ struct PacSolution {
   /// x[(k + K) * num_unknowns + (node-1)]: sideband-k phasor of each node.
   std::vector<Complex> x;
 
+  /// Throws std::invalid_argument unless 0 <= node < num_nodes and |k| <= K.
   Complex v(int k, int node) const;
   Complex vd(int k, int p, int m) const { return v(k, p) - v(k, m); }
   double sideband_freq(int k) const { return f_base + k * f_lo; }
@@ -171,7 +168,7 @@ struct LptvNoiseResult {
 };
 
 /// The conversion-matrix engine for one (circuit, f_lo, K) combination.
-/// Assembly is per base frequency; factorizations are cached per call.
+/// Assembly and factorization are per base frequency.
 class ConversionAnalysis {
  public:
   /// Keeps a reference to `ckt`, which must outlive the analysis (hence no
@@ -181,22 +178,17 @@ class ConversionAnalysis {
   ConversionAnalysis(const ConversionAnalysis&) = delete;
   ConversionAnalysis& operator=(const ConversionAnalysis&) = delete;
 
-  /// The assembled block system at one base frequency, reusable across any
-  /// number of injection and adjoint solves. Forward and adjoint LU
-  /// factorizations are built lazily on first use, so a gain point pays
-  /// one factorization and a gain + noise point two — instead of one per
-  /// solve. Move-only; cheap to return by value.
+  /// The block system at one base frequency, assembled and factored once
+  /// on construction: every injection solves with that LU and every noise
+  /// solve with its transpose, so a gain or gain + noise point costs one
+  /// factorization. Safe to share across threads.
   class Factored {
    public:
-    ~Factored();
-    Factored(Factored&&) noexcept;
-    Factored& operator=(Factored&&) noexcept;
-
     /// Unit AC current from p to m at sideband k_in (cf. the analysis-level
     /// wrapper of the same name).
     PacSolution solve_current_injection(int p, int m, int k_in) const;
 
-    /// Output noise at (out_p, out_m), sideband 0 (one adjoint solve).
+    /// Output noise at (out_p, out_m), sideband 0 (one transposed solve).
     LptvNoiseResult output_noise(int out_p, int out_m) const;
 
     double f_base() const { return f_base_; }
@@ -207,50 +199,61 @@ class ConversionAnalysis {
 
     const ConversionAnalysis* an_;
     double f_base_;
-    struct System;
-    std::shared_ptr<System> sys_;
+    mathx::SparseLu<Complex> lu_;
   };
 
-  /// Assemble the block system once at f_base; solve against it repeatedly.
-  Factored factor(double f_base) const;
+  /// Assemble and factor the block system at f_base; solve against it
+  /// repeatedly.
+  Factored factor(double f_base) const { return Factored(this, f_base); }
 
-  /// The (2K+1)·N block system at f_base, as factor() stamps it; the
-  /// adjoint factors its transpose.
+  /// The (2K+1)·N block system at f_base, as factor() stamps it.
   mathx::TripletMatrix<Complex> block_system(double f_base) const;
 
   /// Solve with a unit AC current injected from node p to node m at sideband
   /// k_in, at baseband frequency f_base. Returns all node voltages at all
   /// sidebands (transimpedances, V/A).
-  PacSolution solve_current_injection(double f_base, int p, int m, int k_in) const;
+  PacSolution solve_current_injection(double f_base, int p, int m, int k_in) const {
+    return factor(f_base).solve_current_injection(p, m, k_in);
+  }
 
   /// Conversion transimpedance: inject at (in_p, in_m) sideband k_in, read
   /// differential voltage at (out_p, out_m) sideband k_out [V/A].
   Complex conversion_transimpedance(double f_base, int in_p, int in_m, int k_in,
-                                    int out_p, int out_m, int k_out) const;
+                                    int out_p, int out_m, int k_out) const {
+    return solve_current_injection(f_base, in_p, in_m, k_in).vd(k_out, out_p, out_m);
+  }
 
   /// Output noise PSD at (out_p, out_m), sideband 0, baseband frequency
   /// f_base, folding all sources across all sidebands.
-  LptvNoiseResult output_noise(double f_base, int out_p, int out_m) const;
+  LptvNoiseResult output_noise(double f_base, int out_p, int out_m) const {
+    return factor(f_base).output_noise(out_p, out_m);
+  }
 
   int harmonics() const { return opts_.harmonics; }
   double f_lo() const { return opts_.f_lo; }
 
  private:
-
   /// Fourier coefficients of a periodic waveform, index m in [-2K, 2K].
   std::vector<Complex> fourier_coeffs(const PeriodicWave& w) const;
+
+  /// Block-system index of `node` at sideband k; -1 for ground.
+  int unknown(int k, int node) const {
+    return node == 0 ? -1 : (k + opts_.harmonics) * n_unknowns_ + (node - 1);
+  }
+
+  /// Right-hand side of a unit current from p to m at sideband k (-1 at p,
+  /// +1 at m); throws std::invalid_argument for a node or k out of range.
+  std::vector<Complex> unit_injection(int p, int m, int k) const;
 
   const LptvCircuit& ckt_;
   ConversionOptions opts_;
   int n_unknowns_;  // nodes minus ground
   int block_count_; // 2K+1
 
-  // One analyze-once sweep per direction (forward, adjoint). The
-  // block-system sparsity is fixed by (circuit, K), not by f_base, so the
-  // first factor pays a full analysis per direction and every later
-  // base-frequency point only refactors. Mutable: factor() is const but
-  // warms these.
-  mutable mathx::SweepLu<Complex> lu_fwd_, lu_adj_;
+  // The block-system sparsity is fixed by (circuit, K), not by f_base, so
+  // the first factor pays the analysis and every later base-frequency point
+  // only refactors. Mutable: factor() is const but warms it.
+  mutable mathx::SweepLu<Complex> lu_;
 };
 
 }  // namespace rfmix::lptv

@@ -35,7 +35,10 @@ namespace rfmix::svc {
 /// 2: device records were truncated by one byte in epoch 1.
 /// 3: CSC conversion merges every duplicate stamp, which moves the last bits
 ///    of some solutions (rx_array operating points by ~1e-14 relative).
-inline constexpr int kCanonicalEpoch = 3;
+/// 4: the LPTV noise solve uses the forward LU transposed and two-terminal
+///    elements stamp as VCCSs, which moves the last bits of LPTV NF and
+///    passive gain (~1e-14 relative); nf_dsb_db honors f_rf_hz.
+inline constexpr int kCanonicalEpoch = 4;
 
 /// Builds the canonical byte string record by record.
 class CanonicalWriter {

@@ -9,6 +9,7 @@
 #include <cmath>
 
 #include "core/behavioral.hpp"
+#include "core/metrics.hpp"
 #include "lptv/lptv.hpp"
 #include "mathx/interp.hpp"
 #include "mathx/units.hpp"
@@ -181,22 +182,51 @@ TEST(LptvMixer, RfSweepRequiresRfAboveIf) {
                std::invalid_argument);
 }
 
-#if RFMIX_OBS_ENABLED
+TEST(LptvMixer, MetricRfFrequencyRetunesTheLoForGainAndNf) {
+  // mixer_metric's f_rf_hz > 0 retunes the LO (f_lo = f_rf - f_if) for
+  // both LPTV metrics; the NF once answered for the config's own LO.
+  MetricQuery q;
+  q.config = config_for(MixerMode::kPassive);
+  q.f_if_hz = 5e6;
+  auto at_lo = [&](double f_lo_hz) {
+    MixerConfig tuned = q.config;
+    tuned.f_lo_hz = f_lo_hz;
+    return tuned;
+  };
+  q.metric = MixerMetric::kNfDsbDb;
+  q.f_rf_hz = 1.005e9;
+  const double nf_1g = evaluate_metric(q);
+  EXPECT_EQ(nf_1g, lptv_nf_dsb(at_lo(1e9), 5e6).nf_dsb_db);
+  q.f_rf_hz = 5.205e9;
+  const double nf_5g = evaluate_metric(q);
+  EXPECT_EQ(nf_5g, lptv_nf_dsb(at_lo(5.2e9), 5e6).nf_dsb_db);
+  EXPECT_GT(nf_5g, nf_1g + 1.0);  // 13.66 vs 10.56 dB
+  q.f_rf_hz = 5e6;                // not above f_if
+  EXPECT_THROW(evaluate_metric(q), std::invalid_argument);
 
-TEST(LptvMixer, NfPointCostsExactlyTwoFactorizations) {
-  // Regression for the Factored caching contract: one NF point = one
-  // forward LU (shared by both sideband injections) plus one adjoint LU
-  // (the noise solve) — never one per solve.
-  const std::uint64_t before = obs::counter_value("lptv.lu.factorizations");
-  (void)lptv_nf_dsb(config_for(MixerMode::kActive), 5e6);
-  EXPECT_EQ(obs::counter_value("lptv.lu.factorizations") - before, 2u);
+  q.metric = MixerMetric::kGainDb;
+  q.f_rf_hz = 1.005e9;
+  EXPECT_EQ(evaluate_metric(q), lptv_conversion_gain_db(at_lo(1e9), 5e6));
+  q.f_rf_hz = 5e6;
+  EXPECT_THROW(evaluate_metric(q), std::invalid_argument);
 }
 
-TEST(LptvMixer, BaseFrequencySweepAnalyzesOncePerDirection) {
-  // One ConversionAnalysis factored at several base frequencies: only the
-  // first point pays a forward analysis; the rest refactor against the
-  // shared symbolic (the block-system pattern is fixed by the circuit and
-  // K, not by f_base).
+#if RFMIX_OBS_ENABLED
+
+TEST(LptvMixer, NfPointCostsOneFactorization) {
+  // Regression for the Factored contract: one NF point = one LU, shared by
+  // both sideband injections and (transposed) the noise solve — never one
+  // per solve.
+  const std::uint64_t before = obs::counter_value("lptv.lu.factorizations");
+  (void)lptv_nf_dsb(config_for(MixerMode::kActive), 5e6);
+  EXPECT_EQ(obs::counter_value("lptv.lu.factorizations") - before, 1u);
+}
+
+TEST(LptvMixer, BaseFrequencySweepAnalyzesOnce) {
+  // One ConversionAnalysis factored at several base frequencies, each
+  // point solving an injection and the noise: only the first point pays
+  // an analysis; the rest refactor against the shared symbolic (the
+  // block-system pattern is fixed by the circuit and K, not by f_base).
   const auto model = build_lptv_mixer(config_for(MixerMode::kActive));
   lptv::ConversionAnalysis an(model->circuit, {config_for(MixerMode::kActive).f_lo_hz, 6});
   const std::uint64_t fact0 = obs::counter_value("lptv.lu.factorizations");
@@ -204,9 +234,11 @@ TEST(LptvMixer, BaseFrequencySweepAnalyzesOncePerDirection) {
   const std::uint64_t refactor0 = obs::counter_value("lptv.lu.refactor");
   const std::uint64_t fallback0 = obs::counter_value("lptv.lu.fallback");
   const std::vector<double> f_ifs = {1e6, 2e6, 5e6, 10e6};
-  for (const double f : f_ifs)
-    (void)an.conversion_transimpedance(f, 0, model->in, +1, model->out_p,
-                                       model->out_m, 0);
+  for (const double f : f_ifs) {
+    const lptv::ConversionAnalysis::Factored sys = an.factor(f);
+    (void)sys.solve_current_injection(0, model->in, +1);
+    (void)sys.output_noise(model->out_p, model->out_m);
+  }
   EXPECT_EQ(obs::counter_value("lptv.lu.factorizations") - fact0, f_ifs.size());
   const std::uint64_t fallbacks = obs::counter_value("lptv.lu.fallback") - fallback0;
   EXPECT_EQ(obs::counter_value("lptv.lu.analyze") - analyze0, 1u + fallbacks);

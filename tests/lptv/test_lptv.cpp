@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <type_traits>
 
 #include "mathx/units.hpp"
@@ -244,6 +245,46 @@ TEST(ConversionAnalysis, ValidatesArguments) {
   EXPECT_THROW(ConversionAnalysis(ckt, {1e9, 200}), std::invalid_argument);
   ConversionAnalysis an(ckt, {1e9, 4});
   EXPECT_THROW(an.solve_current_injection(1e6, 0, n1, 9), std::invalid_argument);
+}
+
+TEST(ConversionAnalysis, NodeAndSidebandIndicesAreChecked) {
+  LptvCircuit ckt;
+  const int n1 = ckt.add_node();
+  ckt.add_resistor(n1, 0, 1.0);
+  // A negative id used to stamp into another sideband's block.
+  EXPECT_THROW(ckt.add_resistor(-1, 0, 1.0), std::invalid_argument);
+  EXPECT_THROW(ckt.add_vccs(n1, 0, -2, 0, 1.0), std::invalid_argument);
+  EXPECT_THROW(ckt.add_noise_current(0, -1, [](double) { return 1.0; }, "x"),
+               std::invalid_argument);
+  EXPECT_EQ(ckt.num_nodes(), 2);
+
+  const ConversionAnalysis an(ckt, {1e9, 2});
+  const ConversionAnalysis::Factored sys = an.factor(1e6);
+  auto message = [](auto&& call) -> std::string {
+    try {
+      call();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no throw";
+  };
+  // One node past the last at the top sideband used to write past the
+  // right-hand side; a node past the last used to read another sideband.
+  EXPECT_EQ(message([&] { sys.solve_current_injection(2, 0, +2); }),
+            "LPTV node 2 outside [0, 1]");
+  EXPECT_EQ(message([&] { sys.solve_current_injection(0, -1, 0); }),
+            "LPTV node -1 outside [0, 1]");
+  EXPECT_EQ(message([&] { sys.solve_current_injection(0, n1, -3); }),
+            "sideband -3 outside [-2, 2]");
+  EXPECT_EQ(message([&] { sys.output_noise(n1, 2); }), "LPTV node 2 outside [0, 1]");
+  EXPECT_EQ(message([&] { ckt.note_node(-4); }),
+            "LPTV node -4 is negative (node ids are >= 0; 0 is ground)");
+
+  const PacSolution sol = sys.solve_current_injection(0, n1, +2);
+  EXPECT_EQ(message([&] { sol.v(3, n1); }), "sideband 3 outside [-2, 2]");
+  EXPECT_EQ(message([&] { sol.v(0, 2); }), "LPTV node 2 outside [0, 1]");
+  EXPECT_EQ(sol.v(-2, 0), Complex{});
+  EXPECT_NEAR(std::abs(sol.v(+2, n1)), 1.0, 1e-9);
 }
 
 TEST(LptvCircuit, WaveformSizeValidated) {

@@ -8,6 +8,7 @@
 // analysis, signed zeros included.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <complex>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "core/circuits.hpp"
+#include "core/lptv_model.hpp"
 #include "lptv/lptv.hpp"
 #include "mathx/units.hpp"
 #include "npath/zin.hpp"
@@ -443,6 +445,51 @@ TEST(SolverParity, SweepLuMatchesColdAnalysis) {
   }
   EXPECT_GT(sweep_steps(mathx::SweepStep::kRefactor), refactor0);
   EXPECT_GT(sweep_steps(mathx::SweepStep::kFallback), fallback0);
+}
+
+// The LPTV noise solve runs the block system's own LU transposed. The
+// reference is the path it replaced: a cold factorization of A^T, stamped
+// entry by entry in A's arrival order.
+void expect_transposed_solve_matches_transposed_factor(const CplxTriplets& a,
+                                                       const char* system, double f_hz) {
+  using Cplx = std::complex<double>;
+  std::string what = system;
+  what += " at ";
+  what += std::to_string(f_hz);
+  what += " Hz";
+  CplxTriplets at(a.cols(), a.rows());
+  for (const auto& t : a.entries()) at.add(t.col, t.row, t.value);
+  std::vector<Cplx> e(a.rows());
+  for (std::size_t k = 0; k < e.size(); ++k)
+    e[k] = {1.0 + static_cast<double>(k % 5), 0.25 * static_cast<double>(k % 3)};
+  const std::vector<Cplx> y =
+      mathx::SparseLu<Cplx>(mathx::CscMatrix<Cplx>(a)).solve_transposed(e);
+  const std::vector<Cplx> ref = mathx::SparseLu<Cplx>(mathx::CscMatrix<Cplx>(at)).solve(e);
+  ASSERT_EQ(y.size(), ref.size()) << what;
+  double scale = 0.0, worst = 0.0;
+  for (std::size_t k = 0; k < y.size(); ++k) {
+    scale = std::max(scale, std::abs(ref[k]));
+    worst = std::max(worst, std::abs(y[k] - ref[k]));
+  }
+  EXPECT_GT(scale, 0.0) << what;
+  EXPECT_LE(worst, 1e-12 * scale) << what;
+}
+
+TEST(SolverParity, LptvTransposedSolveMatchesTransposedFactor) {
+  for (const core::MixerMode mode : {core::MixerMode::kActive, core::MixerMode::kPassive}) {
+    const core::MixerConfig cfg = mixer_config(mode);
+    const auto model = core::build_lptv_mixer(cfg);
+    const lptv::ConversionAnalysis an(model->circuit, {cfg.f_lo_hz, 8});
+    for (const double f : {30e3, 5e6})
+      expect_transposed_solve_matches_transposed_factor(an.block_system(f),
+                                                        frontend::mode_name(mode), f);
+  }
+  const npath::NpathSpec spec = npath_spec();
+  const npath::NpathCircuit nc = npath::build_npath_circuit(spec);
+  const lptv::ConversionAnalysis an(nc.ckt, {spec.f_lo_hz, spec.harmonics});
+  for (const double f : lin_space(0.6e9, 1.4e9, 33))
+    expect_transposed_solve_matches_transposed_factor(an.block_system(f),
+                                                      "4-phase N-path", f);
 }
 
 }  // namespace

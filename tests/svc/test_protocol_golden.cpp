@@ -40,7 +40,7 @@ TEST_F(ProtocolGoldenTest, StatsOnFreshSession) {
       R"json({"v":2,"id":1,"ok":true,"result":{"jobs":{"submitted":0,"cache_hits":0,)json"
       R"json("deduped":0,"executed":0,"failed":0},"cache":{"hits":0,"misses":0,)json"
       R"json("evictions":0,"stores":0,"disk_hits":0,"disk_stores":0,"disk_corrupt":0,)json"
-      R"json("entries":0},"canonical_epoch":3}})json");
+      R"json("entries":0},"canonical_epoch":4}})json");
 }
 
 TEST_F(ProtocolGoldenTest, CancelWithNothingPending) {
