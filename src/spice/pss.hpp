@@ -1,9 +1,10 @@
-// Periodic steady state (PSS) by the brute-force method: integrate the
-// circuit with its periodic (LO) drive until the state repeats from one
-// period to the next, then record one period of uniformly sampled
-// solutions. Those samples are the large-signal orbit that periodic AC
-// (PAC) analyses linearize around — see core/pac_transistor.hpp for that
-// pipeline and lptv::lower_sampled_orbit (lptv/lptv.hpp) for its back end.
+// Periodic steady state (PSS) by the brute-force method: step the
+// transient's grid (TimeGrid, tran.hpp) at dt = T / samples under the
+// circuit's periodic (LO) drive until the state repeats from one period to
+// the next. The last period's samples, transient samples bit for bit, are
+// the large-signal orbit that periodic AC (PAC) analyses linearize around —
+// see core/pac_transistor.hpp for that pipeline and lptv::lower_sampled_orbit
+// (lptv/lptv.hpp) for its back end.
 #pragma once
 
 #include "spice/circuit.hpp"
@@ -17,7 +18,6 @@ struct PssOptions {
   int max_periods = 400;
   /// Periodicity criterion: max |x(t+T) - x(t)| over node voltages [V].
   double tol_v = 50e-6;
-  NewtonOptions newton;
 };
 
 struct PssResult {
@@ -25,8 +25,8 @@ struct PssResult {
   int periods_used = 0;
   double period_s = 0.0;
   double residual_v = 0.0;   // achieved period-to-period deviation
-  /// One period of the steady-state orbit: samples_per_period solutions at
-  /// t = k * T / samples_per_period (the first sample is the period start).
+  /// The last period's samples_per_period solutions, sample k at
+  /// t = (k + 1) * T / samples_per_period into it (the last closes it).
   std::vector<Solution> samples;
 };
 

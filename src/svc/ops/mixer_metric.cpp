@@ -3,7 +3,9 @@
 // spelled once here, in one table that both the strict parse
 // (apply_mixer_config) and the canonical cache record read.
 #include <algorithm>
+#include <cmath>
 #include <iterator>
+#include <stdexcept>
 #include <string_view>
 
 #include "core/metrics.hpp"
@@ -75,6 +77,9 @@ void append_mixer_config(CanonicalWriter& w, const core::MixerConfig& c) {
 
 std::string execute_metric(const Request& req) {
   const double value = core::evaluate_metric(req.metric);
+  // A non-finite value (a 0 K configuration, say) is a failed execution,
+  // never a cached null.
+  if (!std::isfinite(value)) throw std::runtime_error("mixer_metric: value is not finite");
   std::string out = "{\"analysis\":\"metric\",\"metric\":";
   out += json::quoted(core::metric_name(req.metric.metric));
   out += ",\"mode\":";
@@ -124,13 +129,23 @@ void register_mixer_metric_op(OpRegistry& r) {
   });
   m.params.number("f_if_hz", [](double v, Request& req) { req.metric.f_if_hz = v; });
   m.params.number("f_rf_hz", [](double v, Request& req) { req.metric.f_rf_hz = v; });
+  // A nonzero f_rf_hz retunes the LO to f_rf_hz - f_if_hz: check it before
+  // keying, so a retune that cannot run is bad_params, not a failed job.
+  m.finish = [](Request& q) {
+    if (q.metric.f_rf_hz != 0.0 && !(q.metric.f_rf_hz > q.metric.f_if_hz))
+      throw std::invalid_argument("mixer_metric requires f_rf_hz == 0 or f_rf_hz > f_if_hz");
+  };
   m.canonical = [](CanonicalWriter& w, const Request& req) {
     append_mixer_config(w, req.metric.config);
     w.begin_record("analysis");
     w.field("kind", "metric");
     w.field("metric", core::metric_name(req.metric.metric));
-    w.field("f_if_hz", req.metric.f_if_hz);
-    w.field("f_rf_hz", req.metric.f_rf_hz);
+    // IIP3 reads neither frequency, so every IIP3 request keys at the
+    // defaults (the bytes a default-valued request always had).
+    const core::MetricQuery& q =
+        req.metric.metric == core::MixerMetric::kIip3Dbm ? core::MetricQuery{} : req.metric;
+    w.field("f_if_hz", q.f_if_hz);
+    w.field("f_rf_hz", q.f_rf_hz);
     w.end_record();
   };
   m.execute = execute_metric;

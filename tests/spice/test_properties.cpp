@@ -23,6 +23,7 @@
 #include "spice/devices_sources.hpp"
 #include "spice/noise.hpp"
 #include "spice/op.hpp"
+#include "spice/pss.hpp"
 #include "spice/tran.hpp"
 
 namespace rfmix::spice {
@@ -215,8 +216,9 @@ std::uint64_t delta(std::string_view name, std::uint64_t before) {
 class InstrumentationContract : public ::testing::TestWithParam<int> {};
 
 TEST_P(InstrumentationContract, TranStepAccountingBalances) {
-  // accepted + rejected == attempted must hold for fixed-grid and adaptive
-  // stepping alike, on randomized RC networks.
+  // accepted + rejected == attempted must hold on the one fixed grid,
+  // stepped by transient() or by a PSS, on randomized RC networks; every
+  // recorded sample and every PSS orbit sample is one accepted step.
   RandomNetwork net(static_cast<std::uint64_t>(GetParam()) + 200);
   mathx::Rng rng(static_cast<std::uint64_t>(GetParam()) + 1000);
   for (std::size_t i = 2; i < net.nodes.size(); ++i)
@@ -224,21 +226,29 @@ TEST_P(InstrumentationContract, TranStepAccountingBalances) {
                            rng.uniform(0.5e-9, 5e-9));
   net.va->set_waveform(Waveform::sine(1.0, 1e6));
 
-  for (const bool adaptive : {false, true}) {
-    const std::uint64_t att = obs::counter_value("spice.tran.steps_attempted");
-    const std::uint64_t acc = obs::counter_value("spice.tran.steps_accepted");
-    const std::uint64_t rej = obs::counter_value("spice.tran.steps_rejected");
-    TranOptions opts;
-    opts.adaptive = adaptive;
-    const TranResult tr =
-        transient(net.ckt, 4e-6, 4e-9, {{net.nodes[3], kGround, "p"}}, opts);
-    EXPECT_GT(tr.time_s.size(), 1u);
-    EXPECT_GT(delta("spice.tran.steps_accepted", acc), 0u);
-    EXPECT_EQ(delta("spice.tran.steps_accepted", acc) +
-                  delta("spice.tran.steps_rejected", rej),
-              delta("spice.tran.steps_attempted", att))
-        << (adaptive ? "adaptive" : "fixed-grid");
-  }
+  std::uint64_t att = obs::counter_value("spice.tran.steps_attempted");
+  std::uint64_t acc = obs::counter_value("spice.tran.steps_accepted");
+  std::uint64_t rej = obs::counter_value("spice.tran.steps_rejected");
+  const TranResult tr = transient(net.ckt, 4e-6, 4e-9, {{net.nodes[3], kGround, "p"}});
+  ASSERT_EQ(tr.time_s.size(), 1001u);
+  EXPECT_EQ(delta("spice.tran.steps_accepted", acc), tr.time_s.size() - 1);
+  EXPECT_EQ(delta("spice.tran.steps_accepted", acc) + delta("spice.tran.steps_rejected", rej),
+            delta("spice.tran.steps_attempted", att))
+      << "transient";
+
+  att = obs::counter_value("spice.tran.steps_attempted");
+  acc = obs::counter_value("spice.tran.steps_accepted");
+  rej = obs::counter_value("spice.tran.steps_rejected");
+  PssOptions opts;
+  opts.samples_per_period = 16;
+  opts.max_periods = 8;
+  const PssResult pss = periodic_steady_state(net.ckt, 1e-6, opts);
+  ASSERT_GE(pss.periods_used, opts.min_periods);
+  EXPECT_EQ(delta("spice.tran.steps_accepted", acc),
+            static_cast<std::uint64_t>(pss.periods_used * opts.samples_per_period));
+  EXPECT_EQ(delta("spice.tran.steps_accepted", acc) + delta("spice.tran.steps_rejected", rej),
+            delta("spice.tran.steps_attempted", att))
+      << "PSS";
 }
 
 TEST_P(InstrumentationContract, LuWorkCoversNewtonWork) {

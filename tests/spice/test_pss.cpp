@@ -3,13 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "mathx/units.hpp"
 #include "spice/circuit.hpp"
 #include "spice/devices_diode.hpp"
 #include "spice/devices_passive.hpp"
 #include "spice/devices_sources.hpp"
+#include "spice/tran.hpp"
 
 namespace rfmix::spice {
 namespace {
@@ -61,6 +64,51 @@ TEST(Pss, DiodeRectifierChargesToPeak) {
   mean /= static_cast<double>(res.samples.size());
   EXPECT_GT(mean, 1.1);  // 2 V peak minus ~0.7 V drop, some droop
   EXPECT_LT(mean, 1.6);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// A PSS steps the transient's own grid: on the same dt, a rectifier's third
+// 16-sample period is transient() samples 33-48, bit for bit, the full
+// state included.
+TEST(Pss, OrbitStepsAreTransientSteps) {
+  const double f = 1e6;
+  const int n = 16;
+  struct Rectifier {
+    Circuit ckt;
+    NodeId in = ckt.node("in");
+    NodeId out = ckt.node("out");
+    explicit Rectifier(double f) {
+      ckt.add<VoltageSource>("v1", in, kGround, Waveform::sine(2.0, f));
+      ckt.add<Diode>("d1", in, out);
+      ckt.add<Capacitor>("c1", out, kGround, 100e-9);
+      ckt.add<Resistor>("rl", out, kGround, 100e3);
+    }
+  };
+
+  Rectifier a(f);
+  PssOptions opts;
+  opts.samples_per_period = n;
+  opts.max_periods = 3;
+  const PssResult pss = periodic_steady_state(a.ckt, 1.0 / f, opts);
+  ASSERT_EQ(pss.periods_used, 3);
+  ASSERT_EQ(pss.samples.size(), static_cast<std::size_t>(n));
+
+  Rectifier b(f);
+  const double dt = (1.0 / f) / n;
+  const TranResult tr =
+      transient(b.ckt, 3 * n * dt, dt, {{b.in, kGround, "in"}, {b.out, kGround, "out"}});
+  ASSERT_EQ(tr.time_s.size(), static_cast<std::size_t>(3 * n + 1));
+  for (int k = 0; k < n; ++k) {
+    const std::size_t j = static_cast<std::size_t>(2 * n + 1 + k);
+    const Solution& s = pss.samples[static_cast<std::size_t>(k)];
+    EXPECT_EQ(bits(tr.waveform(0)[j]), bits(s.v(a.in))) << "sample " << j;
+    EXPECT_EQ(bits(tr.waveform(1)[j]), bits(s.v(a.out))) << "sample " << j;
+  }
+  const auto& last = pss.samples.back().raw();
+  ASSERT_EQ(tr.final_state.raw().size(), last.size());
+  for (std::size_t i = 0; i < last.size(); ++i)
+    EXPECT_EQ(bits(tr.final_state.raw()[i]), bits(last[i])) << "unknown " << i;
 }
 
 TEST(Pss, DcCircuitConvergesImmediately) {

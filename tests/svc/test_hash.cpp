@@ -257,6 +257,26 @@ TEST(RequestKey, EveryMixerConfigFieldPerturbsKey) {
   EXPECT_FALSE(request_key(frf) == base_key);
 }
 
+TEST(RequestKey, Iip3KeysIgnoreTheFrequenciesItDoesNotRead) {
+  // IIP3 comes from the behavioral two-tone model, which reads neither
+  // f_if_hz nor f_rf_hz: requests differing only there share one key. Gain
+  // and NF read both, so their keys still move.
+  for (const core::MixerMetric metric :
+       {core::MixerMetric::kIip3Dbm, core::MixerMetric::kGainDb, core::MixerMetric::kNfDsbDb}) {
+    Request base;
+    base.kind = RequestKind::kMixerMetric;
+    base.metric.metric = metric;
+    const Hash128 base_key = request_key(base);
+    Request fif = base;
+    fif.metric.f_if_hz *= 2;
+    Request frf = base;
+    frf.metric.f_rf_hz = 2.45e9;
+    const bool iip3 = metric == core::MixerMetric::kIip3Dbm;
+    EXPECT_EQ(request_key(fif) == base_key, iip3) << core::metric_name(metric);
+    EXPECT_EQ(request_key(frf) == base_key, iip3) << core::metric_name(metric);
+  }
+}
+
 TEST(RequestKey, IncludesCodeVersion) {
   Request r;
   r.kind = RequestKind::kOp;

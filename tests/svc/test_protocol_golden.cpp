@@ -123,6 +123,42 @@ TEST_F(ProtocolGoldenTest, MixerConfigTypeErrorOutranksUnknownName) {
             R"json("message":"unknown config field 'bogus'"}})json");
 }
 
+TEST_F(ProtocolGoldenTest, MixerMetricRfCheckIsBadParams) {
+  // A nonzero f_rf_hz retunes the LO to f_rf_hz - f_if_hz, so it must
+  // exceed f_if_hz; the check runs before keying, for every metric.
+  const std::string refused =
+      R"json({"v":2,"id":7,"ok":false,"error":{"code":"bad_params",)json"
+      R"json("message":"mixer_metric requires f_rf_hz == 0 or f_rf_hz > f_if_hz"}})json";
+  EXPECT_EQ(reply(R"json({"v":2,"id":7,"kind":"mixer_metric","params":{"metric":"nf_dsb_db",)json"
+                  R"json("config":{"mode":"active"},"f_rf_hz":1e6}})json"),
+            refused);
+  EXPECT_EQ(reply(R"json({"v":2,"id":7,"kind":"mixer_metric","params":{"metric":"gain_db",)json"
+                  R"json("config":{"mode":"active"},"f_rf_hz":-5}})json"),
+            refused);
+  EXPECT_EQ(reply(R"json({"v":2,"id":7,"kind":"mixer_metric","params":{"metric":"iip3_dbm",)json"
+                  R"json("config":{"mode":"active"},"f_if_hz":2e9,"f_rf_hz":2e9}})json"),
+            refused);
+}
+
+TEST_F(ProtocolGoldenTest, NonFiniteMetricFailsAndIsNotCached) {
+  // Gain at 0 K is not finite: the request fails and nothing is stored, so
+  // the repeat fails too instead of answering a cached null.
+  const std::string line =
+      R"json({"v":2,"id":10,"kind":"mixer_metric","params":{"metric":"gain_db",)json"
+      R"json("config":{"mode":"active","temperature_k":0}}})json";
+  const std::string failed =
+      R"json({"v":2,"id":10,"ok":false,"error":{"code":"exec_failed",)json"
+      R"json("message":"mixer_metric: value is not finite"}})json";
+  EXPECT_EQ(reply(line), failed);
+  EXPECT_EQ(reply(line), failed);
+  EXPECT_EQ(
+      reply(R"json({"v":2,"id":1,"kind":"stats"})json"),
+      R"json({"v":2,"id":1,"ok":true,"result":{"jobs":{"submitted":2,"cache_hits":0,)json"
+      R"json("deduped":0,"executed":2,"failed":2},"cache":{"hits":0,"misses":2,)json"
+      R"json("evictions":0,"stores":0,"disk_hits":0,"disk_stores":0,"disk_corrupt":0,)json"
+      R"json("entries":0},"canonical_epoch":4}})json");
+}
+
 TEST_F(ProtocolGoldenTest, InvalidRequestV2) {
   EXPECT_EQ(reply(R"json({"v":2,"id":5,"kind":"op","netlist":"x"})json"),
             R"json({"v":2,"id":5,"ok":false,"error":{"code":"invalid_request",)json"
