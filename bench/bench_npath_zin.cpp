@@ -8,16 +8,20 @@
 //   2. Q vs baseband resistance — the RF bandwidth is the baseband pole,
 //      so Q scales with Zbb.
 //   3. Harmonic re-radiation, 4 vs 8 phases — the 8-phase clock cancels
-//      the 3 f_LO re-emission a 4-phase set produces.
+//      the 3 f_LO re-emission a 4-phase set produces. Also reports what a
+//      point of each sweep costs: the fill of its block system's LU and
+//      the time of one factorization (report only, no gate).
 //   4. Parity + service replay — the sweep is byte-identical across
 //      thread counts, and an npath_zin request replayed through a
 //      ServerSession is served from cache bit-exactly.
+#include <chrono>
 #include <cmath>
 #include <complex>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "mathx/sparse.hpp"
 #include "npath/zin.hpp"
 #include "obs/cli.hpp"
 #include "rf/table.hpp"
@@ -43,6 +47,34 @@ npath::NpathSpec base_spec() {
 }
 
 double db20(double x) { return 20.0 * std::log10(std::max(x, 1e-300)); }
+
+/// What one point of a sweep of `spec` over `grid` costs: the structural
+/// size of the analyzed LU of its block system (L + U) over nnz(A), and
+/// the mean time of a factorization after the first, which analyzes.
+struct PointCost {
+  double fill_ratio = 0.0;
+  double factor_us = 0.0;
+};
+
+PointCost point_cost(const npath::NpathSpec& spec, const std::vector<double>& grid) {
+  using Cplx = std::complex<double>;
+  const npath::NpathCircuit nc = npath::build_npath_circuit(spec);
+  const lptv::ConversionAnalysis an(nc.ckt, {spec.f_lo_hz, spec.harmonics});
+  const mathx::CscMatrix<Cplx> a(an.block_system(grid.front()));
+  mathx::SparseLuSymbolic<Cplx> sym;
+  const mathx::SparseLu<Cplx> lu(a, sym);
+  PointCost cost;
+  cost.fill_ratio = double(sym.l_capacity() + sym.u_capacity()) / double(a.nnz());
+  an.factor(grid.front());
+  constexpr int kPasses = 5;
+  const auto start = std::chrono::steady_clock::now();
+  for (int pass = 0; pass < kPasses; ++pass)
+    for (std::size_t i = 1; i < grid.size(); ++i) an.factor(grid[i]);
+  const std::chrono::duration<double, std::micro> spent =
+      std::chrono::steady_clock::now() - start;
+  cost.factor_us = spent.count() / double(kPasses * (grid.size() - 1));
+  return cost;
+}
 
 bool sweeps_identical(const npath::ZinSweep& a, const npath::ZinSweep& b) {
   if (a.points.size() != b.points.size()) return false;
@@ -101,21 +133,27 @@ int main(int argc, char** argv) {
 
   // --- 3. Re-radiation: 4 vs 8 phases -------------------------------------
   if (!cli.csv()) out << "\n";
-  rf::ConsoleTable rr_table({"phases", "rerad @ (N-1)f_LO (dB)", "rerad @ 3f_LO (dB)"});
+  rf::ConsoleTable rr_table({"phases", "rerad @ (N-1)f_LO (dB)", "rerad @ 3f_LO (dB)",
+                             "L+U / nnz(A)", "factor (us/pt)"});
   double rerad3[2] = {0.0, 0.0};
+  PointCost costs[2];
   int idx = 0;
   for (const int phases : {4, 8}) {
     npath::NpathSpec s = base_spec();
     s.lo.phases = phases;
     s.lo.duty = 1.0 / phases;
     s.harmonics = phases + 2;
-    const npath::ZinSweep sw =
-        npath::zin_sweep(s, spice::lin_space(0.9e9, 1.1e9, 21));
+    const std::vector<double> grid = spice::lin_space(0.9e9, 1.1e9, 21);
+    const npath::ZinSweep sw = npath::zin_sweep(s, grid);
     double rm = 0.0;
     for (const auto& pt : sw.points) rm = std::max(rm, pt.rerad_minus);
-    rerad3[idx++] = sw.summary.rerad_3lo_max;
+    rerad3[idx] = sw.summary.rerad_3lo_max;
+    costs[idx] = point_cost(s, grid);
     rr_table.add_row({std::to_string(phases), rf::ConsoleTable::num(db20(rm), 1),
-                      rf::ConsoleTable::num(db20(sw.summary.rerad_3lo_max), 1)});
+                      rf::ConsoleTable::num(db20(sw.summary.rerad_3lo_max), 1),
+                      rf::ConsoleTable::num(costs[idx].fill_ratio, 3),
+                      rf::ConsoleTable::num(costs[idx].factor_us, 1)});
+    ++idx;
   }
   // The 8-phase set must bury its 3rd-harmonic re-emission at least 60 dB
   // below the 4-phase one.
@@ -168,6 +206,10 @@ int main(int argc, char** argv) {
   cli.add_metric("q_5000", qs[2]);
   cli.add_metric("rerad3_4ph_db", db20(rerad3[0]));
   cli.add_metric("rerad3_8ph_db", db20(rerad3[1]));
+  cli.add_metric("fill_ratio_4ph", costs[0].fill_ratio);
+  cli.add_metric("fill_ratio_8ph", costs[1].fill_ratio);
+  cli.add_metric("factor_us_4ph", costs[0].factor_us);
+  cli.add_metric("factor_us_8ph", costs[1].factor_us);
   cli.add_metric("parity_bit_identical", parity_ok ? 1.0 : 0.0);
   cli.add_metric("replay_bit_identical", replay_ok ? 1.0 : 0.0);
 

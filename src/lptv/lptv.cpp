@@ -1,8 +1,11 @@
 #include "lptv/lptv.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "mathx/fft.hpp"
 #include "mathx/units.hpp"
@@ -148,6 +151,43 @@ void check_node_and_sideband(int node, int k, int num_nodes, int harmonics) {
   throw std::invalid_argument(msg + "]");
 }
 
+/// Elimination position of each node (-1 for ground): the non-ground nodes
+/// stably sorted by their degree in the node coupling graph, ties keeping
+/// the lower id first. Two nodes are linked when one element's terminals
+/// {p, m, cp, cm} touch both; ground links nothing. A hub such as the
+/// N-path RF node, which every switch touches, goes last, so eliminating
+/// the nodes around it fills nothing outside its block.
+std::vector<int> degree_positions(const LptvCircuit& ckt) {
+  std::vector<std::pair<int, int>> links;
+  const auto link = [&](const auto& e) {
+    const int t[4] = {e.p, e.m, e.cp, e.cm};
+    for (const int a : t)
+      for (const int b : t)
+        if (a != 0 && a < b) links.emplace_back(a, b);
+  };
+  for (const auto& e : ckt.static_gm()) link(e);
+  for (const auto& e : ckt.static_cm()) link(e);
+  for (const auto& e : ckt.periodic_gm()) link(e);
+  std::sort(links.begin(), links.end());
+  links.erase(std::unique(links.begin(), links.end()), links.end());
+
+  const std::size_t nodes = static_cast<std::size_t>(ckt.num_nodes());
+  std::vector<int> degree(nodes, 0);
+  for (const auto& [a, b] : links) {
+    ++degree[static_cast<std::size_t>(a)];
+    ++degree[static_cast<std::size_t>(b)];
+  }
+  std::vector<int> order(nodes - 1);
+  std::iota(order.begin(), order.end(), 1);
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    return degree[static_cast<std::size_t>(a)] < degree[static_cast<std::size_t>(b)];
+  });
+  std::vector<int> pos(nodes, -1);
+  for (std::size_t i = 0; i < order.size(); ++i)
+    pos[static_cast<std::size_t>(order[i])] = static_cast<int>(i);
+  return pos;
+}
+
 /// SweepLu's counter hook for the conversion engine: lptv.lu.*. One
 /// lptv.lu.factorizations per factor, whatever its path, so a gain point
 /// and a gain + noise point each count 1.
@@ -179,6 +219,9 @@ ConversionAnalysis::ConversionAnalysis(const LptvCircuit& ckt, ConversionOptions
   n_unknowns_ = ckt_.num_nodes() - 1;
   block_count_ = 2 * opts_.harmonics + 1;
   if (n_unknowns_ < 1) throw std::invalid_argument("LPTV circuit has no nodes");
+  pos_ = degree_positions(ckt_);
+  for (const auto& e : ckt_.periodic_gm()) gm_coeffs_.push_back(fourier_coeffs(e.gm));
+  for (const auto& src : ckt_.cyclo_noise()) noise_coeffs_.push_back(fourier_coeffs(src.s));
 }
 
 std::vector<Complex> ConversionAnalysis::fourier_coeffs(const PeriodicWave& w) const {
@@ -228,8 +271,9 @@ mathx::TripletMatrix<Complex> ConversionAnalysis::block_system(double f_base) co
 
   // Periodic elements: G_{k-l} couples sideband l into equation k; cf
   // holds every k - l in [-2K, 2K], at index k - l + 2K.
-  for (const auto& e : ckt_.periodic_gm()) {
-    const auto cf = fourier_coeffs(e.gm);
+  for (std::size_t i = 0; i < gm_coeffs_.size(); ++i) {
+    const auto& e = ckt_.periodic_gm()[i];
+    const auto& cf = gm_coeffs_[i];
     for (int k = -k_hi; k <= k_hi; ++k)
       for (int l = -k_hi; l <= k_hi; ++l)
         stamp_gm_block(e.p, e.m, e.cp, e.cm, k, l,
@@ -266,7 +310,14 @@ PacSolution ConversionAnalysis::Factored::solve_current_injection(int p, int m,
   sol.f_base = f_base_;
   sol.f_lo = self.opts_.f_lo;
   sol.num_nodes = self.ckt_.num_nodes();
-  sol.x = lu_.solve(self.unit_injection(p, m, k_in));
+  // Gather the node-major solve into PacSolution's sideband-major layout.
+  const std::vector<Complex> y = lu_.solve(self.unit_injection(p, m, k_in));
+  sol.x.resize(y.size());
+  const int n = self.n_unknowns_;
+  for (int k = -sol.harmonics; k <= sol.harmonics; ++k)
+    for (int node = 1; node <= n; ++node)
+      sol.x[static_cast<std::size_t>((k + sol.harmonics) * n + (node - 1))] =
+          y[static_cast<std::size_t>(self.unknown(k, node))];
   return sol;
 }
 
@@ -309,8 +360,9 @@ LptvNoiseResult ConversionAnalysis::Factored::output_noise(int out_p, int out_m)
 
   // Cyclostationary white sources: S_out = sum_{k,l} T_k T_l^* S_{k-l},
   // where S_m are the Fourier coefficients of the periodic intensity.
-  for (const auto& src : self.ckt_.cyclo_noise()) {
-    const auto cf = self.fourier_coeffs(src.s);
+  for (std::size_t i = 0; i < self.noise_coeffs_.size(); ++i) {
+    const auto& src = self.ckt_.cyclo_noise()[i];
+    const auto& cf = self.noise_coeffs_[i];
     Complex acc{};
     for (int k = -k_hi; k <= k_hi; ++k) {
       const Complex tk = transfer(k, src.p, src.m);

@@ -146,7 +146,8 @@ struct PacSolution {
   double f_base = 0.0;
   double f_lo = 0.0;
   int num_nodes = 0;
-  /// x[(k + K) * num_unknowns + (node-1)]: sideband-k phasor of each node.
+  /// x[(k + K) * num_unknowns + (node-1)]: sideband-k phasor of each node,
+  /// sideband-major whatever order the block system numbers its unknowns in.
   std::vector<Complex> x;
 
   /// Throws std::invalid_argument unless 0 <= node < num_nodes and |k| <= K.
@@ -169,6 +170,11 @@ struct LptvNoiseResult {
 
 /// The conversion-matrix engine for one (circuit, f_lo, K) combination.
 /// Assembly and factorization are per base frequency.
+///
+/// The constructor snapshots what every base frequency shares: the node
+/// count, the order of the block system's unknowns and the Fourier
+/// coefficients of each periodic element and cyclostationary source. The
+/// circuit must therefore not change after construction.
 class ConversionAnalysis {
  public:
   /// Keeps a reference to `ckt`, which must outlive the analysis (hence no
@@ -206,7 +212,8 @@ class ConversionAnalysis {
   /// repeatedly.
   Factored factor(double f_base) const { return Factored(this, f_base); }
 
-  /// The (2K+1)·N block system at f_base, as factor() stamps it.
+  /// The (2K+1)·N block system at f_base, as factor() stamps it, with its
+  /// unknowns numbered node-major (see unknown()).
   mathx::TripletMatrix<Complex> block_system(double f_base) const;
 
   /// Solve with a unit AC current injected from node p to node m at sideband
@@ -236,9 +243,11 @@ class ConversionAnalysis {
   /// Fourier coefficients of a periodic waveform, index m in [-2K, 2K].
   std::vector<Complex> fourier_coeffs(const PeriodicWave& w) const;
 
-  /// Block-system index of `node` at sideband k; -1 for ground.
+  /// Block-system index of `node` at sideband k; -1 for ground. Node-major:
+  /// a node's 2K+1 sidebands are adjacent, and nodes follow pos_.
   int unknown(int k, int node) const {
-    return node == 0 ? -1 : (k + opts_.harmonics) * n_unknowns_ + (node - 1);
+    return node == 0 ? -1 : pos_[static_cast<std::size_t>(node)] * block_count_ +
+                                (k + opts_.harmonics);
   }
 
   /// Right-hand side of a unit current from p to m at sideband k (-1 at p,
@@ -249,6 +258,11 @@ class ConversionAnalysis {
   ConversionOptions opts_;
   int n_unknowns_;  // nodes minus ground
   int block_count_; // 2K+1
+  // Elimination position of each node (index 0, ground, unused): nodes in
+  // ascending degree of the node coupling graph, so a hub goes last.
+  std::vector<int> pos_;
+  // fourier_coeffs() of each periodic_gm() and each cyclo_noise() entry.
+  std::vector<std::vector<Complex>> gm_coeffs_, noise_coeffs_;
 
   // The block-system sparsity is fixed by (circuit, K), not by f_base, so
   // the first factor pays the analysis and every later base-frequency point

@@ -38,7 +38,10 @@ namespace rfmix::svc {
 /// 4: the LPTV noise solve uses the forward LU transposed and two-terminal
 ///    elements stamp as VCCSs, which moves the last bits of LPTV NF and
 ///    passive gain (~1e-14 relative); nf_dsb_db honors f_rf_hz.
-inline constexpr int kCanonicalEpoch = 4;
+/// 5: the LPTV block system numbers its unknowns node-major in degree
+///    order, which moves the last bits of LPTV gain and NF, PAC and PNOISE
+///    (<= 1.7e-14 relative) and of npath_zin (<= 5.3e-13).
+inline constexpr int kCanonicalEpoch = 5;
 
 /// Builds the canonical byte string record by record.
 class CanonicalWriter {

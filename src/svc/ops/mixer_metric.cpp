@@ -6,6 +6,7 @@
 #include <cmath>
 #include <iterator>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 
 #include "core/metrics.hpp"
@@ -77,8 +78,8 @@ void append_mixer_config(CanonicalWriter& w, const core::MixerConfig& c) {
 
 std::string execute_metric(const Request& req) {
   const double value = core::evaluate_metric(req.metric);
-  // A non-finite value (a 0 K configuration, say) is a failed execution,
-  // never a cached null.
+  // A non-finite value (an overflowing configuration, say) is a failed
+  // execution, never a cached null.
   if (!std::isfinite(value)) throw std::runtime_error("mixer_metric: value is not finite");
   std::string out = "{\"analysis\":\"metric\",\"metric\":";
   out += json::quoted(core::metric_name(req.metric.metric));
@@ -129,9 +130,21 @@ void register_mixer_metric_op(OpRegistry& r) {
   });
   m.params.number("f_if_hz", [](double v, Request& req) { req.metric.f_if_hz = v; });
   m.params.number("f_rf_hz", [](double v, Request& req) { req.metric.f_rf_hz = v; });
-  // A nonzero f_rf_hz retunes the LO to f_rf_hz - f_if_hz: check it before
-  // keying, so a retune that cannot run is bad_params, not a failed job.
+  // Checked before keying, so a request that cannot run is bad_params, not
+  // a failed job or a cached answer: every number finite, a positive
+  // temperature, and f_rf_hz, which retunes the LO to f_rf_hz - f_if_hz
+  // when nonzero, above f_if_hz.
   m.finish = [](Request& q) {
+    for (const ConfigField& f : kConfigFields)
+      if (!std::isfinite(q.metric.config.*f.member)) {
+        std::string msg = "mixer_metric config field '";
+        msg += f.name;
+        throw std::invalid_argument(msg + "' must be finite");
+      }
+    if (!(q.metric.config.temperature_k > 0.0))
+      throw std::invalid_argument("mixer_metric requires config temperature_k > 0");
+    if (!std::isfinite(q.metric.f_if_hz) || !std::isfinite(q.metric.f_rf_hz))
+      throw std::invalid_argument("mixer_metric requires finite f_if_hz and f_rf_hz");
     if (q.metric.f_rf_hz != 0.0 && !(q.metric.f_rf_hz > q.metric.f_if_hz))
       throw std::invalid_argument("mixer_metric requires f_rf_hz == 0 or f_rf_hz > f_if_hz");
   };

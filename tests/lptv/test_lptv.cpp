@@ -6,10 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <string>
 #include <type_traits>
+#include <vector>
 
+#include "mathx/sparse.hpp"
 #include "mathx/units.hpp"
+#include "npath/lo_gen.hpp"
+#include "npath/zin.hpp"
 
 namespace rfmix::lptv {
 namespace {
@@ -285,6 +290,64 @@ TEST(ConversionAnalysis, NodeAndSidebandIndicesAreChecked) {
   EXPECT_EQ(message([&] { sol.v(0, 2); }), "LPTV node 2 outside [0, 1]");
   EXPECT_EQ(sol.v(-2, 0), Complex{});
   EXPECT_NEAR(std::abs(sol.v(+2, n1)), 1.0, 1e-9);
+}
+
+/// Structural size of the analyzed LU of block_system(f) (L + U, diagonal
+/// once) and of the block system itself.
+struct BlockFill {
+  std::size_t lu = 0;
+  std::size_t a = 0;
+};
+
+BlockFill block_fill(const LptvCircuit& ckt, double f_lo, int harmonics, double f) {
+  const ConversionAnalysis an(ckt, {f_lo, harmonics});
+  const mathx::CscMatrix<Complex> a(an.block_system(f));
+  mathx::SparseLuSymbolic<Complex> sym;
+  const mathx::SparseLu<Complex> lu(a, sym);
+  return {sym.l_capacity() + sym.u_capacity(), a.nnz()};
+}
+
+TEST(ConversionAnalysis, BlockSystemOrderKeepsFillInTheHubBlock) {
+  // rfmixd's npath_zin load: 4 phases, K = 6, 28 samples. Every switch
+  // couples the RF hub to one baseband node across all 13 x 13 sideband
+  // pairs; numbered sideband-major, its LU filled to 65^2 = 4,225.
+  npath::NpathSpec spec;
+  spec.lo.samples = 28;
+  spec.harmonics = 6;
+  spec.zbb_r = 1e3;
+  spec.switch_ron = 10.0;
+  const npath::NpathCircuit nc = npath::build_npath_circuit(spec);
+  const BlockFill fill = block_fill(nc.ckt, spec.f_lo_hz, spec.harmonics, 0.9e9);
+  EXPECT_EQ(fill.a, 2197u);  // 13 coupled node pairs x 13^2 sideband pairs
+  EXPECT_EQ(fill.lu, fill.a);
+
+  // The order follows the structure, not the ids: the same circuit with
+  // the RF node created last fills the same.
+  LptvCircuit rf_last(spec.lo.samples);
+  std::vector<int> bb;
+  for (int p = 0; p < spec.lo.phases; ++p) bb.push_back(rf_last.add_node());
+  const int rf = rf_last.add_node();
+  rf_last.add_resistor(rf, 0, spec.r_source);
+  const std::vector<PeriodicWave> waves =
+      npath::lo_waveforms(spec.lo, 0.0, 1.0 / spec.switch_ron);
+  for (std::size_t p = 0; p < bb.size(); ++p) {
+    rf_last.add_periodic_conductance(rf, bb[p], waves[p]);
+    rf_last.add_resistor(bb[p], 0, spec.zbb_r);
+  }
+  const BlockFill last = block_fill(rf_last, spec.f_lo_hz, spec.harmonics, 0.9e9);
+  EXPECT_EQ(last.a, fill.a);
+  EXPECT_EQ(last.lu, fill.lu);
+
+  // 8 phases at K = 10 (bench_npath_zin's re-radiation spec): 35,397
+  // sideband-major, 10,961 in degree order against nnz(A) = 10,125.
+  npath::NpathSpec eight;
+  eight.lo.phases = 8;
+  eight.lo.duty = 1.0 / 8;
+  eight.lo.samples = 128;
+  eight.harmonics = 10;
+  eight.zbb_c = 40e-12;
+  const npath::NpathCircuit nc8 = npath::build_npath_circuit(eight);
+  EXPECT_LE(block_fill(nc8.ckt, eight.f_lo_hz, eight.harmonics, 0.9e9).lu, 11000u);
 }
 
 TEST(LptvCircuit, WaveformSizeValidated) {

@@ -40,7 +40,7 @@ TEST_F(ProtocolGoldenTest, StatsOnFreshSession) {
       R"json({"v":2,"id":1,"ok":true,"result":{"jobs":{"submitted":0,"cache_hits":0,)json"
       R"json("deduped":0,"executed":0,"failed":0},"cache":{"hits":0,"misses":0,)json"
       R"json("evictions":0,"stores":0,"disk_hits":0,"disk_stores":0,"disk_corrupt":0,)json"
-      R"json("entries":0},"canonical_epoch":4}})json");
+      R"json("entries":0},"canonical_epoch":5}})json");
 }
 
 TEST_F(ProtocolGoldenTest, CancelWithNothingPending) {
@@ -140,12 +140,46 @@ TEST_F(ProtocolGoldenTest, MixerMetricRfCheckIsBadParams) {
             refused);
 }
 
+TEST_F(ProtocolGoldenTest, MixerConfigRangeIsBadParams) {
+  // Every config field and frequency must be finite (1e999 parses to inf)
+  // and the temperature positive, checked before keying for every metric,
+  // so such a request is neither executed nor cached, whichever fields the
+  // metric reads.
+  const std::string refused =
+      R"json({"v":2,"id":11,"ok":false,"error":{"code":"bad_params",)json"
+      R"json("message":"mixer_metric requires config temperature_k > 0"}})json";
+  for (const char* metric : {"gain_db", "nf_dsb_db", "iip3_dbm"})
+    for (const char* t : {"-100", "0"}) {
+      std::string line = R"json({"v":2,"id":11,"kind":"mixer_metric","params":{"metric":")json";
+      line += metric;
+      line += R"json(","config":{"mode":"active","temperature_k":)json";
+      line += t;
+      EXPECT_EQ(reply(line + "}}}"), refused) << metric << " at " << t << " K";
+    }
+  EXPECT_EQ(reply(R"json({"v":2,"id":11,"kind":"mixer_metric","params":{"metric":"gain_db",)json"
+                  R"json("config":{"mode":"active","vdd":1e999}}})json"),
+            R"json({"v":2,"id":11,"ok":false,"error":{"code":"bad_params",)json"
+            R"json("message":"mixer_metric config field 'vdd' must be finite"}})json");
+  EXPECT_EQ(reply(R"json({"v":2,"id":11,"kind":"mixer_metric","params":{"metric":"nf_dsb_db",)json"
+                  R"json("config":{"mode":"active"},"f_if_hz":1e999}})json"),
+            R"json({"v":2,"id":11,"ok":false,"error":{"code":"bad_params",)json"
+            R"json("message":"mixer_metric requires finite f_if_hz and f_rf_hz"}})json");
+  EXPECT_EQ(
+      reply(R"json({"v":2,"id":1,"kind":"stats"})json"),
+      R"json({"v":2,"id":1,"ok":true,"result":{"jobs":{"submitted":0,"cache_hits":0,)json"
+      R"json("deduped":0,"executed":0,"failed":0},"cache":{"hits":0,"misses":0,)json"
+      R"json("evictions":0,"stores":0,"disk_hits":0,"disk_stores":0,"disk_corrupt":0,)json"
+      R"json("entries":0},"canonical_epoch":5}})json");
+}
+
 TEST_F(ProtocolGoldenTest, NonFiniteMetricFailsAndIsNotCached) {
-  // Gain at 0 K is not finite: the request fails and nothing is stored, so
-  // the repeat fails too instead of answering a cached null.
+  // A transconductance of 1e306 S puts the voltage gain (~1e309) past the
+  // largest double, so the value is not finite: the request fails and
+  // nothing is stored, so the repeat fails too instead of answering a
+  // cached null.
   const std::string line =
       R"json({"v":2,"id":10,"kind":"mixer_metric","params":{"metric":"gain_db",)json"
-      R"json("config":{"mode":"active","temperature_k":0}}})json";
+      R"json("config":{"mode":"active","tca_gm":1e306}}})json";
   const std::string failed =
       R"json({"v":2,"id":10,"ok":false,"error":{"code":"exec_failed",)json"
       R"json("message":"mixer_metric: value is not finite"}})json";
@@ -156,7 +190,7 @@ TEST_F(ProtocolGoldenTest, NonFiniteMetricFailsAndIsNotCached) {
       R"json({"v":2,"id":1,"ok":true,"result":{"jobs":{"submitted":2,"cache_hits":0,)json"
       R"json("deduped":0,"executed":2,"failed":2},"cache":{"hits":0,"misses":2,)json"
       R"json("evictions":0,"stores":0,"disk_hits":0,"disk_stores":0,"disk_corrupt":0,)json"
-      R"json("entries":0},"canonical_epoch":4}})json");
+      R"json("entries":0},"canonical_epoch":5}})json");
 }
 
 TEST_F(ProtocolGoldenTest, InvalidRequestV2) {
