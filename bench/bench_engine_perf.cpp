@@ -320,7 +320,7 @@ void BM_MonteCarloMismatchTrials(benchmark::State& state) {
 BENCHMARK(BM_MonteCarloMismatchTrials)->Arg(1)->Arg(4);
 
 // Fig. 9 batch kernel: one NF point per pool lane (each point = one LPTV
-// factorization pair since ConversionAnalysis::factor).
+// factorization, shared by both injections and the transposed noise solve).
 void BM_LptvNfSweepBatch(benchmark::State& state) {
   runtime::ScopedPool scoped(static_cast<int>(state.range(0)));
   core::MixerConfig cfg;

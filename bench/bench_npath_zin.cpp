@@ -50,7 +50,8 @@ double db20(double x) { return 20.0 * std::log10(std::max(x, 1e-300)); }
 
 /// What one point of a sweep of `spec` over `grid` costs: the structural
 /// size of the analyzed LU of its block system (L + U) over nnz(A), and
-/// the mean time of a factorization after the first, which analyzes.
+/// the mean time of a point's factorization, assembly included (every
+/// point analyzes).
 struct PointCost {
   double fill_ratio = 0.0;
   double factor_us = 0.0;
@@ -65,14 +66,13 @@ PointCost point_cost(const npath::NpathSpec& spec, const std::vector<double>& gr
   const mathx::SparseLu<Cplx> lu(a, sym);
   PointCost cost;
   cost.fill_ratio = double(sym.l_capacity() + sym.u_capacity()) / double(a.nnz());
-  an.factor(grid.front());
   constexpr int kPasses = 5;
   const auto start = std::chrono::steady_clock::now();
   for (int pass = 0; pass < kPasses; ++pass)
-    for (std::size_t i = 1; i < grid.size(); ++i) an.factor(grid[i]);
+    for (const double f : grid) an.factor(f);
   const std::chrono::duration<double, std::micro> spent =
       std::chrono::steady_clock::now() - start;
-  cost.factor_us = spent.count() / double(kPasses * (grid.size() - 1));
+  cost.factor_us = spent.count() / double(kPasses * grid.size());
   return cost;
 }
 

@@ -1,8 +1,10 @@
 #include "gen/templates.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string_view>
+#include <utility>
 
 #include "core/circuits.hpp"
 #include "gen/netlist_builder.hpp"
@@ -234,6 +236,14 @@ void validate(const GenSpec& spec) {
     throw std::invalid_argument("gen spec elaborates to " + std::to_string(n) +
                                 " devices (limit " + std::to_string(kMaxDevices) +
                                 ")");
+  // Last, so a spec refused above keeps its message: +inf (a JSON 1e999)
+  // passes every sign check and would render as "null" in the deck.
+  const std::pair<const char*, double> values[] = {
+      {"r_source", spec.r_source}, {"switch_ron", spec.switch_ron}, {"zbb_r", spec.zbb_r},
+      {"zbb_c", spec.zbb_c},       {"f_lo_hz", spec.f_lo_hz}};
+  for (const auto& [name, value] : values)
+    if (!std::isfinite(value))
+      throw std::invalid_argument("gen field '" + std::string(name) + "' must be finite");
 }
 
 std::string render_netlist(const GenSpec& spec) {

@@ -57,8 +57,8 @@ struct GenSpec {
   double f_lo_hz = 1e9;     // LO frequency for the npath mapping
 };
 
-/// Throws std::invalid_argument on unknown template ids or out-of-range
-/// parameters (the svc layer surfaces these as bad_params).
+/// Throws std::invalid_argument on unknown template ids, out-of-range or
+/// non-finite parameters (the svc layer surfaces these as bad_params).
 void validate(const GenSpec& spec);
 
 /// Render the deck text (flat or hierarchical per spec.hierarchical).

@@ -188,18 +188,6 @@ std::vector<int> degree_positions(const LptvCircuit& ckt) {
   return pos;
 }
 
-/// SweepLu's counter hook for the conversion engine: lptv.lu.*. One
-/// lptv.lu.factorizations per factor, whatever its path, so a gain point
-/// and a gain + noise point each count 1.
-void count_lptv_lu(mathx::SweepStep step) {
-  switch (step) {
-    case mathx::SweepStep::kFactor: RFMIX_OBS_COUNT("lptv.lu.factorizations"); break;
-    case mathx::SweepStep::kAnalyze: RFMIX_OBS_COUNT("lptv.lu.analyze"); break;
-    case mathx::SweepStep::kRefactor: RFMIX_OBS_COUNT("lptv.lu.refactor"); break;
-    case mathx::SweepStep::kFallback: RFMIX_OBS_COUNT("lptv.lu.fallback"); break;
-  }
-}
-
 }  // namespace
 
 Complex PacSolution::v(int k, int node) const {
@@ -211,7 +199,7 @@ Complex PacSolution::v(int k, int node) const {
 }
 
 ConversionAnalysis::ConversionAnalysis(const LptvCircuit& ckt, ConversionOptions opts)
-    : ckt_(ckt), opts_(opts), lu_(&count_lptv_lu) {
+    : ckt_(ckt), opts_(opts) {
   if (opts_.harmonics < 1) throw std::invalid_argument("harmonics must be >= 1");
   if (ckt_.num_samples() < 4 * opts_.harmonics + 2)
     throw std::invalid_argument(
@@ -296,7 +284,11 @@ ConversionAnalysis::Factored::Factored(const ConversionAnalysis* an, double f_ba
     : an_(an), f_base_(f_base) {
   RFMIX_OBS_SCOPED_TIMER("lptv.conversion.factor");
   RFMIX_OBS_TRACE_SCOPE("lptv.conversion.factor");
-  lu_ = an->lu_.factor(an->block_system(f_base));
+  // Analyzed cold, sharing nothing across base frequencies (docs/lptv.md).
+  // Counted before the attempt, so a singular system counts too.
+  RFMIX_OBS_COUNT("lptv.lu.factorizations");
+  RFMIX_OBS_COUNT("lptv.lu.analyze");
+  lu_ = mathx::SparseLu<Complex>(mathx::CscMatrix<Complex>(an->block_system(f_base)));
 }
 
 PacSolution ConversionAnalysis::Factored::solve_current_injection(int p, int m,

@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "mathx/matrix.hpp"
-#include "mathx/sweep_lu.hpp"
+#include "mathx/sparse.hpp"
 
 namespace rfmix::lptv {
 
@@ -174,7 +174,8 @@ struct LptvNoiseResult {
 /// The constructor snapshots what every base frequency shares: the node
 /// count, the order of the block system's unknowns and the Fourier
 /// coefficients of each periodic element and cyclostationary source. The
-/// circuit must therefore not change after construction.
+/// circuit must therefore not change after construction. Nothing changes
+/// after it either, so threads may factor base frequencies concurrently.
 class ConversionAnalysis {
  public:
   /// Keeps a reference to `ckt`, which must outlive the analysis (hence no
@@ -263,11 +264,6 @@ class ConversionAnalysis {
   std::vector<int> pos_;
   // fourier_coeffs() of each periodic_gm() and each cyclo_noise() entry.
   std::vector<std::vector<Complex>> gm_coeffs_, noise_coeffs_;
-
-  // The block-system sparsity is fixed by (circuit, K), not by f_base, so
-  // the first factor pays the analysis and every later base-frequency point
-  // only refactors. Mutable: factor() is const but warms it.
-  mutable mathx::SweepLu<Complex> lu_;
 };
 
 }  // namespace rfmix::lptv

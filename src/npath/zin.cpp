@@ -139,6 +139,14 @@ void validate(const NpathSpec& spec) {
     throw std::invalid_argument(
         "NpathSpec: lo.samples must be >= 4*harmonics + 2 (waveform "
         "resolution bounds the usable harmonic count)");
+  // Last, so a spec refused above keeps its message: +inf (a JSON 1e999)
+  // passes every sign check, and NaN passes the two >= 0 ones.
+  const std::pair<const char*, double> values[] = {
+      {"f_lo_hz", spec.f_lo_hz}, {"r_source", spec.r_source}, {"switch_ron", spec.switch_ron},
+      {"zbb_r", spec.zbb_r},     {"zbb_c", spec.zbb_c},       {"c_rf", spec.c_rf}};
+  for (const auto& [name, value] : values)
+    if (!std::isfinite(value))
+      throw std::invalid_argument(std::string("NpathSpec: ") + name + " must be finite");
 }
 
 NpathCircuit build_npath_circuit(const NpathSpec& spec) {
@@ -171,16 +179,11 @@ ZinSweep zin_sweep(const NpathSpec& spec, std::vector<double> freqs_hz) {
   ZinSweep out;
   out.freqs_hz = std::move(freqs_hz);
   out.points.resize(out.freqs_hz.size());
-  if (!out.points.empty()) {
-    // Prime the shared analyze-once symbolic at the first point, then
-    // refactor every other point in parallel (same discipline as the AC
-    // sweep fast path): results and counters are independent of
-    // scheduling, so 1-thread and 8-thread runs are byte-identical.
-    out.points[0] = zin_point(an, spec, nc.rf, out.freqs_hz[0]);
-    runtime::parallel_for(1, out.points.size(), [&](std::size_t i) {
-      out.points[i] = zin_point(an, spec, nc.rf, out.freqs_hz[i]);
-    });
-  }
+  // Every point factors cold and writes only its own slot, so results and
+  // counters are independent of scheduling.
+  runtime::parallel_for(0, out.points.size(), [&](std::size_t i) {
+    out.points[i] = zin_point(an, spec, nc.rf, out.freqs_hz[i]);
+  });
   summarize(out);
   return out;
 }

@@ -22,10 +22,9 @@
 //     while an 8-phase set pushes that to 7*f_LO — the harmonic-rejection
 //     argument for more phases.
 //
-// Frequency sweeps follow the solver discipline: one ConversionAnalysis per
-// spec (analyze-once symbolic LU per direction), the first point primed
-// serially, every later point refactored in parallel on the runtime pool —
-// byte-identical at any thread count and to a cold analysis of each point.
+// A frequency sweep builds one ConversionAnalysis per spec and factors every
+// point cold, all points in parallel on the runtime pool: byte-identical at
+// any thread count and to a one-point sweep of each frequency.
 #pragma once
 
 #include <complex>
@@ -49,8 +48,9 @@ struct NpathSpec {
 };
 
 /// Throws std::invalid_argument on an unphysical or under-resolved spec
-/// (validates the LoSpec too; requires lo.samples >= 4*harmonics + 2 and
-/// harmonics >= phases + 1 so the +-N re-radiation sidebands are retained).
+/// (validates the LoSpec too; requires finite values, lo.samples >=
+/// 4*harmonics + 2 and harmonics >= phases + 1 so the +-N re-radiation
+/// sidebands are retained).
 void validate(const NpathSpec& spec);
 
 /// The assembled LPTV network: RF port node, N baseband nodes, source
@@ -92,8 +92,8 @@ struct ZinSweep {
 };
 
 /// Zin/S11 at every frequency in `freqs_hz` (absolute frequencies, need not
-/// relate to f_lo). Points after the first run concurrently on the runtime
-/// pool; results are bit-identical at any thread count.
+/// relate to f_lo). Points run concurrently on the runtime pool; results
+/// are bit-identical at any thread count.
 ZinSweep zin_sweep(const NpathSpec& spec, std::vector<double> freqs_hz);
 
 }  // namespace rfmix::npath

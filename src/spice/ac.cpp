@@ -8,7 +8,6 @@
 #include "obs/trace.hpp"
 #include "runtime/parallel_for.hpp"
 #include "spice/mna.hpp"
-#include "spice/solver.hpp"
 
 namespace rfmix::spice {
 
@@ -38,37 +37,68 @@ std::vector<double> lin_space(double f_start, double f_stop, int points) {
   return f;
 }
 
+void for_each_ac_point(const Circuit& ckt, const Solution& op,
+                       const std::vector<double>& freqs_hz, double gmin,
+                       const AcPointSolve& solve) {
+  if (freqs_hz.empty()) return;
+  using Cplx = std::complex<double>;
+  using Lu = mathx::SparseLu<Cplx>;
+  const std::size_t n = static_cast<std::size_t>(ckt.layout().size());
+  // Stamping is const on the finalized circuit, so points assemble
+  // independently. Each spice.lu.* count precedes its factorization: a
+  // singular point counts like any other.
+  auto assemble = [&](std::size_t i, mathx::VectorC& b) {
+    mathx::TripletMatrix<Cplx> y(n, n);
+    b.assign(n, Cplx{});
+    assemble_ac(ckt, op, mathx::kTwoPi * freqs_hz[i], gmin, y, b);
+    return y;
+  };
+  mathx::VectorC b0;
+  const mathx::TripletMatrix<Cplx> y0 = assemble(0, b0);
+  RFMIX_OBS_COUNT("spice.lu.factorizations");
+  RFMIX_OBS_COUNT("spice.lu.analyze");
+  const bool more = freqs_hz.size() > 1;
+  mathx::SparseLuSymbolic<Cplx> sym;
+  mathx::TripletCscMap<Cplx> map;
+  if (more) map.build(y0);
+  const mathx::CscMatrix<Cplx> a0(y0);
+  solve(0, more ? Lu(a0, sym) : Lu(a0), b0);
+  // From here sym and map are only read, so the pool lanes share them.
+  runtime::parallel_for(1, freqs_hz.size(), [&](std::size_t i) {
+    mathx::VectorC b;
+    const mathx::TripletMatrix<Cplx> y = assemble(i, b);
+    RFMIX_OBS_COUNT("spice.lu.factorizations");
+    mathx::CscMatrix<Cplx> a;
+    if (map.matches(y)) {
+      map.fill(y, a);
+      Lu lu;
+      if (lu.refactor_from(sym, a)) {
+        RFMIX_OBS_COUNT("spice.lu.refactor");
+        solve(i, lu, b);
+        return;
+      }
+    } else {
+      a = mathx::CscMatrix<Cplx>(y);
+    }
+    RFMIX_OBS_COUNT("spice.lu.fallback");
+    RFMIX_OBS_COUNT("spice.lu.analyze");
+    solve(i, Lu(a), b);
+  });
+}
+
 AcResult ac_sweep(Circuit& ckt, const Solution& op, const std::vector<double>& freqs_hz,
                   double gmin) {
   RFMIX_OBS_SCOPED_TIMER("spice.ac");
   RFMIX_OBS_TRACE_SCOPE("spice.ac");
   RFMIX_OBS_COUNT_N("spice.ac.points", freqs_hz.size());
-  const MnaLayout layout = ckt.finalize();
-  const std::size_t n = static_cast<std::size_t>(layout.size());
-
   AcResult result;
+  result.layout = ckt.finalize();
   result.freqs_hz = freqs_hz;
-  result.layout = layout;
   result.solutions.resize(freqs_hz.size());
-
-  if (freqs_hz.empty()) return result;
-
-  // Frequency points are independent: stamping is const on the finalized
-  // circuit, and each point writes only its own solution slot, so the
-  // parallel run is bit-identical to the serial loop. Point 0 primes the
-  // shared analysis serially, so which point analyzes — and every counter —
-  // does not depend on scheduling.
-  const Circuit& stamped = ckt;
-  using Cplx = std::complex<double>;
-  mathx::SweepLu<Cplx> lu(&count_sweep_lu);
-  auto solve_point = [&](std::size_t i) {
-    mathx::TripletMatrix<Cplx> y(n, n);
-    mathx::VectorC b(n, Cplx{});
-    assemble_ac(stamped, op, mathx::kTwoPi * freqs_hz[i], gmin, y, b);
-    result.solutions[i] = lu.factor(y).solve(b);
-  };
-  solve_point(0);
-  runtime::parallel_for(1, freqs_hz.size(), solve_point);
+  // Each point writes only its own slot: bit-identical to a serial loop.
+  for_each_ac_point(ckt, op, freqs_hz, gmin,
+                    [&](std::size_t i, const mathx::SparseLu<std::complex<double>>& lu,
+                        const mathx::VectorC& b) { result.solutions[i] = lu.solve(b); });
   return result;
 }
 

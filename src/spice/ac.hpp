@@ -3,8 +3,10 @@
 #pragma once
 
 #include <complex>
+#include <functional>
 #include <vector>
 
+#include "mathx/sparse.hpp"
 #include "spice/circuit.hpp"
 
 namespace rfmix::spice {
@@ -29,6 +31,19 @@ std::vector<double> log_space(double f_start, double f_stop, int points);
 
 /// Linearly spaced frequency grid (inclusive of endpoints).
 std::vector<double> lin_space(double f_start, double f_stop, int points);
+
+/// The point loop of ac_sweep and noise_analysis: at every frequency,
+/// assemble Y(f) x = b at `op` (finalized `ckt`), factor Y and call
+/// solve(i, lu, b). Point 0 analyzes serially, exporting its symbolic and
+/// stamp map when more points follow; the rest run on the runtime pool,
+/// refactoring strictly against them or analyzing afresh. Every factor is
+/// byte-identical to SparseLu(CscMatrix(Y)); spice.lu.* counts do not
+/// depend on scheduling.
+using AcPointSolve = std::function<void(
+    std::size_t, const mathx::SparseLu<std::complex<double>>&, const mathx::VectorC&)>;
+void for_each_ac_point(const Circuit& ckt, const Solution& op,
+                       const std::vector<double>& freqs_hz, double gmin,
+                       const AcPointSolve& solve);
 
 /// Run the AC sweep. Sources with a nonzero AC magnitude drive the system.
 AcResult ac_sweep(Circuit& ckt, const Solution& op, const std::vector<double>& freqs_hz,

@@ -3,12 +3,10 @@
 #include <cmath>
 
 #include "mathx/lu.hpp"
-#include "mathx/units.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
-#include "runtime/parallel_for.hpp"
+#include "spice/ac.hpp"
 #include "spice/mna.hpp"
-#include "spice/solver.hpp"
 
 namespace rfmix::spice {
 
@@ -37,30 +35,22 @@ NoiseResult noise_analysis(Circuit& ckt, const Solution& op, NodeId out_p, NodeI
 
   NoiseResult result;
   result.points.resize(freqs_hz.size());
-  if (freqs_hz.empty()) return result;
 
   using Cplx = std::complex<double>;
-  auto output_selector = [&]() {
-    mathx::VectorC e(n, Cplx{});
-    const int up = layout.node_unknown(out_p);
-    const int um = layout.node_unknown(out_m);
-    if (up >= 0) e[static_cast<std::size_t>(up)] += 1.0;
-    if (um >= 0) e[static_cast<std::size_t>(um)] -= 1.0;
-    return e;
-  };
+  // The adjoint right-hand side: the differential output selector.
+  mathx::VectorC e_out(n, Cplx{});
+  const int up = layout.node_unknown(out_p);
+  const int um = layout.node_unknown(out_m);
+  if (up >= 0) e_out[static_cast<std::size_t>(up)] += 1.0;
+  if (um >= 0) e_out[static_cast<std::size_t>(um)] -= 1.0;
 
-  // Each frequency point assembles and solves independently (stamping and
-  // the source PSD callbacks are const), so points run concurrently and
-  // land in fixed slots — bit-identical to the serial loop. As in ac_sweep,
-  // point 0 primes the shared analysis serially.
-  mathx::SweepLu<Cplx> lu(&count_sweep_lu);
-  auto solve_point = [&](std::size_t fi) {
+  // The source PSD callbacks are const and each point lands in its own
+  // slot, so the pooled loop is bit-identical to a serial one.
+  for_each_ac_point(ckt, op, freqs_hz, gmin,
+                    [&](std::size_t fi, const mathx::SparseLu<Cplx>& lu, const mathx::VectorC&) {
     const double f = freqs_hz[fi];
-    mathx::TripletMatrix<Cplx> y(n, n);
-    mathx::VectorC b_unused(n, Cplx{});
-    assemble_ac(ckt, op, mathx::kTwoPi * f, gmin, y, b_unused);
     // Adjoint solve: yv = Y^{-T} e_out.
-    const mathx::VectorC yv = lu.factor(y).solve_transposed(output_selector());
+    const mathx::VectorC yv = lu.solve_transposed(e_out);
 
     NoisePoint point;
     point.freq_hz = f;
@@ -78,10 +68,7 @@ NoiseResult noise_analysis(Circuit& ckt, const Solution& op, NodeId out_p, NodeI
       point.contributions.push_back(NoiseContribution{src.label, psd});
     }
     result.points[fi] = std::move(point);
-  };
-
-  solve_point(0);
-  runtime::parallel_for(1, freqs_hz.size(), solve_point);
+  });
   return result;
 }
 

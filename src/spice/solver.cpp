@@ -6,15 +6,6 @@
 
 namespace rfmix::spice {
 
-void count_sweep_lu(mathx::SweepStep step) {
-  switch (step) {
-    case mathx::SweepStep::kFactor: RFMIX_OBS_COUNT("spice.lu.factorizations"); break;
-    case mathx::SweepStep::kAnalyze: RFMIX_OBS_COUNT("spice.lu.analyze"); break;
-    case mathx::SweepStep::kRefactor: RFMIX_OBS_COUNT("spice.lu.refactor"); break;
-    case mathx::SweepStep::kFallback: RFMIX_OBS_COUNT("spice.lu.fallback"); break;
-  }
-}
-
 mathx::TripletMatrix<double>& SolverSession::restamp(std::size_t n) {
   if (g_.rows() != n) g_ = mathx::TripletMatrix<double>(n, n);
   g_.restamp();

@@ -19,14 +19,10 @@
 #include <cstddef>
 
 #include "mathx/sparse.hpp"
-#include "mathx/sweep_lu.hpp"
 
 namespace rfmix::spice {
 
 class Circuit;
-
-/// SweepLu's counter hook for the spice sweeps (AC, noise): spice.lu.*.
-void count_sweep_lu(mathx::SweepStep step);
 
 class SolverSession {
  public:

@@ -178,13 +178,10 @@ void register_gen_op(OpRegistry& r) {
       // template's first probe node", and the canonical record must name
       // the node it resolves to.
       if (g.ac.probe.empty()) g.ac.probe = gen::probe_nodes(g.spec).front();
-      check_ac_grid(g.ac, "gen ac");
+      check_freq_grid(g.ac.f_start_hz, g.ac.f_stop_hz, g.ac.points, "gen ac");
     }
     if (g.analysis == "npath_zin") {
-      if (g.points < 2 || g.points > 4096)
-        throw std::invalid_argument("gen sweep points must be in [2, 4096]");
-      if (!(g.f_start_hz > 0.0) || !(g.f_stop_hz > g.f_start_hz))
-        throw std::invalid_argument("gen sweep requires 0 < f_start_hz < f_stop_hz");
+      check_freq_grid(g.f_start_hz, g.f_stop_hz, g.points, "gen sweep");
       if (g.spec.elements > 256)
         throw std::invalid_argument(
             "gen npath_zin analysis supports at most 256 elements");

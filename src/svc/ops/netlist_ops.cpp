@@ -2,6 +2,7 @@
 // sweep probed at one node pair). Both take a SPICE deck as text; their
 // cache keys hash the *elaborated* canonical circuit, so two spellings of
 // the same physics share an entry.
+#include <cmath>
 #include <map>
 #include <stdexcept>
 #include <vector>
@@ -94,11 +95,15 @@ void append_ac_probe(std::string& out, std::string_view probe_name,
   append_number_array(out, "imag", im);
 }
 
-void check_ac_grid(const AcSpec& ac, const std::string& what) {
-  if (ac.points < 2 || ac.points > 4096)
+void check_freq_grid(double f_start_hz, double f_stop_hz, int points,
+                     const std::string& what) {
+  if (points < 2 || points > 4096)
     throw std::invalid_argument(what + " points must be in [2, 4096]");
-  if (!(ac.f_start_hz > 0.0) || !(ac.f_stop_hz > ac.f_start_hz))
+  if (!(f_start_hz > 0.0) || !(f_stop_hz > f_start_hz))
     throw std::invalid_argument(what + " requires 0 < f_start_hz < f_stop_hz");
+  // +inf (a JSON 1e999) passes the order check; it would sweep to inf.
+  if (!std::isfinite(f_stop_hz))
+    throw std::invalid_argument(what + " requires a finite f_stop_hz");
 }
 
 Schema make_ac_object_schema(AcSpec& (*get)(Request&)) {
@@ -149,7 +154,7 @@ void register_netlist_ops(OpRegistry& r) {
   // never a sweep of unbounded size.
   ac.finish = [](Request& q) {
     if (q.ac.probe.empty()) throw std::invalid_argument("ac request requires a probe node");
-    check_ac_grid(q.ac, "ac");
+    check_freq_grid(q.ac.f_start_hz, q.ac.f_stop_hz, q.ac.points, "ac");
   };
   ac.canonical = [](CanonicalWriter& w, const Request& req) {
     const spice::Circuit ckt = spice::parse_netlist(req.netlist);

@@ -3,7 +3,6 @@
 // front ends on one cache key — with the sweep grid nested under "sweep".
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 #include <vector>
 
 #include "npath/zin.hpp"
@@ -98,11 +97,8 @@ void register_npath_zin_op(OpRegistry& r) {
   // clock set realizable, so an impossible spec fails as bad_params, not
   // mid-solve.
   np.finish = [](Request& q) {
-    if (q.npath.points < 2 || q.npath.points > 4096)
-      throw std::invalid_argument("npath_zin sweep points must be in [2, 4096]");
-    if (!(q.npath.f_start_hz > 0.0) || !(q.npath.f_stop_hz > q.npath.f_start_hz))
-      throw std::invalid_argument(
-          "npath_zin sweep requires 0 < f_start_hz < f_stop_hz");
+    check_freq_grid(q.npath.f_start_hz, q.npath.f_stop_hz, q.npath.points,
+                    "npath_zin sweep");
     npath::validate(q.npath.spec);
   };
   np.canonical = [](CanonicalWriter& w, const Request& req) {

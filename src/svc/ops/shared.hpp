@@ -17,10 +17,12 @@ namespace rfmix::svc {
 /// selects out of the request being built.
 Schema make_ac_object_schema(AcSpec& (*get)(Request&));
 
-/// The grid bounds every AC sweep shares: points in [2, 4096] and
-/// 0 < f_start_hz < f_stop_hz. Throws std::invalid_argument naming the grid
-/// as `what` ("ac", "gen ac").
-void check_ac_grid(const AcSpec& ac, const std::string& what);
+/// The bounds every sweep grid shares: points in [2, 4096] and
+/// 0 < f_start_hz < f_stop_hz, both finite. Throws std::invalid_argument
+/// naming the grid as `what` ("ac", "gen ac", "npath_zin sweep", "gen
+/// sweep").
+void check_freq_grid(double f_start_hz, double f_stop_hz, int points,
+                     const std::string& what);
 
 /// The sweep frequencies of a request's grid: log- or linearly spaced,
 /// endpoints included.

@@ -73,8 +73,8 @@ TEST(NpathZinParityTest, ThreadCountDoesNotChangeBits) {
   expect_bit_identical(run(spec, 1), run(spec, 8));
 }
 
-// The sweep refactors every point after the first against one shared
-// analysis (reuse); a one-point sweep analyzes its point cold (classic).
+// Every sweep point must equal a one-point sweep of its frequency, run
+// alone: a point may depend on nothing the sweep shares across points.
 TEST(NpathZinParityTest, ClassicAndReuseSolversAgreeBitwise) {
   const NpathSpec spec = parity_spec();
   const ZinSweep reuse = run(spec, 8);

@@ -1,16 +1,14 @@
 // Bit-exactness harness for the solver (docs/solver.md). Every factor an
 // engine uses must be byte-identical to a fresh SparseLu(a), the cold
 // analysis that every first factor and every fallback runs: the reference
-// tests pin SolverSession and SweepLu against it at the factor boundary,
-// and the engine tests pin whole runs at 1 and 8 threads. The comparisons
-// are memcmp over raw vectors — not EXPECT_DOUBLE_EQ — because a replayed
-// factor is only trustworthy if it repeats the exact arithmetic of the
-// analysis, signed zeros included.
+// tests pin SolverSession and the AC/noise point loop against it at the
+// factor boundary, and the engine tests pin whole runs at 1 and 8 threads.
+// The comparisons are memcmp over raw vectors — not EXPECT_DOUBLE_EQ —
+// because a replayed factor is only trustworthy if it repeats the exact
+// arithmetic of the analysis, signed zeros included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <complex>
 #include <cstring>
 #include <string>
@@ -22,7 +20,6 @@
 #include "mathx/units.hpp"
 #include "npath/zin.hpp"
 #include "obs/obs.hpp"
-#include "runtime/parallel_for.hpp"
 #include "runtime/thread_pool.hpp"
 #include "spice/ac.hpp"
 #include "spice/dcsweep.hpp"
@@ -175,39 +172,83 @@ TEST(SolverParity, EvaluatedCountsEveryMosfetEveryIteration) {
 
 #endif  // RFMIX_OBS_ENABLED
 
-// AC and noise factor through SweepLu: their complex-valued results ride
-// the same contract. Each AC point must also equal a cold analysis of its
-// own matrix, the path an analyze-every-time sweep would take.
+// The PSD of every noise source at the output, then their total, summed
+// exactly as noise_analysis sums them over the adjoint solution `yv`.
+std::vector<double> noise_psds(const std::vector<NoiseSource>& sources, const MnaLayout& layout,
+                               double f, const mathx::VectorC& yv) {
+  std::vector<double> psds;
+  double total = 0.0;
+  for (const auto& src : sources) {
+    const int sp = layout.node_unknown(src.p);
+    const int sm = layout.node_unknown(src.m);
+    std::complex<double> transfer{};
+    if (sp >= 0) transfer -= yv[static_cast<std::size_t>(sp)];
+    if (sm >= 0) transfer += yv[static_cast<std::size_t>(sm)];
+    psds.push_back(src.psd(f) * std::norm(transfer));
+    total += psds.back();
+  }
+  psds.push_back(total);
+  return psds;
+}
+
+// AC and noise share one point loop: point 0 analyzes, the rest refactor
+// against its symbolic on the pool. From 1 kHz to 1 THz the reactances
+// overtake the conductances, so pivots drift and both the refactor and the
+// fallback run. Every AC solve and every noise adjoint solve must equal a
+// cold analysis of its point's matrix, at 1 and at 8 threads.
 TEST(SolverParity, AcAndNoiseSweepsMatchAcrossModes) {
   using Cplx = std::complex<double>;
-  const std::vector<double> freqs = lin_space(1e6, 100e6, 12);
+  const std::vector<double> freqs = log_space(1e3, 1e12, 37);
+  std::uint64_t refactors = 0, fallbacks = 0;
   auto run_ac_noise = [&](int threads) {
     runtime::ScopedPool pool(threads);
     auto mixer = core::build_transistor_mixer(mixer_config(core::MixerMode::kActive));
-    const Solution op = dc_operating_point(mixer->circuit);
-    const AcResult ac = ac_sweep(mixer->circuit, op, freqs);
-    const NoiseResult noise =
-        noise_analysis(mixer->circuit, op, mixer->if_p, mixer->if_m, freqs);
+    Circuit& ckt = mixer->circuit;
+    const Solution op = dc_operating_point(ckt);
+    // The operating point's own Newton refactors and falls back too, so
+    // only the sweeps' counts are kept.
+    const std::uint64_t refactor0 = obs::counter_value("spice.lu.refactor");
+    const std::uint64_t fallback0 = obs::counter_value("spice.lu.fallback");
+    const AcResult ac = ac_sweep(ckt, op, freqs);
+    const NoiseResult noise = noise_analysis(ckt, op, mixer->if_p, mixer->if_m, freqs);
+    refactors += obs::counter_value("spice.lu.refactor") - refactor0;
+    fallbacks += obs::counter_value("spice.lu.fallback") - fallback0;
+    const MnaLayout layout = ckt.layout();
+    const std::size_t n = static_cast<std::size_t>(layout.size());
+    std::vector<NoiseSource> sources;
+    for (const auto& dev : ckt.devices()) dev->append_noise(sources, op);
+    mathx::VectorC e_out(n, Cplx{});
+    e_out[static_cast<std::size_t>(layout.node_unknown(mixer->if_p))] += 1.0;
+    e_out[static_cast<std::size_t>(layout.node_unknown(mixer->if_m))] -= 1.0;
     std::vector<double> bits;
     for (std::size_t i = 0; i < freqs.size(); ++i) {
-      const std::size_t n = ac.solutions[i].size();
       mathx::TripletMatrix<Cplx> y(n, n);
       mathx::VectorC b(n, Cplx{});
-      assemble_ac(mixer->circuit, op, mathx::kTwoPi * freqs[i], 1e-12, y, b);
-      EXPECT_TRUE(same_bits(ac.solutions[i],
-                            mathx::SparseLu<Cplx>(mathx::CscMatrix<Cplx>(y)).solve(b)))
-          << "AC point " << i << " deviates from a cold analysis";
+      assemble_ac(ckt, op, mathx::kTwoPi * freqs[i], 1e-12, y, b);
+      const mathx::SparseLu<Cplx> cold{mathx::CscMatrix<Cplx>(y)};
+      EXPECT_TRUE(same_bits(ac.solutions[i], cold.solve(b)))
+          << "AC point " << i << " at " << threads << " threads";
+      std::vector<double> got;
+      for (const auto& c : noise.points[i].contributions) got.push_back(c.output_psd_v2_hz);
+      got.push_back(noise.points[i].total_output_psd_v2_hz);
+      EXPECT_TRUE(same_bits(got, noise_psds(sources, layout, freqs[i],
+                                            cold.solve_transposed(e_out))))
+          << "noise point " << i << " at " << threads << " threads";
       for (const auto& v : ac.solutions[i]) {
         bits.push_back(v.real());
         bits.push_back(v.imag());
       }
+      bits.insert(bits.end(), got.begin(), got.end());
     }
-    for (const auto& p : noise.points) bits.push_back(p.total_output_psd_v2_hz);
     return bits;
   };
   const auto serial = run_ac_noise(1);
   ASSERT_FALSE(serial.empty());
   EXPECT_TRUE(same_bits(serial, run_ac_noise(8)));
+#if RFMIX_OBS_ENABLED
+  EXPECT_GT(refactors, 0u);
+  EXPECT_GT(fallbacks, 0u);
+#endif
 }
 
 // ----------------------------------------------- the factor boundary
@@ -372,35 +413,7 @@ TEST(SolverParity, RestampRebuildsOnceWhenTheStampSequenceChanges) {
   }
 }
 
-std::array<std::atomic<int>, 4> g_sweep_steps;
-
-void count_step(mathx::SweepStep step) { ++g_sweep_steps[static_cast<int>(step)]; }
-
-int sweep_steps(mathx::SweepStep step) { return g_sweep_steps[static_cast<int>(step)]; }
-
 using CplxTriplets = mathx::TripletMatrix<std::complex<double>>;
-
-// One SweepLu over `ys` (point 0 primed serially, the rest in parallel):
-// every factor's forward and transposed solves must equal a cold
-// analysis of the same matrix.
-void expect_sweep_matches_cold(const std::vector<CplxTriplets>& ys, int threads) {
-  using Cplx = std::complex<double>;
-  runtime::ScopedPool pool(threads);
-  mathx::SweepLu<Cplx> sweep(&count_step);
-  std::vector<char> same(ys.size(), 0);
-  auto check = [&](std::size_t i) {
-    mathx::VectorC b(ys[i].rows());
-    for (std::size_t k = 0; k < b.size(); ++k) b[k] = {1.0 + static_cast<double>(k % 7), -0.5};
-    const mathx::SparseLu<Cplx> lu = sweep.factor(ys[i]);
-    const mathx::SparseLu<Cplx> cold{mathx::CscMatrix<Cplx>(ys[i])};
-    same[i] = same_bits(lu.solve(b), cold.solve(b)) &&
-              same_bits(lu.solve_transposed(b), cold.solve_transposed(b));
-  };
-  check(0);
-  runtime::parallel_for(1, ys.size(), check);
-  for (std::size_t i = 0; i < ys.size(); ++i)
-    EXPECT_TRUE(same[i]) << "point " << i << " at " << threads << " threads";
-}
 
 npath::NpathSpec npath_spec() {
   npath::NpathSpec s;
@@ -413,38 +426,6 @@ npath::NpathSpec npath_spec() {
   s.zbb_c = 25e-12;
   s.c_rf = 1e-13;
   return s;
-}
-
-TEST(SolverParity, SweepLuMatchesColdAnalysis) {
-  using Cplx = std::complex<double>;
-  // The mixer's AC matrices, 1 kHz to 1 THz: reactances overtake the
-  // conductances across the grid, so pivots drift.
-  auto mixer = core::build_transistor_mixer(mixer_config(core::MixerMode::kActive));
-  const Solution op = dc_operating_point(mixer->circuit);
-  const std::size_t n = static_cast<std::size_t>(mixer->circuit.layout().size());
-  std::vector<CplxTriplets> ac;
-  for (const double f : log_space(1e3, 1e12, 37)) {
-    ac.emplace_back(n, n);
-    mathx::VectorC b(n, Cplx{});
-    assemble_ac(mixer->circuit, op, mathx::kTwoPi * f, 1e-12, ac.back(), b);
-  }
-  // An N-path LPTV block system over a grid through f = f_LO, where the
-  // stamp drops its zero jwC triplets.
-  const npath::NpathSpec spec = npath_spec();
-  const npath::NpathCircuit nc = npath::build_npath_circuit(spec);
-  const lptv::ConversionAnalysis an(nc.ckt, {spec.f_lo_hz, spec.harmonics});
-  std::vector<CplxTriplets> blocks;
-  for (const double f : lin_space(0.6e9, 1.4e9, 33)) blocks.push_back(an.block_system(f));
-  ASSERT_NE(blocks[16].entry_count(), blocks[0].entry_count());
-
-  const int refactor0 = sweep_steps(mathx::SweepStep::kRefactor);
-  const int fallback0 = sweep_steps(mathx::SweepStep::kFallback);
-  for (const int threads : {1, 8}) {
-    expect_sweep_matches_cold(ac, threads);
-    expect_sweep_matches_cold(blocks, threads);
-  }
-  EXPECT_GT(sweep_steps(mathx::SweepStep::kRefactor), refactor0);
-  EXPECT_GT(sweep_steps(mathx::SweepStep::kFallback), fallback0);
 }
 
 // The LPTV noise solve runs the block system's own LU transposed. The

@@ -172,6 +172,84 @@ TEST_F(ProtocolGoldenTest, MixerConfigRangeIsBadParams) {
       R"json("entries":0},"canonical_epoch":5}})json");
 }
 
+// The stats reply of a session that has executed and stored nothing.
+const char* const kNothingRun =
+    R"json({"v":2,"id":1,"ok":true,"result":{"jobs":{"submitted":0,"cache_hits":0,)json"
+    R"json("deduped":0,"executed":0,"failed":0},"cache":{"hits":0,"misses":0,)json"
+    R"json("evictions":0,"stores":0,"disk_hits":0,"disk_stores":0,"disk_corrupt":0,)json"
+    R"json("entries":0},"canonical_epoch":5}})json";
+
+std::string bad_params(const std::string& id, const std::string& message) {
+  return R"json({"v":2,"id":)json" + id +
+         R"json(,"ok":false,"error":{"code":"bad_params","message":")json" + message +
+         R"json("}})json";
+}
+
+TEST_F(ProtocolGoldenTest, NpathZinNonFiniteNumbersAreBadParams) {
+  // 1e999 parses to +inf, which passes every sign check: such a front end
+  // would answer a flat Zin or a null S11 into the cache, or fail
+  // mid-solve. Every number is checked finite before keying; a value
+  // refused for its sign keeps its message.
+  const auto npath = [](const std::string& params) {
+    return R"json({"v":2,"id":12,"kind":"npath_zin","params":{)json" + params + "}}";
+  };
+  for (const char* field : {"f_lo_hz", "r_source", "switch_ron", "zbb_r", "zbb_c", "c_rf"}) {
+    std::string params = "\"";
+    params += field;
+    params += "\":1e999";
+    EXPECT_EQ(reply(npath(params)),
+              bad_params("12", std::string("NpathSpec: ") + field + " must be finite"))
+        << field;
+  }
+  EXPECT_EQ(reply(npath(R"json("sweep":{"f_stop_hz":1e999})json")),
+            bad_params("12", "npath_zin sweep requires a finite f_stop_hz"));
+  EXPECT_EQ(reply(npath(R"json("f_lo_hz":-1e999)json")),
+            bad_params("12", "NpathSpec: f_lo_hz must be positive"));
+  EXPECT_EQ(reply(npath(R"json("sweep":{"f_start_hz":1e999})json")),
+            bad_params("12", "npath_zin sweep requires 0 < f_start_hz < f_stop_hz"));
+  EXPECT_EQ(reply(R"json({"v":2,"id":1,"kind":"stats"})json"), kNothingRun);
+}
+
+TEST_F(ProtocolGoldenTest, GenNonFiniteNumbersAreBadParams) {
+  // An infinite resistance would render as "null" in the deck, which the
+  // netlist analysis caches and the op cannot parse. Every analysis
+  // refuses it before keying.
+  const auto gen = [](const std::string& params) {
+    return R"json({"v":2,"id":13,"kind":"gen","params":{"template":"rx_array","elements":1,)json" +
+           params + "}}";
+  };
+  for (const char* field : {"r_source", "switch_ron", "zbb_r", "zbb_c", "f_lo_hz"}) {
+    std::string params = "\"";
+    params += field;
+    params += "\":1e999";
+    EXPECT_EQ(reply(gen(params)),
+              bad_params("13", std::string("gen field '") + field + "' must be finite"))
+        << field;
+  }
+  EXPECT_EQ(reply(gen(R"json("zbb_r":1e999,"analysis":"op")json")),
+            bad_params("13", "gen field 'zbb_r' must be finite"));
+  EXPECT_EQ(reply(gen(R"json("f_lo_hz":1e999,"analysis":"npath_zin")json")),
+            bad_params("13", "gen field 'f_lo_hz' must be finite"));
+  EXPECT_EQ(reply(gen(R"json("analysis":"ac","ac":{"f_stop_hz":1e999})json")),
+            bad_params("13", "gen ac requires a finite f_stop_hz"));
+  EXPECT_EQ(reply(gen(R"json("analysis":"npath_zin","sweep":{"f_stop_hz":1e999})json")),
+            bad_params("13", "gen sweep requires a finite f_stop_hz"));
+  EXPECT_EQ(reply(gen(R"json("zbb_r":-1e999)json")),
+            bad_params("13", "gen resistances (r_source, switch_ron, zbb_r) must be > 0"));
+  EXPECT_EQ(reply(R"json({"v":2,"id":1,"kind":"stats"})json"), kNothingRun);
+}
+
+TEST_F(ProtocolGoldenTest, AcNonFiniteGridIsBadParams) {
+  // An infinite f_stop_hz passes the order check and would fail mid-solve
+  // ("singular matrix at pivot 2").
+  EXPECT_EQ(reply(R"json({"v":2,"id":14,"kind":"ac","params":{)json"
+                  R"json("netlist":"V1 in 0 DC 0 AC 1\nR1 in out 1k\nC1 out 0 1n\n",)json"
+                  R"json("ac":{"f_start_hz":1e3,"f_stop_hz":1e999,)json"
+                  R"json("points":3,"probe":"out"}}})json"),
+            bad_params("14", "ac requires a finite f_stop_hz"));
+  EXPECT_EQ(reply(R"json({"v":2,"id":1,"kind":"stats"})json"), kNothingRun);
+}
+
 TEST_F(ProtocolGoldenTest, NonFiniteMetricFailsAndIsNotCached) {
   // A transconductance of 1e306 S puts the voltage gain (~1e309) past the
   // largest double, so the value is not finite: the request fails and
