@@ -413,6 +413,46 @@ TEST(SolverParity, RestampRebuildsOnceWhenTheStampSequenceChanges) {
   }
 }
 
+// The AC/noise point loop at the factor boundary (the name dates from when
+// its policy was a mathx type). Over the mixer's AC matrices from 1 kHz to
+// 1 THz pivots drift, so both the refactor and the fallback run; every
+// point's factor must solve a generic right-hand side, forward and
+// transposed, bit-identically to a cold analysis of its own matrix, at 1
+// and at 8 threads.
+TEST(SolverParity, SweepLuMatchesColdAnalysis) {
+  using Cplx = std::complex<double>;
+  auto mixer = core::build_transistor_mixer(mixer_config(core::MixerMode::kActive));
+  const Solution op = dc_operating_point(mixer->circuit);
+  const Circuit& ckt = mixer->circuit;
+  const std::vector<double> freqs = log_space(1e3, 1e12, 37);
+  const std::size_t n = static_cast<std::size_t>(ckt.layout().size());
+  mathx::VectorC rhs(n);
+  for (std::size_t k = 0; k < n; ++k) rhs[k] = {1.0 + static_cast<double>(k % 7), -0.5};
+#if RFMIX_OBS_ENABLED
+  const std::uint64_t refactor0 = obs::counter_value("spice.lu.refactor");
+  const std::uint64_t fallback0 = obs::counter_value("spice.lu.fallback");
+#endif
+  for (const int threads : {1, 8}) {
+    runtime::ScopedPool pool(threads);
+    std::vector<char> same(freqs.size(), 0);
+    auto check = [&](std::size_t i, const mathx::SparseLu<Cplx>& lu, const mathx::VectorC& b) {
+      mathx::TripletMatrix<Cplx> y(n, n);
+      mathx::VectorC want_b(n, Cplx{});
+      assemble_ac(ckt, op, mathx::kTwoPi * freqs[i], 1e-12, y, want_b);
+      const mathx::SparseLu<Cplx> cold{mathx::CscMatrix<Cplx>(y)};
+      same[i] = same_bits(b, want_b) && same_bits(lu.solve(rhs), cold.solve(rhs)) &&
+                same_bits(lu.solve_transposed(rhs), cold.solve_transposed(rhs));
+    };
+    for_each_ac_point(ckt, op, freqs, 1e-12, check);
+    for (std::size_t i = 0; i < freqs.size(); ++i)
+      EXPECT_TRUE(same[i]) << "point " << i << " at " << threads << " threads";
+  }
+#if RFMIX_OBS_ENABLED
+  EXPECT_GT(obs::counter_value("spice.lu.refactor"), refactor0);
+  EXPECT_GT(obs::counter_value("spice.lu.fallback"), fallback0);
+#endif
+}
+
 using CplxTriplets = mathx::TripletMatrix<std::complex<double>>;
 
 npath::NpathSpec npath_spec() {
