@@ -178,8 +178,8 @@ BENCHMARK(BM_SessionNewtonIteration);
 // The same iteration timed by stage, on the mathx objects a SolverSession
 // holds, in the order its restamp() and factor() run them: restamp
 // (assemble_real into the recorded triplets), fill (triplet -> CSC through
-// the stamp map), refactor (the symbolic's structural replay, repair mode)
-// and solve. Counters give each stage's mean time per iteration [us].
+// the stamp map), refactor (the symbolic's structural replay) and solve.
+// Counters give each stage's mean time per iteration [us].
 void BM_SessionNewtonStages(benchmark::State& state) {
   using Clock = std::chrono::steady_clock;
   const MixerTransientJacobian j;
@@ -206,7 +206,7 @@ void BM_SessionNewtonStages(benchmark::State& state) {
     const auto t1 = Clock::now();
     map.fill(g, csc);
     const auto t2 = Clock::now();
-    const bool replayed = lu.refactor_from(sym, csc, 0.0, &sym);
+    const bool replayed = lu.refactor_from(sym, csc);
     const auto t3 = Clock::now();
     lu.solve(b, x);
     const auto t4 = Clock::now();
@@ -231,10 +231,12 @@ BENCHMARK(BM_SessionNewtonStages);
 // Solver scaling probe: an N-stage RC-coupled common-source ladder
 // (2N+4 unknowns) under a sine drive. Unlike the mixer, whose Jacobian
 // magnitudes barely reorder between steps, the swinging ladder makes
-// partial pivoting drift often — this is the case the drift-repair path
-// exists for (without it, a refactor pays a wasted partial replay plus a
-// full re-analysis per drift and loses to analyzing every time at large N).
-// Arg: stages.
+// partial pivoting drift often, and each drift costs a refused replay plus
+// an analysis. It is the case a drift-repair mode (continue as an analysis
+// from the drift column) was written for; that mode read no faster. CPU
+// time, GCC 12.2 RelWithDebInfo on a shared 4-vCPU host, three alternating
+// rounds, with repair -> refuse and analyze: /8 2.04-2.56 -> 2.14-2.60 ms,
+// /64 30.3-35.9 -> 31.4-35.4 ms. Arg: stages.
 void BM_NewtonLadderTransient(benchmark::State& state) {
   const int stages = static_cast<int>(state.range(0));
   for (auto _ : state) {

@@ -30,8 +30,8 @@ template <typename T>
 class LuFactorization {
  public:
   /// Factor `a` in place (a copy is taken). Throws SingularMatrixError if a
-  /// pivot column has no entry with magnitude above `pivot_tol`.
-  explicit LuFactorization(Matrix<T> a, double pivot_tol = 0.0)
+  /// pivot column has no nonzero entry: a pivot must be nonzero.
+  explicit LuFactorization(Matrix<T> a)
       : lu_(std::move(a)), perm_(lu_.rows()) {
     if (lu_.rows() != lu_.cols()) throw std::invalid_argument("LU requires square matrix");
     const std::size_t n = lu_.rows();
@@ -47,7 +47,7 @@ class LuFactorization {
           piv = i;
         }
       }
-      if (!(best > pivot_tol)) throw SingularMatrixError(k);
+      if (!(best > 0.0)) throw SingularMatrixError(k);
       if (piv != k) {
         std::swap(perm_[k], perm_[piv]);
         for (std::size_t j = 0; j < n; ++j) std::swap(lu_(k, j), lu_(piv, j));

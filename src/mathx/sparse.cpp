@@ -174,32 +174,35 @@ void TripletCscMap<T>::fill(const TripletMatrix<T>& t, CscMatrix<T>& csc) const 
 }
 
 template <typename T>
-SparseLu<T>::SparseLu(const CscMatrix<T>& a, double pivot_tol) {
-  factorize(a, pivot_tol, nullptr, nullptr);
+SparseLu<T>::SparseLu(const CscMatrix<T>& a) {
+  analyze(a);
 }
 
 template <typename T>
-SparseLu<T>::SparseLu(const CscMatrix<T>& a, SparseLuSymbolic<T>& sym_out, double pivot_tol) {
-  factorize(a, pivot_tol, nullptr, &sym_out);
+SparseLu<T>::SparseLu(const CscMatrix<T>& a, SparseLuSymbolic<T>& sym_out) {
+  analyze(a, &sym_out);
 }
 
 template <typename T>
-bool SparseLu<T>::refactor_from(const SparseLuSymbolic<T>& sym, const CscMatrix<T>& a,
-                                double pivot_tol, SparseLuSymbolic<T>* repair,
-                                bool* repaired) {
-  if (repaired) *repaired = false;
-  if (!sym.pattern_matches(a)) {
-    n_ = 0;
-    return false;
-  }
+bool SparseLu<T>::refactor_from(const SparseLuSymbolic<T>& sym, const CscMatrix<T>& a) {
+  n_ = 0;
+  if (!sym.pattern_matches(a)) return false;
+  const std::size_t n = sym.n_;
   // Size the factor buffers for the plan's slots before the replay. Not
-  // inside factorize(): inlined there, reserve() made GCC 12 at -O3 compile
-  // the complex replay loop about 2.5x slower (N-path block systems).
+  // inside replay_plan(): inlined there, the resizes made GCC 12 at -O3
+  // compile the complex replay loop about 2.5x slower (N-path block systems).
+  l_col_ptr_.assign(n + 1, 0);
+  u_col_ptr_.assign(n + 1, 0);
+  work_.assign(n, T{});
   l_row_idx_.resize(sym.l_capacity());
   l_values_.resize(sym.l_capacity());
   u_row_idx_.resize(sym.u_capacity());
   u_values_.resize(sym.u_capacity());
-  return factorize(a, pivot_tol, &sym, repair, repaired);
+  perm_ = sym.perm_;
+  perm_inv_ = sym.perm_inv_;
+  if (!replay_plan(a, sym)) return false;
+  n_ = n;
+  return true;
 }
 
 // The structural replay. While every update coefficient U(k, j) and every L
@@ -210,14 +213,13 @@ bool SparseLu<T>::refactor_from(const SparseLuSymbolic<T>& sym, const CscMatrix<
 // and L fill their structural slots. Each column then runs straight off the
 // plan, with no occupied flags, pattern list, push or sort, and computes
 // the analysis's bytes: the same arithmetic in the same order, and the same
-// candidate order for the pivot scan (ties go to the first maximum). The
+// candidate order for the pivot scan (ties go to the first maximum). At the
 // first column where an exact zero would make the analysis drop an entry
 // (changing which rows later columns touch, and in what order), or where
-// the pinned pivot loses the scan, is left clean and unemitted for the
-// analyze-mode loop. The work column is zero on entry and on return.
+// the pinned pivot loses the scan, the replay stops and refuses. The work
+// column is zero on entry and on return.
 template <typename T>
-std::size_t SparseLu<T>::replay_plan(const CscMatrix<T>& a, const SparseLuSymbolic<T>& sym,
-                                     double pivot_tol) {
+bool SparseLu<T>::replay_plan(const CscMatrix<T>& a, const SparseLuSymbolic<T>& sym) {
   const std::size_t n = sym.n_;
   const std::size_t* acp = a.col_ptr().data();
   const std::size_t* ari = a.row_idx().data();
@@ -256,7 +258,7 @@ std::size_t SparseLu<T>::replay_plan(const CscMatrix<T>& a, const SparseLuSymbol
     }
     if (held) {
       std::size_t scanned = kNoStep;
-      double best = pivot_tol;
+      double best = 0.0;  // a pivot must be nonzero
       auto consider = [&](std::size_t r) {
         const double mag = std::abs(w[r]);
         if (mag > best) {
@@ -288,9 +290,9 @@ std::size_t SparseLu<T>::replay_plan(const CscMatrix<T>& a, const SparseLuSymbol
     for (std::size_t q = q0; q < q1; ++q) w[perm[upd_step[q]]] = T{};
     w[piv_row] = T{};
     for (std::size_t i = l0; i < l1; ++i) w[l_row[i]] = T{};
-    if (!held) return j;
+    if (!held) return false;
   }
-  return n;
+  return true;
 }
 
 // Left-looking column LU with partial pivoting, using a dense work column in
@@ -298,11 +300,11 @@ std::size_t SparseLu<T>::replay_plan(const CscMatrix<T>& a, const SparseLuSymbol
 // renumbering pass is needed; the permutation maps elimination step -> chosen
 // pivot row.
 //
-// Analyze mode: column j takes the update of every earlier step k whose
-// pivot row perm_[k] is occupied, in ascending k, skipping those with
-// U(k, j) exactly zero. Instead of scanning all k < j, an ordered reach
-// finds them: a step becomes pending when its pivot row becomes occupied,
-// and the lowest pending step is applied next. L column k only holds rows
+// Column j takes the update of every earlier step k whose pivot row
+// perm_[k] is occupied, in ascending k, skipping those with U(k, j) exactly
+// zero. Instead of scanning all k < j, an ordered reach finds them: a step
+// becomes pending when its pivot row becomes occupied, and the lowest
+// pending step is applied next. L column k only holds rows
 // not yet pivoted at step k, so applying step k only makes later steps
 // pending. Each step is therefore reached after all the updates that feed
 // its pivot row and in ascending order, exactly as a scan over all k < j
@@ -313,46 +315,23 @@ std::size_t SparseLu<T>::replay_plan(const CscMatrix<T>& a, const SparseLuSymbol
 // 6.4 s to ~25 ms (docs/solver.md). A depth-first reach needs a sort of the
 // reached steps to restore this order, and it walks each reached L column
 // twice; it was slower than the scan on matrices with fill.
-//
-// Replay mode (sym != nullptr): replay_plan() runs the columns the
-// structural plan covers exactly; from the first one it cannot, the
-// analyze-mode loop takes over with the pivots pinned, so a refactor emits
-// the analysis's bytes as long as the scan keeps choosing the pinned pivot.
 template <typename T>
-bool SparseLu<T>::factorize(const CscMatrix<T>& a, double pivot_tol,
-                            const SparseLuSymbolic<T>* sym, SparseLuSymbolic<T>* sym_out,
-                            bool* drifted) {
+void SparseLu<T>::analyze(const CscMatrix<T>& a, SparseLuSymbolic<T>* sym_out) {
   if (a.rows() != a.cols()) throw std::invalid_argument("SparseLu requires square matrix");
-  const bool replay = sym != nullptr;
-  bool drift_repaired = false;
   const std::size_t n = a.rows();
-  n_ = n;
+  n_ = 0;  // empty until the last column is factored
   l_col_ptr_.assign(n + 1, 0);
   u_col_ptr_.assign(n + 1, 0);
   work_.assign(n, T{});  // dense column, original row coords
-
-  std::size_t j0 = 0;  // first column of the analyze-mode loop
-  if (replay) {
-    perm_ = sym->perm_;
-    perm_inv_ = sym->perm_inv_;
-    j0 = replay_plan(a, *sym, pivot_tol);
-    if (j0 == n) return true;
-    l_row_idx_.resize(l_col_ptr_[j0]);
-    l_values_.resize(l_col_ptr_[j0]);
-    u_row_idx_.resize(u_col_ptr_[j0]);
-    u_values_.resize(u_col_ptr_[j0]);
-  } else {
-    l_row_idx_.clear();
-    l_values_.clear();
-    u_row_idx_.clear();
-    u_values_.clear();
-    perm_.assign(n, kNoStep);
-    perm_inv_.assign(n, kNoStep);
-  }
+  l_row_idx_.clear();
+  l_values_.clear();
+  u_row_idx_.clear();
+  u_values_.clear();
+  perm_.assign(n, kNoStep);
+  perm_inv_.assign(n, kNoStep);
   occupied_.assign(n, 0);  // nonzero-pattern flags for `work_`
   pattern_.clear();        // rows currently occupied
   pivoted_.assign(n, 0);   // original row already chosen as pivot?
-  for (std::size_t k = 0; k < j0; ++k) pivoted_[perm_[k]] = 1;
   pending_.assign((n + 63) / 64, 0);  // one bit per elimination step
   PendingSteps pending(pending_);
 
@@ -377,7 +356,7 @@ bool SparseLu<T>::factorize(const CscMatrix<T>& a, double pivot_tol,
       scatter(l_row_idx_[p], -l_values_[p] * ukj);
   };
 
-  for (std::size_t j = j0; j < n; ++j) {
+  for (std::size_t j = 0; j < n; ++j) {
     pattern_.clear();
     for (std::size_t p = acp[j]; p < acp[j + 1]; ++p) scatter(ari[p], av[p]);
 
@@ -394,9 +373,10 @@ bool SparseLu<T>::factorize(const CscMatrix<T>& a, double pivot_tol,
       apply_update(k);
     }
 
-    // Choose pivot among rows not yet pivoted.
+    // Choose the pivot among rows not yet pivoted: the first of the largest
+    // magnitudes, which must be nonzero.
     std::size_t piv_row = kNoStep;
-    double best = pivot_tol;
+    double best = 0.0;
     for (const std::size_t r : pattern_) {
       if (pivoted_[r]) continue;
       const double mag = std::abs(work_[r]);
@@ -405,29 +385,7 @@ bool SparseLu<T>::factorize(const CscMatrix<T>& a, double pivot_tol,
         piv_row = r;
       }
     }
-    if (sym) {
-      if (piv_row != sym->perm_[j]) {
-        if (sym_out) {
-          // Drift repair: everything eliminated so far is identical to a
-          // fresh analysis, so adopt the freshly scanned pivot and stop
-          // checking — the old symbolic's pivots no longer apply.
-          if (piv_row == kNoStep) throw SingularMatrixError(j);
-          drift_repaired = true;
-          sym = nullptr;
-        } else {
-          // Strict replay: abort so the caller re-analyzes (keeping the
-          // analyze path the only source of pivot decisions).
-          for (const std::size_t r : pattern_) {
-            work_[r] = T{};
-            occupied_[r] = 0;
-          }
-          n_ = 0;
-          return false;
-        }
-      }
-    } else if (piv_row == kNoStep) {
-      throw SingularMatrixError(j);
-    }
+    if (piv_row == kNoStep) throw SingularMatrixError(j);
     const T piv_val = work_[piv_row];
 
     // Emit U column j: previously pivoted rows, ordered by elimination step,
@@ -472,10 +430,8 @@ bool SparseLu<T>::factorize(const CscMatrix<T>& a, double pivot_tol,
   // entry treated as nonzero, so the plan covers any value assignment with
   // this pattern: the update lists come out in ascending step order, and
   // each column's L rows in the order a full-structure elimination first
-  // touches them. In replay mode the caller's symbolic is only rewritten
-  // when a drift actually invalidated it — a clean replay leaves it
-  // untouched (it may alias `sym`; all reads of `sym` happened above).
-  if (sym_out && (!replay || drift_repaired)) {
+  // touches them.
+  if (sym_out) {
     if (n > std::numeric_limits<std::uint32_t>::max())
       throw std::length_error("SparseLu: more unknowns than a 32-bit plan indexes");
     SparseLuSymbolic<T>& s = *sym_out;
@@ -519,8 +475,7 @@ bool SparseLu<T>::factorize(const CscMatrix<T>& a, double pivot_tol,
       s.piv_rank_[j] = rank;
     }
   }
-  if (drifted) *drifted = drift_repaired;
-  return true;
+  n_ = n;
 }
 
 template <typename T>

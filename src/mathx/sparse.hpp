@@ -11,13 +11,11 @@
 // Bit-exactness contract (docs/solver.md): a successful refactor_from()
 // produces factors that are byte-identical to what the analyzing
 // constructor would compute on the same matrix. The refactor replays the
-// symbolic's structural plan while no exact zero changes the structure, then
-// the analysis's own elimination, and verifies per column that partial
-// pivoting would choose the pinned pivot; a disagreement (pivot drift,
-// pattern mismatch, singular pivot) aborts the refactor so the caller can
-// fall back to a full re-analysis — or, in the opt-in drift-repair mode,
-// switches to a fresh analysis mid-factorization, reusing the columns
-// already eliminated instead of restarting.
+// symbolic's structural plan exactly or refuses: it returns false at the
+// first column where an exact zero would change the structure the analysis
+// keeps, where the pinned pivot loses the pivot scan, or where no pivot is
+// left, and the caller analyzes instead. Every factor is therefore a cold
+// analysis or an exact replay of one.
 #pragma once
 
 #include <complex>
@@ -270,50 +268,40 @@ class SparseLuSymbolic {
 /// Left-looking (Gilbert–Peierls) sparse LU with partial pivoting.
 ///
 /// Two ways to build the numeric factors:
-///  * the constructors run the full analyze path (pattern discovery +
-///    value-based partial pivoting); the three-argument form additionally
-///    exports the symbolic structure for later reuse;
+///  * analyze() (which the constructors call) discovers the pattern and
+///    chooses pivots by partial pivoting on the values, optionally
+///    exporting the symbolic structure for later reuse;
 ///  * refactor_from() replays a previously analyzed symbolic's structural
-///    plan into this object's buffers, hands over to the analysis's own
-///    elimination where an exact zero breaks that structure, and reports
-///    failure instead of producing factors that deviate from the analyze
-///    path.
+///    plan into this object's buffers, and reports failure instead of
+///    producing factors that deviate from the analysis.
 template <typename T>
 class SparseLu {
  public:
-  /// Empty factorization; only useful as a refactor_from target.
+  /// Empty factorization; only useful as a refactor_from or analyze target.
   SparseLu() = default;
 
-  explicit SparseLu(const CscMatrix<T>& a, double pivot_tol = 0.0);
+  explicit SparseLu(const CscMatrix<T>& a);
 
   /// Analyze and export the symbolic structure into `sym_out`.
-  SparseLu(const CscMatrix<T>& a, SparseLuSymbolic<T>& sym_out, double pivot_tol = 0.0);
+  SparseLu(const CscMatrix<T>& a, SparseLuSymbolic<T>& sym_out);
 
-  /// Numeric refactorization of `a` against a pinned symbolic. On success
-  /// the factors are byte-identical to SparseLu(a, pivot_tol). Returns false
-  /// (leaving *this empty) when the pattern does not match the symbolic,
-  /// when partial pivoting on the current values would choose a different
-  /// pivot than the pinned one (pivot drift), or when a pivot is singular —
-  /// the caller then falls back to a fresh analyzing construction.
-  /// Buffers are reused across calls, so a Newton loop allocates only on
-  /// the first iteration.
-  ///
-  /// With `repair` non-null, pivot drift no longer aborts: up to the drift
-  /// column the replayed elimination state is identical to a fresh analysis
-  /// (the structural plan and the analyze-mode reach apply exactly the
-  /// updates the analysis would, and the pivot scan visits the candidates
-  /// in the analysis's order), so the factorization
-  /// adopts the freshly scanned pivot, continues in analyze mode, and
-  /// rewrites *repair with the new pivot sequence — producing factors
-  /// byte-identical to SparseLu(a, pivot_tol) without restarting from
-  /// column zero. `repair` may alias `sym` (it is only written after the
-  /// last read, on complete success); it must NOT be a symbolic shared
-  /// with concurrent readers. A singular pivot at the drift column throws
-  /// SingularMatrixError, matching the analyzing constructors. `repaired`,
-  /// when non-null, reports whether the repair path ran.
-  bool refactor_from(const SparseLuSymbolic<T>& sym, const CscMatrix<T>& a,
-                     double pivot_tol = 0.0, SparseLuSymbolic<T>* repair = nullptr,
-                     bool* repaired = nullptr);
+  /// Factor `a` into this object's buffers, choosing each pivot by partial
+  /// pivoting (a pivot must be nonzero), and export the symbolic structure
+  /// into `sym_out` when it is non-null. Throws SingularMatrixError for a
+  /// column with no nonzero pivot candidate, leaving *this empty and
+  /// `sym_out` untouched. Allocates only where a reused buffer must grow.
+  void analyze(const CscMatrix<T>& a, SparseLuSymbolic<T>* sym_out = nullptr);
+
+  /// Numeric refactorization of `a` against a pinned symbolic, an exact
+  /// replay of its structural plan. On success the factors are
+  /// byte-identical to SparseLu(a). Returns false (leaving *this empty)
+  /// when the pattern does not match the symbolic, or at the first column
+  /// the plan cannot reproduce: an exactly-zero update coefficient U(k, j)
+  /// or L entry (the analysis would drop it), a pinned pivot that loses the
+  /// pivot scan (pivot drift), or no nonzero pivot. The caller then
+  /// analyzes. Buffers are reused across calls, so a Newton loop allocates
+  /// only on the first iteration.
+  bool refactor_from(const SparseLuSymbolic<T>& sym, const CscMatrix<T>& a);
 
   std::size_t size() const { return n_; }
 
@@ -327,22 +315,10 @@ class SparseLu {
   std::vector<T> solve_transposed(const std::vector<T>& b) const;
 
  private:
-  // Shared elimination core: factor `a`, choosing pivots by partial
-  // pivoting. When `sym` is non-null, replay its structural plan as far as
-  // it holds, then continue with the analyze-mode reach, verifying each
-  // chosen pivot against the pinned sequence; on drift, returns false —
-  // unless `sym_out` is also non-null, in which case the elimination stops
-  // verifying at the drift column and continues (drift repair). When
-  // `sym_out` is non-null, record the symbolic structure of this
-  // factorization (in replay mode, only if a drift actually occurred).
-  // `drifted`, when non-null, reports whether the repair path ran.
-  bool factorize(const CscMatrix<T>& a, double pivot_tol, const SparseLuSymbolic<T>* sym,
-                 SparseLuSymbolic<T>* sym_out, bool* drifted = nullptr);
-
-  // Replay `sym`'s structural plan from column 0; returns the first column
-  // it cannot replay exactly (n when it replayed them all).
-  std::size_t replay_plan(const CscMatrix<T>& a, const SparseLuSymbolic<T>& sym,
-                          double pivot_tol);
+  // Replay `sym`'s structural plan from column 0 into the buffers
+  // refactor_from() sized; false at the first column it cannot replay
+  // exactly.
+  bool replay_plan(const CscMatrix<T>& a, const SparseLuSymbolic<T>& sym);
 
   std::size_t n_ = 0;
   // L is unit-diagonal; stored without the diagonal. U includes diagonal.

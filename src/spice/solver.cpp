@@ -26,25 +26,14 @@ const mathx::SparseLu<double>& SolverSession::factor() {
   }
   map_.fill(g_, csc_);
   if (have_sym_) {
-    // Repair mode: on pivot drift the factorization continues as a fresh
-    // analysis from the drift column (rewriting sym_ in place) instead of
-    // throwing away the columns already eliminated and restarting — without
-    // it, drift-heavy circuits pay a wasted partial refactor plus a full
-    // re-analysis and refactoring can lose to analyzing every time.
-    bool repaired = false;
-    if (lu_.refactor_from(sym_, csc_, 0.0, &sym_, &repaired)) {
-      if (repaired) {
-        RFMIX_OBS_COUNT("spice.lu.fallback");
-        RFMIX_OBS_COUNT("spice.lu.analyze");
-      } else {
-        RFMIX_OBS_COUNT("spice.lu.refactor");
-      }
+    if (lu_.refactor_from(sym_, csc_)) {
+      RFMIX_OBS_COUNT("spice.lu.refactor");
       return lu_;
     }
     RFMIX_OBS_COUNT("spice.lu.fallback");
   }
   RFMIX_OBS_COUNT("spice.lu.analyze");
-  lu_ = mathx::SparseLu<double>(csc_, sym_);
+  lu_.analyze(csc_, &sym_);
   have_sym_ = true;
   return lu_;
 }

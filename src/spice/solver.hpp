@@ -11,9 +11,11 @@
 // identical at any thread count.
 //
 // Every factor is byte-identical to a fresh SparseLu(CscMatrix(g)):
-// refactor_from() replays the analyze arithmetic and falls back to a full
-// analysis whenever the stamp pattern changes or the pinned pivot sequence
-// stops winning the pivot scan.
+// refactor_from() replays the symbolic's structural plan exactly or
+// refuses, and the session then analyzes in place into its own symbolic.
+// It refuses when the stamp pattern changes, when an exact zero changes the
+// structure the analysis keeps, and when the pinned pivot sequence stops
+// winning the pivot scan.
 #pragma once
 
 #include <cstddef>

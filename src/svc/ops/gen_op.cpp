@@ -178,10 +178,10 @@ void register_gen_op(OpRegistry& r) {
       // template's first probe node", and the canonical record must name
       // the node it resolves to.
       if (g.ac.probe.empty()) g.ac.probe = gen::probe_nodes(g.spec).front();
-      check_freq_grid(g.ac.f_start_hz, g.ac.f_stop_hz, g.ac.points, "gen ac");
+      check_freq_grid(g.ac.f_start_hz, g.ac.f_stop_hz, g.ac.points, g.ac.log_scale, "gen ac");
     }
     if (g.analysis == "npath_zin") {
-      check_freq_grid(g.f_start_hz, g.f_stop_hz, g.points, "gen sweep");
+      check_freq_grid(g.f_start_hz, g.f_stop_hz, g.points, g.log_scale, "gen sweep");
       if (g.spec.elements > 256)
         throw std::invalid_argument(
             "gen npath_zin analysis supports at most 256 elements");

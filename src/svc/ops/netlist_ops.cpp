@@ -95,7 +95,7 @@ void append_ac_probe(std::string& out, std::string_view probe_name,
   append_number_array(out, "imag", im);
 }
 
-void check_freq_grid(double f_start_hz, double f_stop_hz, int points,
+void check_freq_grid(double f_start_hz, double f_stop_hz, int points, bool log_scale,
                      const std::string& what) {
   if (points < 2 || points > 4096)
     throw std::invalid_argument(what + " points must be in [2, 4096]");
@@ -104,6 +104,11 @@ void check_freq_grid(double f_start_hz, double f_stop_hz, int points,
   // +inf (a JSON 1e999) passes the order check; it would sweep to inf.
   if (!std::isfinite(f_stop_hz))
     throw std::invalid_argument(what + " requires a finite f_stop_hz");
+  // lin_space computes (f_stop - f_start) * i for i up to points - 1; near
+  // the top of the double range that overflows to inf, then NaN.
+  if (!log_scale && !std::isfinite((f_stop_hz - f_start_hz) * (points - 1)))
+    throw std::invalid_argument(
+        what + " linear grid requires a finite (f_stop_hz - f_start_hz) * (points - 1)");
 }
 
 Schema make_ac_object_schema(AcSpec& (*get)(Request&)) {
@@ -154,7 +159,7 @@ void register_netlist_ops(OpRegistry& r) {
   // never a sweep of unbounded size.
   ac.finish = [](Request& q) {
     if (q.ac.probe.empty()) throw std::invalid_argument("ac request requires a probe node");
-    check_freq_grid(q.ac.f_start_hz, q.ac.f_stop_hz, q.ac.points, "ac");
+    check_freq_grid(q.ac.f_start_hz, q.ac.f_stop_hz, q.ac.points, q.ac.log_scale, "ac");
   };
   ac.canonical = [](CanonicalWriter& w, const Request& req) {
     const spice::Circuit ckt = spice::parse_netlist(req.netlist);

@@ -98,7 +98,7 @@ void register_npath_zin_op(OpRegistry& r) {
   // mid-solve.
   np.finish = [](Request& q) {
     check_freq_grid(q.npath.f_start_hz, q.npath.f_stop_hz, q.npath.points,
-                    "npath_zin sweep");
+                    q.npath.log_scale, "npath_zin sweep");
     npath::validate(q.npath.spec);
   };
   np.canonical = [](CanonicalWriter& w, const Request& req) {

@@ -17,11 +17,12 @@ namespace rfmix::svc {
 /// selects out of the request being built.
 Schema make_ac_object_schema(AcSpec& (*get)(Request&));
 
-/// The bounds every sweep grid shares: points in [2, 4096] and
-/// 0 < f_start_hz < f_stop_hz, both finite. Throws std::invalid_argument
+/// The bounds every sweep grid shares: points in [2, 4096],
+/// 0 < f_start_hz < f_stop_hz, both finite, and for a linear grid a finite
+/// (f_stop_hz - f_start_hz) * (points - 1). Throws std::invalid_argument
 /// naming the grid as `what` ("ac", "gen ac", "npath_zin sweep", "gen
 /// sweep").
-void check_freq_grid(double f_start_hz, double f_stop_hz, int points,
+void check_freq_grid(double f_start_hz, double f_stop_hz, int points, bool log_scale,
                      const std::string& what);
 
 /// The sweep frequencies of a request's grid: log- or linearly spaced,

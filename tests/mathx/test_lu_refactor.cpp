@@ -1,9 +1,10 @@
 // Analyze-once/refactor-per-step contract of the sparse LU (docs/solver.md):
 // a successful refactor_from() must be byte-identical to a fresh analyzing
 // factorization of the same matrix, and any disagreement — pattern change,
-// pivot drift, singular pinned pivot — must abort the refactor so the caller
-// can re-analyze. The structural replay (the symbolic's plan) must hand over
-// to the analysis wherever an exact zero changes the structure.
+// pivot drift, singular pinned pivot, an exact zero that changes the
+// structure — must make the refactor refuse so the caller can re-analyze.
+// The caller's analysis into the same object and symbolic must match a cold
+// one.
 #include "mathx/sparse.hpp"
 
 #include <cmath>
@@ -281,18 +282,23 @@ TEST(SparseLuRefactorTest, PivotDriftRefusesToRefactor) {
   EXPECT_NEAR(ax[1], b[1], 1e-12);
 }
 
+// The four *Repair* tests are named for the drift-repair mode of
+// refactor_from() they pinned first. The repair is now the caller's, as in
+// SolverSession: the refactor refuses, and the caller analyzes into the same
+// object and symbolic.
+
 TEST(SparseLuRefactorTest, PivotDriftRepairsWhenAsked) {
-  // Same drifting system as above, but with a repair symbolic supplied: the
-  // factorization must adopt the freshly scanned pivot, produce factors
-  // byte-identical to a fresh analysis, and rewrite the repair symbolic so
-  // the *next* refactor of the new value regime replays strictly.
+  // Same drifting system as above: the refactor refuses, and an analysis
+  // into the same object and symbolic produces factors byte-identical to a
+  // cold analysis and exports its symbolic, so the *next* refactor of the
+  // new value regime replays.
   TripletMatrix<double> t(2, 2);
   t.add(0, 0, 1.0);
   t.add(1, 0, 3.0);
   t.add(0, 1, 2.0);
   t.add(1, 1, 1.0);
   SparseLuSymbolic<double> sym;
-  const SparseLu<double> analyzed(CscMatrix<double>(t), sym);
+  SparseLu<double> lu(CscMatrix<double>(t), sym);
 
   TripletMatrix<double> flipped(2, 2);
   flipped.add(0, 0, 3.0);
@@ -301,17 +307,18 @@ TEST(SparseLuRefactorTest, PivotDriftRepairsWhenAsked) {
   flipped.add(1, 1, 1.0);
   const CscMatrix<double> a(flipped);
 
-  SparseLu<double> lu;
-  bool repaired = false;
-  ASSERT_TRUE(lu.refactor_from(sym, a, 0.0, &sym, &repaired));  // aliased, as
-  EXPECT_TRUE(repaired);  // SolverSession passes its own symbolic as repair
-  const SparseLu<double> fresh(a);
+  ASSERT_FALSE(lu.refactor_from(sym, a));
+  lu.analyze(a, &sym);
+  SparseLuSymbolic<double> cold_sym;
+  const SparseLu<double> fresh(a, cold_sym);
   const std::vector<double> b{1.0, 2.0};
   EXPECT_TRUE(same_bits(lu.solve(b), fresh.solve(b)));
   EXPECT_TRUE(same_bits(lu.solve_transposed(b), fresh.solve_transposed(b)));
+  EXPECT_EQ(sym.l_capacity(), cold_sym.l_capacity());
+  EXPECT_EQ(sym.u_capacity(), cold_sym.u_capacity());
 
-  // The repaired symbolic now pins the new pivot order: a strict replay of
-  // the same values succeeds, and of the *original* values drifts again.
+  // The rewritten symbolic now pins the new pivot order: a replay of the
+  // same values succeeds, and of the *original* values drifts again.
   SparseLu<double> again;
   EXPECT_TRUE(again.refactor_from(sym, a));
   EXPECT_TRUE(same_bits(again.solve(b), fresh.solve(b)));
@@ -322,47 +329,56 @@ TEST(SparseLuRefactorTest, CleanReplayLeavesRepairSymbolicUntouched) {
   Rng rng(11);
   const auto t0 = random_system(rng, 12, 30);
   SparseLuSymbolic<double> sym;
-  const SparseLu<double> analyzed(CscMatrix<double>(t0), sym);
-  // Dominant diagonals keep the pivots pinned, so the repair path must not
-  // engage — and `repaired` is the only way callers count analyze vs
-  // refactor, so a false positive would corrupt the obs counters.
+  SparseLu<double> lu(CscMatrix<double>(t0), sym);
+  const std::size_t l_cap = sym.l_capacity(), u_cap = sym.u_capacity();
+  // Dominant diagonals keep the pivots pinned, so every refactor replays.
+  // An analysis into the same object and symbolic (a caller's fallback)
+  // then picks the same pivots and rewrites the plan the symbolic held, so
+  // the next refactor replays again.
   for (int step = 0; step < 5; ++step) {
     const CscMatrix<double> a(revalue(rng, t0));
-    SparseLu<double> lu;
-    bool repaired = true;
-    ASSERT_TRUE(lu.refactor_from(sym, a, 0.0, &sym, &repaired));
-    EXPECT_FALSE(repaired) << "step " << step;
+    ASSERT_TRUE(lu.refactor_from(sym, a)) << "step " << step;
     const auto b = rhs(rng, 12);
-    EXPECT_TRUE(same_bits(lu.solve(b), SparseLu<double>(a).solve(b)));
+    const auto x = lu.solve(b);
+    EXPECT_TRUE(same_bits(x, SparseLu<double>(a).solve(b))) << "step " << step;
+    lu.analyze(a, &sym);
+    EXPECT_TRUE(same_bits(lu.solve(b), x)) << "step " << step;
+    EXPECT_EQ(sym.l_capacity(), l_cap) << "step " << step;
+    EXPECT_EQ(sym.u_capacity(), u_cap) << "step " << step;
   }
 }
 
 TEST(SparseLuRefactorTest, RepairSingularDriftColumnThrowsLikeAnalyze) {
-  // If the drift column has no admissible pivot, repair must surface the
-  // same SingularMatrixError the analyzing constructor would, not return a
-  // half-factored object.
+  // If the column the replay refused at has no admissible pivot, the
+  // caller's analysis throws the same SingularMatrixError as the analyzing
+  // constructor, leaves the object empty and the symbolic as it was.
   TripletMatrix<double> t(2, 2);
   t.add(0, 0, 2.0);
   t.add(1, 1, 2.0);
+  const CscMatrix<double> a0(t);
   SparseLuSymbolic<double> sym;
-  const SparseLu<double> analyzed(CscMatrix<double>(t), sym);
+  SparseLu<double> lu(a0, sym);
 
   TripletMatrix<double> degenerate(2, 2);
   degenerate.add(0, 0, 0.0);
   degenerate.add(1, 1, 2.0);
   const CscMatrix<double> a(degenerate);
-  SparseLu<double> lu;
-  SparseLuSymbolic<double> repair_target = sym;
-  EXPECT_THROW(lu.refactor_from(sym, a, 0.0, &repair_target), SingularMatrixError);
+  EXPECT_FALSE(lu.refactor_from(sym, a));
+  EXPECT_THROW(lu.analyze(a, &sym), SingularMatrixError);
+  EXPECT_EQ(lu.size(), 0u);
   EXPECT_THROW(SparseLu<double>{a}, SingularMatrixError);
+  ASSERT_TRUE(lu.refactor_from(sym, a0));
+  const std::vector<double> b{1.0, 2.0};
+  EXPECT_TRUE(same_bits(lu.solve(b), SparseLu<double>(a0).solve(b)));
 }
 
 TEST(SparseLuRefactorTest, FuzzRepairAgainstAnalyze) {
-  // Adversarial twin of FuzzRefactorAgainstAnalyze: weak diagonals make
-  // pivot drift common, and every repaired factorization must still be
-  // byte-identical to a fresh analysis of the same values.
+  // Adversarial twin of FuzzRefactorAgainstAnalyze, run as SolverSession
+  // runs: one object and one symbolic, refactor else analyze into both.
+  // Weak diagonals make pivot drift common, and every factorization must be
+  // byte-identical to a cold analysis of the same values.
   Rng rng(0xBADD1E);
-  int repairs = 0;
+  int fallbacks = 0;
   for (int trial = 0; trial < 30; ++trial) {
     const std::size_t n = 4 + rng.next_u64() % 16;
     TripletMatrix<double> t0(n, n);
@@ -370,7 +386,7 @@ TEST(SparseLuRefactorTest, FuzzRepairAgainstAnalyze) {
     for (std::size_t k = 0; k < 2 * n; ++k)
       t0.add(rng.next_u64() % n, rng.next_u64() % n, rng.uniform(-2.0, 2.0));
     SparseLuSymbolic<double> sym;
-    const SparseLu<double> analyzed(CscMatrix<double>(t0), sym);
+    SparseLu<double> lu(CscMatrix<double>(t0), sym);
     TripletCscMap<double> map;
     map.build(t0);
     for (int step = 0; step < 4; ++step) {
@@ -381,17 +397,17 @@ TEST(SparseLuRefactorTest, FuzzRepairAgainstAnalyze) {
                                                          : rng.uniform(-2.0, 2.0));
       CscMatrix<double> a;
       map.fill(t, a);
-      SparseLu<double> lu;
-      bool repaired = false;
-      ASSERT_TRUE(lu.refactor_from(sym, a, 0.0, &sym, &repaired))
-          << "trial " << trial << " step " << step;
-      if (repaired) ++repairs;
+      const bool replayed = lu.refactor_from(sym, a);
+      if (!replayed) {
+        ++fallbacks;
+        lu.analyze(a, &sym);
+      }
       const auto b = rhs(rng, n);
       EXPECT_TRUE(same_bits(lu.solve(b), SparseLu<double>(a).solve(b)))
-          << "trial " << trial << " step " << step << " repaired=" << repaired;
+          << "trial " << trial << " step " << step << " replayed=" << replayed;
     }
   }
-  EXPECT_GT(repairs, 20) << "weak diagonals should have drifted often";
+  EXPECT_GT(fallbacks, 20) << "weak diagonals should have drifted often";
 }
 
 TEST(SparseLuRefactorTest, SingularPinnedPivotRefusesToRefactor) {
@@ -495,11 +511,11 @@ void expect_same_solves(const SparseLu<T>& lu, const SparseLu<T>& cold, const st
 }
 
 /// The refactor contract for `a` against `sym` (analyzed on other values of
-/// the same pattern), in both modes. Strict: byte-identical to SparseLu(a),
-/// or false on drift or a singular pivot. Repair: byte-identical, repairing
-/// exactly when strict refused, the rewritten symbolic equal in capacities
-/// to a fresh analysis's and replaying `a` strictly; or SingularMatrixError
-/// exactly when the analysis throws it.
+/// the same pattern): a refactor is byte-identical to SparseLu(a), or
+/// refuses and leaves the object empty; it refuses whenever the analysis
+/// throws SingularMatrixError. On refusal the caller's analysis into the same
+/// object and a copy of `sym` matches the cold analysis, symbolic capacities
+/// included.
 template <typename T>
 void expect_refactor_contract(const SparseLuSymbolic<T>& sym, const CscMatrix<T>& a,
                               const std::string& where) {
@@ -509,29 +525,19 @@ void expect_refactor_contract(const SparseLuSymbolic<T>& sym, const CscMatrix<T>
     cold.emplace(a, cold_sym);
   } catch (const SingularMatrixError&) {
   }
-  SparseLu<T> strict;
-  const bool strict_ok = strict.refactor_from(sym, a);
-  SparseLuSymbolic<T> rewritten = sym;
-  SparseLu<T> repair;
-  bool repaired = false;
-  if (!cold) {
-    EXPECT_FALSE(strict_ok) << where;
-    EXPECT_THROW(repair.refactor_from(sym, a, 0.0, &rewritten, &repaired), SingularMatrixError)
-        << where;
+  SparseLu<T> lu;
+  if (lu.refactor_from(sym, a)) {
+    ASSERT_TRUE(cold) << where << ": replayed a matrix the analysis finds singular";
+    expect_same_solves(lu, *cold, where + " (refactor)");
     return;
   }
-  ASSERT_TRUE(repair.refactor_from(sym, a, 0.0, &rewritten, &repaired)) << where;
-  EXPECT_EQ(repaired, !strict_ok) << where;
-  expect_same_solves(repair, *cold, where + " (repair)");
-  if (strict_ok) expect_same_solves(strict, *cold, where + " (strict)");
-  const SparseLuSymbolic<T>& expected = repaired ? cold_sym : sym;
-  EXPECT_EQ(rewritten.l_capacity(), expected.l_capacity()) << where;
-  EXPECT_EQ(rewritten.u_capacity(), expected.u_capacity()) << where;
-  if (repaired) {
-    SparseLu<T> again;
-    ASSERT_TRUE(again.refactor_from(rewritten, a)) << where;
-    expect_same_solves(again, *cold, where + " (rewritten symbolic)");
-  }
+  EXPECT_EQ(lu.size(), 0u) << where;
+  if (!cold) return;
+  SparseLuSymbolic<T> rewritten = sym;
+  lu.analyze(a, &rewritten);
+  expect_same_solves(lu, *cold, where + " (analysis after refusal)");
+  EXPECT_EQ(rewritten.l_capacity(), cold_sym.l_capacity()) << where;
+  EXPECT_EQ(rewritten.u_capacity(), cold_sym.u_capacity()) << where;
 }
 
 /// Six unknowns with pivots on the diagonal. Column 2 takes the updates of
@@ -578,29 +584,29 @@ TYPED_TEST(StructuralReplayTest, FullStructureReplaysByteIdentically) {
   expect_refactor_contract(sym, a, "revalued");
 }
 
-TYPED_TEST(StructuralReplayTest, ExactZeroUpdateCoefficientHandsOver) {
+TYPED_TEST(StructuralReplayTest, ExactZeroUpdateCoefficientRefuses) {
   using T = TypeParam;
   SparseLuSymbolic<T> sym;
   const SparseLu<T> analyzed(CscMatrix<T>(reordering_system<T>(0.8, 1.1)), sym);
   // U(0, 2) = A(0, 2) is structural but exactly zero: the analysis skips
-  // step 0's update in column 2.
+  // step 0's update in column 2, which the plan cannot reproduce.
   const CscMatrix<T> a(reordering_system<T>(0.0, 1.1));
   SparseLu<T> lu;
-  ASSERT_TRUE(lu.refactor_from(sym, a));
-  expect_same_solves(lu, SparseLu<T>(a), "U(0, 2) = 0");
+  EXPECT_FALSE(lu.refactor_from(sym, a));
+  EXPECT_EQ(lu.size(), 0u);
   expect_refactor_contract(sym, a, "U(0, 2) = 0");
 }
 
-TYPED_TEST(StructuralReplayTest, ExactZeroLEntryHandsOver) {
+TYPED_TEST(StructuralReplayTest, ExactZeroLEntryRefuses) {
   using T = TypeParam;
   SparseLuSymbolic<T> sym;
   const SparseLu<T> analyzed(CscMatrix<T>(reordering_system<T>(0.8, 1.1)), sym);
   // L(5, 0) is structural but exactly zero: the analysis drops it, so step
-  // 0's update no longer reaches row 5.
+  // 0's update no longer reaches row 5, which the plan cannot reproduce.
   const CscMatrix<T> a(reordering_system<T>(0.8, 0.0));
   SparseLu<T> lu;
-  ASSERT_TRUE(lu.refactor_from(sym, a));
-  expect_same_solves(lu, SparseLu<T>(a), "L(5, 0) = 0");
+  EXPECT_FALSE(lu.refactor_from(sym, a));
+  EXPECT_EQ(lu.size(), 0u);
   expect_refactor_contract(sym, a, "L(5, 0) = 0");
 }
 
@@ -627,18 +633,16 @@ TYPED_TEST(StructuralReplayTest, PivotDriftAtAMiddleColumn) {
   using T = TypeParam;
   SparseLuSymbolic<T> sym;
   const SparseLu<T> analyzed(CscMatrix<T>(middle_drift_system<T>(4.0, 1.0)), sym);
-  // Row 3 now wins column 2's scan: strict refuses; repair adopts row 3 and
-  // rewrites the symbolic, which then replays the new values strictly.
+  // Row 3 now wins column 2's scan: the refactor refuses; an analysis into
+  // the same object and symbolic adopts row 3, and the rewritten symbolic
+  // then replays the new values.
   const CscMatrix<T> a(middle_drift_system<T>(1.0, 4.0));
-  SparseLu<T> strict;
-  EXPECT_FALSE(strict.refactor_from(sym, a));
-  EXPECT_EQ(strict.size(), 0u);
   SparseLuSymbolic<T> rewritten = sym;
   SparseLu<T> lu;
-  bool repaired = false;
-  ASSERT_TRUE(lu.refactor_from(rewritten, a, 0.0, &rewritten, &repaired));
-  EXPECT_TRUE(repaired);
-  expect_same_solves(lu, SparseLu<T>(a), "repaired");
+  EXPECT_FALSE(lu.refactor_from(rewritten, a));
+  EXPECT_EQ(lu.size(), 0u);
+  lu.analyze(a, &rewritten);
+  expect_same_solves(lu, SparseLu<T>(a), "analyzed after refusal");
   SparseLu<T> again;
   ASSERT_TRUE(again.refactor_from(rewritten, a));
   expect_same_solves(again, SparseLu<T>(a), "rewritten symbolic");
@@ -682,14 +686,13 @@ TYPED_TEST(StructuralReplayTest, SingularPivotAtAMiddleColumn) {
   using T = TypeParam;
   SparseLuSymbolic<T> sym;
   const SparseLu<T> analyzed(CscMatrix<T>(middle_drift_system<T>(4.0, 1.0)), sym);
-  // Both candidates of column 2 vanish: strict refuses, repair and the
-  // analysis both throw.
+  // Both candidates of column 2 vanish: the refactor refuses, and an
+  // analysis, in place or cold, throws.
   const CscMatrix<T> singular(middle_drift_system<T>(0.0, 0.0));
-  SparseLu<T> strict;
-  EXPECT_FALSE(strict.refactor_from(sym, singular));
   SparseLuSymbolic<T> rewritten = sym;
   SparseLu<T> lu;
-  EXPECT_THROW(lu.refactor_from(sym, singular, 0.0, &rewritten), SingularMatrixError);
+  EXPECT_FALSE(lu.refactor_from(sym, singular));
+  EXPECT_THROW(lu.analyze(singular, &rewritten), SingularMatrixError);
   EXPECT_THROW(SparseLu<T>{singular}, SingularMatrixError);
   expect_refactor_contract(sym, singular, "singular column 2");
   // Only the pinned pivot vanishes: the scan picks row 3, a drift.

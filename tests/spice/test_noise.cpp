@@ -104,6 +104,33 @@ TEST(Noise, CommonSourceStageInputReferredMatchesHandAnalysis) {
   EXPECT_NEAR(rln, expected_rl, expected_rl * 0.05);
 }
 
+TEST(Noise, NonReciprocalGainStageMatchesHandAnalysis) {
+  // A unilateral VCCS stage: rin's noise reaches the output amplified by
+  // gm*RL, and rl's noise never reaches the input. The transfers come from
+  // the transposed system; with Y^T replaced by Y, rin would vanish from the
+  // output and rl would appear at the input.
+  Circuit ckt;
+  const NodeId in = ckt.node("in");
+  const NodeId out = ckt.node("out");
+  const double rin = 1e3, rl = 2e3, gm = 5e-3;
+  ckt.add<Resistor>("rin", in, kGround, rin);
+  ckt.add<Vccs>("g1", out, kGround, in, kGround, gm);
+  ckt.add<Resistor>("rl", out, kGround, rl);
+  const Solution op = dc_operating_point(ckt);
+  const double four_kt = 4.0 * kBoltzmann * kT0;
+  // The analysis' gmin shunts each node, hence the 1e-6 tolerance.
+
+  const NoiseResult at_out = noise_analysis(ckt, op, out, kGround, {1e6});
+  ASSERT_EQ(at_out.points[0].contributions.size(), 2u);
+  const double rin_out = four_kt * rin * (gm * rl) * (gm * rl);
+  EXPECT_NEAR(at_out.contribution_psd(0, "rin"), rin_out, rin_out * 1e-6);
+  EXPECT_NEAR(at_out.contribution_psd(0, "rl"), four_kt * rl, four_kt * rl * 1e-6);
+
+  const NoiseResult at_in = noise_analysis(ckt, op, in, kGround, {1e6});
+  EXPECT_NEAR(at_in.contribution_psd(0, "rin"), four_kt * rin, four_kt * rin * 1e-6);
+  EXPECT_NEAR(at_in.contribution_psd(0, "rl"), 0.0, four_kt * rin * 1e-12);
+}
+
 TEST(Noise, FlickerDominatesAtLowFrequencyInMosStage) {
   Circuit ckt;
   const NodeId vdd = ckt.node("vdd");

@@ -250,6 +250,52 @@ TEST_F(ProtocolGoldenTest, AcNonFiniteGridIsBadParams) {
   EXPECT_EQ(reply(R"json({"v":2,"id":1,"kind":"stats"})json"), kNothingRun);
 }
 
+const char* const kLinearOverflow =
+    " linear grid requires a finite (f_stop_hz - f_start_hz) * (points - 1)";
+
+TEST_F(ProtocolGoldenTest, AcLinearGridOverflowIsBadParams) {
+  // A finite f_stop_hz near the top of the double range overflows a linear
+  // grid's (f_stop_hz - f_start_hz) * i: the grid would read
+  // [1000,8.5e+307,null] and answer zeros there. Both ac grids refuse it
+  // before keying; a log grid over the same endpoints stays finite.
+  const auto ac = [](const char* scale) {
+    return std::string(R"json({"v":2,"id":15,"kind":"ac","params":{)json"
+                       R"json("netlist":"V1 in 0 DC 0 AC 1\nR1 in out 1k\nC1 out 0 1n\n",)json"
+                       R"json("ac":{"f_start_hz":1e3,"f_stop_hz":1.7e308,"points":3,)json"
+                       R"json("log_scale":)json") +
+           scale + R"json(,"probe":"out"}}})json";
+  };
+  EXPECT_EQ(reply(ac("false")), bad_params("15", std::string("ac") + kLinearOverflow));
+  EXPECT_EQ(reply(R"json({"v":2,"id":17,"kind":"gen","params":{"template":"rx_array",)json"
+                  R"json("elements":1,"analysis":"ac","ac":{"f_start_hz":1e3,)json"
+                  R"json("f_stop_hz":1.7e308,"points":3,"log_scale":false}}})json"),
+            bad_params("17", std::string("gen ac") + kLinearOverflow));
+  // Executed outside the session, so the stats below stay empty.
+  const std::string log_payload = execute_request(parse_request(json_parse(ac("true"))).request);
+  EXPECT_NE(log_payload.find(
+                R"json("freqs_hz":[1000,4.1231056256177711e+155,1.7000000000000911e+308])json"),
+            std::string::npos)
+      << log_payload;
+  EXPECT_EQ(reply(R"json({"v":2,"id":1,"kind":"stats"})json"), kNothingRun);
+}
+
+TEST_F(ProtocolGoldenTest, NpathZinLinearGridOverflowIsBadParams) {
+  // The N-path sweeps share the check: at 8e8..1.7e308 the grid would read
+  // [800000000,8.5e+307,null]. It runs last, so an input refused for
+  // another reason keeps its message.
+  EXPECT_EQ(reply(R"json({"v":2,"id":16,"kind":"npath_zin","params":{)json"
+                  R"json("sweep":{"f_start_hz":8e8,"f_stop_hz":1.7e308,"points":3}}})json"),
+            bad_params("16", std::string("npath_zin sweep") + kLinearOverflow));
+  EXPECT_EQ(reply(R"json({"v":2,"id":17,"kind":"gen","params":{"template":"rx_array",)json"
+                  R"json("elements":1,"analysis":"npath_zin","sweep":{"f_start_hz":8e8,)json"
+                  R"json("f_stop_hz":1.7e308,"points":3}}})json"),
+            bad_params("17", std::string("gen sweep") + kLinearOverflow));
+  EXPECT_EQ(reply(R"json({"v":2,"id":16,"kind":"npath_zin","params":{)json"
+                  R"json("sweep":{"f_start_hz":8e8,"f_stop_hz":1.7e308,"points":1}}})json"),
+            bad_params("16", "npath_zin sweep points must be in [2, 4096]"));
+  EXPECT_EQ(reply(R"json({"v":2,"id":1,"kind":"stats"})json"), kNothingRun);
+}
+
 TEST_F(ProtocolGoldenTest, NonFiniteMetricFailsAndIsNotCached) {
   // A transconductance of 1e306 S puts the voltage gain (~1e309) past the
   // largest double, so the value is not finite: the request fails and
